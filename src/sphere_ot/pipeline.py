@@ -202,7 +202,7 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
     if exact:
         gap = coupling.total_cost - float(duals.psi @ mu.weights + duals.phi @ nu.weights)
         checks.append(Check(
-            "duality_gap", "primal cost meets the dual value", gap <= 1e-8, gap, 1e-8,
+            "duality_gap", "primal cost meets the dual value", abs(gap) <= 1e-8, gap, 1e-8,
         ))
     cyc = solver_mod.cyclical_monotonicity_violation(coupling, mu, nu)
     checks.append(Check(

@@ -4,6 +4,7 @@ import pytest
 
 from sphere_ot import cli
 from sphere_ot import pipeline as pipe
+from sphere_ot import solver as solver_mod
 from sphere_ot.errors import ConfigError
 
 
@@ -47,6 +48,19 @@ class TestRunPipeline:
         result = pipe.run_pipeline(config, "uniform", "uniform")
         assert result.exit_code == 0
         assert result.summary["source_regions"]["S1"] == 80
+
+    def test_shifted_duals_fail_duality_gap(self, tmp_path, monkeypatch):
+        real = solver_mod.solve_exact
+
+        def shifted(mu, nu):
+            coupling, duals = real(mu, nu)
+            return coupling, solver_mod.DualPotentials(duals.psi + 1.0, duals.phi)
+
+        monkeypatch.setattr(solver_mod, "solve_exact", shifted)
+        config = pipe.RunConfig(n=2, mesh_count=80, seed=0, output_dir=tmp_path / "run")
+        result = pipe.run_pipeline(config, "uniform", "uniform")
+        assert result.exit_code == pipe.EXIT_INVARIANT
+        assert "duality_gap" in result.summary["checks_failed"]
 
     def test_config_validation(self, tmp_path):
         with pytest.raises(ConfigError):

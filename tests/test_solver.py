@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
 from conftest import make_measure
 from sphere_ot import geometry as g
@@ -87,6 +89,66 @@ class TestExact:
         coupling, _ = so.solve_exact(mu, nu)
         expected = float(np.mean(np.einsum("ij,ij->i", pts - targets, pts - targets)))
         assert coupling.total_cost == pytest.approx(expected, abs=1e-12)
+
+
+def _random_instance(rng, n, n_src, n_tgt):
+    w_mu = rng.random(n_src) + 0.3
+    w_nu = rng.random(n_tgt) + 0.3
+    mu = make_measure(g.random_sphere_points(n, n_src, rng), w_mu / w_mu.sum())
+    nu = make_measure(g.random_sphere_points(n, n_tgt, rng), w_nu / w_nu.sum())
+    return mu, nu
+
+
+def _dense_lp_cost(mu, nu):
+    """Reference optimum: HiGHS dual simplex on every pair at once."""
+    c = g.cost_matrix(mu.points, nu.points)
+    n, m = c.shape
+    a_eq = sparse.vstack([
+        sparse.kron(sparse.eye(n), np.ones((1, m))),
+        sparse.kron(np.ones((1, n)), sparse.eye(m)),
+    ])
+    res = linprog(c.ravel(), A_eq=a_eq, b_eq=np.concatenate([mu.weights, nu.weights]),
+                  bounds=(0, None), method="highs-ds")
+    assert res.status == 0
+    return res.fun
+
+
+class TestColumnGeneration:
+    """Instances above so.FULL_PAIRS take the multiscale warm start."""
+
+    @pytest.mark.parametrize("n, n_src, n_tgt", [
+        (1, 210, 210), (2, 210, 210), (3, 210, 210), (2, 600, 90),
+        (2, 6000, 7), (2, 7, 6000),
+    ])
+    def test_certified_and_matches_dense_lp(self, rng, n, n_src, n_tgt):
+        assert n_src * n_tgt > so.FULL_PAIRS
+        mu, nu = _random_instance(rng, n, n_src, n_tgt)
+        coupling, duals = so.solve_exact(mu, nu)
+        coupling.validate(mu, nu, tol=1e-12)
+        dual = float(duals.psi @ mu.weights + duals.phi @ nu.weights)
+        assert abs(coupling.total_cost - dual) <= 1e-12
+        assert duals.feasibility_gap(mu, nu) <= 1e-12
+        assert duals.slackness_gap(coupling, mu, nu) <= 1e-12
+        assert coupling.total_cost == pytest.approx(_dense_lp_cost(mu, nu), abs=1e-12)
+
+    def test_support_in_row_major_order(self, rng):
+        mu, nu = _random_instance(rng, 2, 300, 200)
+        coupling, _ = so.solve_exact(mu, nu)
+        keys = coupling.rows * nu.count + coupling.cols
+        assert np.all(np.diff(keys) > 0)
+
+    def test_uncertified_duals_raise(self, rng, monkeypatch):
+        real = so.linprog
+
+        def perturbed(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.eqlin.marginals[-1] += 1e-6
+            return res
+
+        monkeypatch.setattr(so, "linprog", perturbed)
+        mu, nu = _random_instance(rng, 2, 20, 25)
+        with pytest.raises(SolverError, match="not certified"):
+            so.solve_exact(mu, nu)
 
 
 class TestOracle:
@@ -227,6 +289,14 @@ class TestIO:
         assert np.array_equal(loaded.cols, coupling.cols)
         assert np.array_equal(loaded.mass, coupling.mass)
         assert loaded.total_cost == pytest.approx(coupling.total_cost, abs=1e-12)
+
+    @pytest.mark.parametrize("line", ["-1,0,0.5", "2,0,0.5", "0,-1,0.5", "0,2,0.5"])
+    def test_coupling_csv_index_out_of_range(self, tmp_path, instance_2x2, line):
+        mu, nu = instance_2x2
+        path = tmp_path / "coupling.csv"
+        path.write_text(f"i,j,mass\n0,0,0.5\n{line}\n")
+        with pytest.raises(SolverError, match="index outside"):
+            so.load_coupling_csv(path, mu, nu)
 
     def test_duals_json(self, tmp_path, instance_2x2):
         import json
