@@ -16,7 +16,7 @@ from . import measures as measures_mod
 from . import pipeline as pipe
 from . import regularity as reg_mod
 from . import solver as solver_mod
-from .errors import ConfigError, SolverError, SphereOTError
+from .errors import ConfigError, InsufficientDataError, SolverError, SphereOTError
 
 
 def _add_mesh_args(p: argparse.ArgumentParser) -> None:
@@ -107,19 +107,22 @@ def _cmd_solve(args) -> int:
 
 
 def _load_run(run_dir: Path):
+    """Measures, the coupling as the run's extraction read it, and the summary."""
+    if not run_dir.is_dir():
+        raise OSError(f"run directory {run_dir} does not exist")
     mu = measures_mod.load_measure(run_dir / "mu.json")
     nu = measures_mod.load_measure(run_dir / "nu.json")
     coupling = solver_mod.load_coupling_csv(run_dir / "coupling.csv", mu, nu)
-    return mu, nu, coupling
+    with open(run_dir / "config.json") as fh:
+        coupling = pipe.extraction_support(coupling, json.load(fh)["solver"])
+    with open(run_dir / "summary.json") as fh:
+        summary = json.load(fh)
+    return mu, nu, coupling, summary
 
 
 def _cmd_extract(args) -> int:
     run_dir = Path(args.run)
-    if not run_dir.is_dir():
-        raise OSError(f"run directory {run_dir} does not exist")
-    mu, nu, coupling = _load_run(run_dir)
-    with open(run_dir / "summary.json") as fh:
-        summary = json.load(fh)
+    mu, nu, coupling, summary = _load_run(run_dir)
     merge_tol = args.merge_tol or summary["merge_tol"]
     zero_tol = args.zero_tol or summary["zero_tol"]
     mm = maps_mod.extract_multimap(coupling, mu, nu, merge_tol)
@@ -130,31 +133,34 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    run_dir = Path(args.run)
-    if not run_dir.is_dir():
-        raise OSError(f"run directory {run_dir} does not exist")
-    mu, nu, coupling = _load_run(run_dir)
-    with open(run_dir / "summary.json") as fh:
-        summary = json.load(fh)
+    mu, nu, coupling, summary = _load_run(Path(args.run))
     mm = maps_mod.extract_multimap(coupling, mu, nu, summary["merge_tol"])
     mm = maps_mod.classify_regions(mm, summary["zero_tol"])
     window = tuple(args.window) if args.window else None
     dot_plus = np.einsum("ij,ij->i", mm.source_points, mm.t_plus)
     s1 = np.nonzero((mm.region == "S1") & (np.abs(dot_plus) >= 0.2))[0]
     if len(s1) >= 2:
-        rep = reg_mod.holder_fit(mm.source_points[s1], mm.t_plus[s1], window=window,
-                                 region="outer_on_S1_interior")
-        print(f"outer map exponent on interior S1: {rep.alpha_hat:.4f} "
-              f"(C={rep.C_hat:.3f}, pairs={rep.pair_count})")
+        try:
+            rep = reg_mod.holder_fit(mm.source_points[s1], mm.t_plus[s1], window=window,
+                                     region="outer_on_S1_interior")
+        except InsufficientDataError as exc:
+            print(f"outer_on_S1_interior: skipped ({exc})")
+        else:
+            print(f"outer map exponent on interior S1: {rep.alpha_hat:.4f} "
+                  f"(C={rep.C_hat:.3f}, pairs={rep.pair_count})")
     s2 = mm.indices_in("S2")
     margins = -np.einsum("ij,ij->i", mm.source_points[s2], mm.t_minus[s2])
     usable = s2[margins > 0]
     if len(usable) >= 2:
-        constants = reg_mod.region_constants(mm, usable, window)
-        ratio = reg_mod.t_minus_bound_check(mm, usable, window, constants)
-        print(f"bivalent constants: k={constants.k_U:.4f} C+={constants.C_plus:.4f} "
-              f"C-(statement)={constants.C_minus_statement:.4f} "
-              f"C-(proof)={constants.C_minus_proof:.4f} bound ratio={ratio:.4f}")
+        try:
+            constants = reg_mod.region_constants(mm, usable, window)
+            ratio = reg_mod.t_minus_bound_check(mm, usable, window, constants)
+        except InsufficientDataError as exc:
+            print(f"bivalent_constants: skipped ({exc})")
+        else:
+            print(f"bivalent constants: k={constants.k_U:.4f} C+={constants.C_plus:.4f} "
+                  f"C-(statement)={constants.C_minus_statement:.4f} "
+                  f"C-(proof)={constants.C_minus_proof:.4f} bound ratio={ratio:.4f}")
     else:
         print("no bivalent region to diagnose")
     return pipe.EXIT_OK

@@ -31,6 +31,9 @@ EXIT_IO = 4
 
 CAP_POWER = 16
 BAND_POWER = 4
+# entropic plans are cut to entries of at least this share of their row's
+# largest mass before extraction, in a run and when it is re-analysed
+ENTROPIC_SUPPORT_TOL = 1e-6
 
 
 @dataclass
@@ -135,6 +138,14 @@ def _json_dump(obj, path: Path) -> None:
         json.dump(obj, fh, sort_keys=True, indent=1)
 
 
+def extraction_support(coupling, solver: str):
+    """The coupling that map extraction reads: exact plans as they are,
+    entropic plans truncated at ENTROPIC_SUPPORT_TOL."""
+    if solver == "exact":
+        return coupling
+    return solver_mod.truncate_support(coupling, ENTROPIC_SUPPORT_TOL)
+
+
 def _holder_reports(mm, window):
     """Envelope fits per region, skipping regions with too little data."""
     reports = {}
@@ -210,7 +221,7 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
         cyc <= 1e-9, cyc, 1e-9, required=exact,
     ))
 
-    extraction_input = coupling if exact else solver_mod.truncate_support(coupling, 1e-6)
+    extraction_input = extraction_support(coupling, config.solver)
     mm = maps_mod.extract_multimap(extraction_input, mu, nu, merge_tol)
     mm = maps_mod.classify_regions(mm, zero_tol)
     inv = maps_mod.invert_maps(mm, extraction_input, nu)

@@ -28,7 +28,6 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial import cKDTree
-from scipy.special import logsumexp
 
 from .errors import ConfigError, ConvergenceError, SolverError
 from .geometry import cost_matrix
@@ -292,6 +291,18 @@ def _round_to_marginals(plan: np.ndarray, mu_w: np.ndarray, nu_w: np.ndarray) ->
     return plan
 
 
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along axis, as scipy.special.logsumexp computes it
+    for finite input: the maxima are split out and log1p taken of the rest."""
+    top = a.max(axis=axis, keepdims=True)
+    ties = a == top
+    rest = np.exp(a - top)
+    rest[ties] = 0.0
+    count = ties.sum(axis=axis, keepdims=True, dtype=float)
+    out = np.log1p(rest.sum(axis=axis, keepdims=True) / count) + np.log(count) + top
+    return out.squeeze(axis)
+
+
 def solve_entropic(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
@@ -322,8 +333,8 @@ def solve_entropic(
 
     violation = np.inf
     for it in range(max_iter):
-        f = reg * log_mu - reg * logsumexp((g[None, :] - c) / reg, axis=1)
-        g = reg * log_nu - reg * logsumexp((f[:, None] - c) / reg, axis=0)
+        f = reg * log_mu - reg * _logsumexp((g[None, :] - c) / reg, axis=1)
+        g = reg * log_nu - reg * _logsumexp((f[:, None] - c) / reg, axis=0)
         if it % 10 == 9 or it == max_iter - 1:
             violation = row_violation(f, g)
             if violation <= tol:
@@ -367,7 +378,9 @@ def cyclical_monotonicity_violation(
 
     Zero (up to solver tolerance) exactly when the support admits no
     improving two-cycle, the optimality fingerprint of the plan.
-    Equals twice the negative part of the worst support monotonicity dot.
+    Equals twice the negative part of the worst support monotonicity dot,
+    computed in the separable form of support_monotonicity_min: O(n s)
+    work and O(block n) memory for n sources and s support entries.
     """
     return max(0.0, -2.0 * support_monotonicity_min(coupling, mu, nu, block))
 
@@ -375,18 +388,54 @@ def cyclical_monotonicity_violation(
 def support_monotonicity_min(
     coupling: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure, block: int = 2048
 ) -> float:
-    """min over support pairs of (x_i - x_k) . (y_j - y_l); >= 0 at optimality."""
-    xs = mu.points[coupling.rows]
-    ys = nu.points[coupling.cols]
-    own = np.einsum("ij,ij->i", xs, ys)
-    s = len(xs)
+    """min over support pairs of (x_i - x_k) . (y_j - y_l); >= 0 at optimality.
+
+    Separable form: the term for pairs (i, j) and (k, l) is
+    D[i, k] + D[k, i] with D[i, k] = min over j in supp(i) of
+    x_i . y_j - x_k . y_j, so the minimum over all pairs is the minimum of
+    D + D^T. The sources, sorted by row, are cut into chunks of about
+    `block` support entries (a source is never split). For each pair of
+    chunks A <= B, D[A, B] and the transpose of D[B, A] are built in the
+    same sources-of-A by sources-of-B layout, each by one matmul and one
+    minimum.reduceat over the entries of each source, so no transpose is
+    taken. That is O(n s) work for n sources and s entries in place of
+    O(s^2), and O(block n) working memory: no n x n, s x n or s x s array.
+    Returns inf for an empty coupling.
+    """
+    s = coupling.size
+    if s == 0:
+        return np.inf
+    order = np.argsort(coupling.rows, kind="stable")
+    rows = coupling.rows[order]
+    ys = nu.points[coupling.cols[order]]
+    own = np.einsum("ij,ij->i", mu.points[rows], ys)
+    first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])  # each source's first entry
+    xs = mu.points[rows[first]]
+    bounds = np.append(first, s)
+    edges = np.unique(np.append(np.searchsorted(first, np.arange(0, s, block)), len(first)))
+    chunks = [
+        (own[bounds[a]:bounds[b]], ys[bounds[a]:bounds[b]], first[a:b] - bounds[a], xs[a:b])
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
     best = np.inf
-    for a in range(0, s, block):
-        xa = xs[a : a + block]
-        ya = ys[a : a + block]
-        dots = own[a : a + block, None] + own[None, :] - xa @ ys.T - ya @ xs.T
-        best = min(best, float(dots.min()))
+    for ia, (own_a, ys_a, starts_a, xs_a) in enumerate(chunks):
+        for own_b, ys_b, starts_b, xs_b in chunks[ia:]:
+            tile = _min_per_source(own_a, ys_a @ xs_b.T, starts_a, axis=0)  # D[A, B]
+            tile += _min_per_source(own_b, xs_a @ ys_b.T, starts_b, axis=1)  # D[B, A]^T
+            best = min(best, float(tile.min()))
     return best
+
+
+def _min_per_source(own: np.ndarray, cross: np.ndarray, starts: np.ndarray, axis: int):
+    """Minimum of own - cross over each source's run of entries along axis.
+
+    The difference is taken in place in cross. When every source holds one
+    entry, cross itself is the result: reduceat is slow on runs of one.
+    """
+    np.subtract(np.expand_dims(own, 1 - axis), cross, out=cross)
+    if len(starts) == cross.shape[axis]:
+        return cross
+    return np.minimum.reduceat(cross, starts, axis=axis)
 
 
 def brenier_potential(

@@ -184,6 +184,25 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "bivalent constants" in out
 
+    def test_diagnose_with_too_little_data(self, tmp_path, capsys):
+        run = str(tmp_path / "tiny")
+        assert cli.main(["solve", "--n", "2", "--mesh", "10", "--seed", "0",
+                         "--mu", "uniform", "--nu", "uniform", "--out", run]) == 0
+        capsys.readouterr()
+        assert cli.main(["diagnose", "--run", run]) == 0
+        assert "outer_on_S1_interior: skipped (fewer than 2 pairs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mesh, seed", [(80, 1), (60, 0)])
+    def test_entropic_extract_reads_pipeline_support(self, tmp_path, capsys, mesh, seed):
+        run = tmp_path / "ent"
+        cli.main([
+            "solve", "--n", "2", "--mesh", str(mesh), "--seed", str(seed), "--mu", "cap:0.98",
+            "--nu", "uniform", "--solver", "entropic", "--out", str(run),
+        ])
+        written = (run / "multimap.json").read_bytes()
+        assert cli.main(["extract", "--run", str(run)]) == 0
+        assert (run / "multimap.json").read_bytes() == written
+
     def test_mtw_subcommand(self, tmp_path, capsys):
         assert cli.main(["mtw", "--n", "2", "--samples", "30",
                          "--out", str(tmp_path / "mtw")]) == 0

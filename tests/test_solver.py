@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.special import logsumexp
 
 from conftest import make_measure
 from sphere_ot import geometry as g
 from sphere_ot import measures as me
 from sphere_ot import solver as so
 from sphere_ot.errors import ConfigError, ConvergenceError, SolverError
+from sphere_ot.pipeline import resolve_measure
 
 
 @pytest.fixture
@@ -226,6 +228,14 @@ class TestEntropic:
             so.solve_entropic(mu, nu, reg=0.05, max_iter=3, tol=1e-13)
 
 
+def _monotonicity_brute(coupling, mu, nu):
+    """Reference: (x_i - x_k) . (y_j - y_l) over every pair of support entries."""
+    xs = mu.points[coupling.rows]
+    ys = nu.points[coupling.cols]
+    own = np.einsum("ij,ij->i", xs, ys)
+    return float((own[:, None] + own[None, :] - xs @ ys.T - ys @ xs.T).min())
+
+
 class TestMonotonicity:
     def test_optimal_plan_clean(self, instance_2x2):
         mu, nu = instance_2x2
@@ -235,18 +245,65 @@ class TestMonotonicity:
     def test_crossed_plan_violation(self, instance_2x2):
         mu, nu = instance_2x2
         crossed = so.Coupling(np.array([0, 1]), np.array([1, 0]), np.array([0.5, 0.5]), 0.8)
-        assert so.cyclical_monotonicity_violation(crossed, mu, nu) == pytest.approx(0.8, abs=1e-12)
+        for block in (1, 3, 2048):
+            violation = so.cyclical_monotonicity_violation(crossed, mu, nu, block)
+            assert violation == pytest.approx(0.8, abs=1e-12)
 
     def test_single_pair_trivial(self, instance_2x2):
         mu, nu = instance_2x2
         single = so.Coupling(np.array([0]), np.array([0]), np.array([1.0]), 0.4)
-        assert so.cyclical_monotonicity_violation(single, mu, nu) == 0.0
+        for block in (1, 3, 2048):
+            assert so.cyclical_monotonicity_violation(single, mu, nu, block) == 0.0
+
+    def test_empty_coupling(self, instance_2x2):
+        mu, nu = instance_2x2
+        empty = so.Coupling(np.array([], dtype=int), np.array([], dtype=int), np.array([]), 0.0)
+        assert so.support_monotonicity_min(empty, mu, nu) == np.inf
+        assert so.cyclical_monotonicity_violation(empty, mu, nu) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("block", ["1", "3", "above s"])
+    def test_matches_pairwise_reference(self, rng, n, block):
+        # shuffled supports with up to 12 entries per source, so blocks of
+        # 1 and 3 entries end inside a source's support
+        for _ in range(25):
+            n_src, n_tgt = rng.integers(1, 13, size=2)
+            mu = make_measure(g.random_sphere_points(n, n_src, rng))
+            nu = make_measure(g.random_sphere_points(n, n_tgt, rng))
+            s = int(rng.integers(1, n_src * n_tgt + 1))
+            pairs = rng.permutation(rng.choice(n_src * n_tgt, size=s, replace=False))
+            coupling = so.Coupling(pairs // n_tgt, pairs % n_tgt, np.full(s, 1.0 / s), 0.0)
+            size = s + 1 if block == "above s" else int(block)
+            got = so.support_monotonicity_min(coupling, mu, nu, size)
+            assert got == pytest.approx(_monotonicity_brute(coupling, mu, nu), abs=1e-12)
 
     def test_support_monotonicity_identity(self, rng):
         pts = g.random_sphere_points(2, 40, rng)
         mu = make_measure(pts)
         coupling, _ = so.solve_exact(mu, mu)
         assert so.support_monotonicity_min(coupling, mu, mu) >= -1e-12
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("shape", [(7, 11), (1, 9), (9, 1), (1, 1), (40, 3)])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_bitwise_equal_to_scipy(self, rng, shape, axis):
+        for scale in (1.0, 1.0, 300.0, 300.0):
+            a = scale * rng.normal(size=shape)
+            ties = np.round(a)  # many tied maxima per row and column
+            for arr in (a, ties, np.zeros(shape)):
+                assert so._logsumexp(arr, axis).tobytes() == logsumexp(arr, axis=axis).tobytes()
+
+    def test_entropic_solve_unchanged_with_scipy(self, monkeypatch):
+        mesh = me.quasi_uniform_mesh(2, 80, 1)
+        mu = resolve_measure("cap:0.98", mesh)
+        nu = resolve_measure("uniform", mesh)
+        ours = so.solve_entropic(mu, nu, reg=0.01)
+        monkeypatch.setattr(so, "_logsumexp", lambda a, axis: logsumexp(a, axis=axis))
+        reference = so.solve_entropic(mu, nu, reg=0.01)
+        for got, want in zip(ours, reference):
+            for name, value in vars(want).items():
+                assert np.asarray(getattr(got, name)).tobytes() == np.asarray(value).tobytes()
 
 
 class TestBrenierPotential:
