@@ -31,3 +31,7 @@ class InsufficientDataError(SphereOTError):
 
 class NullityError(SphereOTError):
     """A direction pair fails the nullity constraint it was required to satisfy."""
+
+
+class SolverFallbackWarning(RuntimeWarning):
+    """The exact solver left the assignment path for the LP; the message says why."""

@@ -258,6 +258,7 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
             landing, float(len(outer_targets)), 0.0, required=exact,
         ))
     t2 = inv.indices_in("T2")
+    probes = _dichotomy_probes(inv, t2)
     if len(t2) >= 2:
         mono = reg_mod.monotonicity_check(inv, t2)
         checks.append(Check(
@@ -265,17 +266,11 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
             "inner inverse map is monotone against target displacement",
             mono >= -1e-9, mono, 1e-9, required=exact,
         ))
-        beta_ok = True
-        for center in t2[: min(len(t2), 8)]:
-            try:
-                rep = reg_mod.dichotomy_probe(inv, int(center), m=50)
-            except SphereOTError:
-                continue  # coincident weighted normals: angle undefined there
-            beta_ok = beta_ok and rep.gamma_bound_ok
         checks.append(Check(
             "angle_bound",
             "weighted-normal angles stay below half the complementary separation angle",
-            beta_ok, float(len(t2)), 1e-9, required=exact,
+            all(rep.gamma_bound_ok for rep in probes.values()), float(len(t2)), 1e-9,
+            required=exact,
         ))
     mass_split = abs(nu1.mass + nu_rest.mass - nu.mass)
     checks.append(Check(
@@ -343,7 +338,7 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
         },
         out / "constants.json",
     )
-    _write_beta_csv(inv, t2, out / "beta_values.csv")
+    _write_beta_csv(probes, out / "beta_values.csv")
     _json_dump([c.as_dict() for c in checks], out / "checks.json")
 
     summary = {
@@ -387,19 +382,27 @@ def _inverse_records(inv) -> dict:
     }
 
 
-def _write_beta_csv(inv, t2, path: Path) -> None:
+def _dichotomy_probes(inv, t2) -> dict:
+    """dichotomy_probe at each of the first 8 T2 centres, by centre; a centre
+    whose weighted normals coincide is left out (its angle is undefined)."""
+    probes = {}
+    for center in t2[: min(len(t2), 8)]:
+        try:
+            probes[int(center)] = reg_mod.dichotomy_probe(inv, int(center), m=50)
+        except SphereOTError:
+            continue
+    return probes
+
+
+def _write_beta_csv(probes: dict, path: Path) -> None:
     import csv
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["center", "other", "beta"])
-        for center in t2[: min(len(t2), 8)]:
-            try:
-                rep = reg_mod.dichotomy_probe(inv, int(center), m=50)
-            except SphereOTError:
-                continue
+        for center, rep in probes.items():
             for j, beta in zip(rep.others, rep.betas):
-                writer.writerow([int(center), int(j), repr(float(beta))])
+                writer.writerow([center, int(j), repr(float(beta))])
 
 
 def run_mtw_suite(

@@ -12,7 +12,18 @@ solutions to transportation problems", 2014). Large instances start
 from the duals of a coarsened instance solved the same way, following
 Schmitzer ("A sparse multiscale algorithm for dense optimal transport",
 2016). When both sides have the same number of equally weighted atoms an
-assignment fast path is used instead. Dual potentials are returned in
+assignment path is used instead, built on the same two ideas. Every
+COARSEN-th atom of each side in k-d tree order forms a coarse instance
+that is solved first; its target duals, carried up by two c-transforms,
+make linear_sum_assignment run on reduced costs, with the same optimum
+in far fewer augmenting-path steps. The duals come from Jacobi
+Bellman-Ford sweeps from zero on the column reassignment graph, run over
+a short candidate list and widened by pricing every pair. Each sweep is
+monotone and starts above every fixed point, so any such run stops at
+the greatest fixed point at or below zero of the sweep over all pairs:
+the duals are bit for bit those of sweeps over the dense matrix. If the
+sweeps do not settle, solve_exact warns with SolverFallbackWarning and
+solves the LP. Dual potentials are returned in
 the cost form psi_i + phi_j <= c(x_i, y_j); the correlation-form convex
 potential used for subdifferential queries is derived from them via
 c(x, y) = 2 - 2 x.y, giving psi_corr(x) = max_j (x.y_j + phi_j / 2)
@@ -22,6 +33,7 @@ c(x, y) = 2 - 2 x.y, giving psi_corr(x) = max_j (x.y_j + phi_j / 2)
 import csv
 import itertools
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +41,7 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial import cKDTree
 
-from .errors import ConfigError, ConvergenceError, SolverError
+from .errors import ConfigError, ConvergenceError, SolverError, SolverFallbackWarning
 from .geometry import cost_matrix
 from .measures import DiscreteMeasure
 
@@ -38,6 +50,7 @@ SUPPORT_EPS = 1e-15
 FULL_PAIRS = 40_000  # instances with at most this many pairs price every pair from the start
 COARSEN = 4  # atoms per coarse centre in the multiscale warm start
 NEIGHBOURS = 10  # smallest reduced costs per row and per column in the first candidate set
+BLOCK = 256  # rows or columns per block when selecting or pricing pairs
 PRICE_TOL = 1e-10  # certified once no pair has reduced cost below -PRICE_TOL
 # HiGHS's default 1e-7 tolerances can leave a candidate pair priced at
 # about -1e-8, which an optimality certificate at 1e-8 cannot absorb.
@@ -120,29 +133,6 @@ def _coupling_from_dense(plan: np.ndarray, c: np.ndarray) -> Coupling:
     return Coupling(rows, cols, mass, cost)
 
 
-def _duals_from_assignment(c: np.ndarray, row_to_col: np.ndarray, max_iter: int | None = None):
-    """Dual potentials supporting an optimal assignment.
-
-    Vectorized Bellman-Ford on the column reassignment graph: converges
-    because an optimal assignment admits no negative cycle. Returns None
-    if the iteration limit is hit (caller falls back to the LP).
-    """
-    n = c.shape[0]
-    col_to_row = np.empty(n, dtype=int)
-    col_to_row[row_to_col] = np.arange(n)
-    w = c[col_to_row, :] - c[col_to_row, row_to_col[col_to_row]][:, None]
-    phi = np.zeros(n)
-    limit = max_iter if max_iter is not None else n + 1
-    for _ in range(limit):
-        cand = (phi[:, None] + w).min(axis=0)
-        new = np.minimum(phi, cand)
-        if np.array_equal(new, phi):
-            psi = c[np.arange(n), row_to_col] - phi[row_to_col]
-            return psi, phi
-        phi = new
-    return None
-
-
 def _north_west_corner(a: np.ndarray, b: np.ndarray):
     """Support of the north-west-corner plan, so a candidate set holding it
     always admits a feasible restricted LP."""
@@ -163,6 +153,41 @@ def _coarsen(points: np.ndarray, weights: np.ndarray):
     return centres[keep], mass[keep]
 
 
+def _carry_up(c, cols, phi_coarse):
+    """Duals on all of c from target duals phi_coarse on the columns cols.
+
+    Two c-transforms give psi and phi. Returns (psi, phi, rows, picks): the
+    pairs (rows, picks) are the NEIGHBOURS of smallest reduced cost
+    c - psi - phi in every row and in every column. The work runs in blocks
+    of BLOCK rows or columns, so no temporary as large as c is made; every
+    row and column is reduced on its own, so the minima and the selected
+    pairs are those of the whole-matrix calls.
+    """
+    n, m = c.shape
+    psi = np.empty(n)
+    phi = np.full(m, np.inf)
+    for lo in range(0, n, BLOCK):
+        blk = slice(lo, lo + BLOCK)
+        psi[blk] = (c[blk][:, cols] - phi_coarse[None, :]).min(axis=1)
+        np.minimum(phi, (c[blk] - psi[blk, None]).min(axis=0), out=phi)
+    rows, picks = [], []
+    k = min(NEIGHBOURS, m)
+    for lo in range(0, n, BLOCK):
+        reduced = c[lo:lo + BLOCK] - psi[lo:lo + BLOCK, None] - phi[None, :]
+        best = np.argpartition(reduced, k - 1, axis=1)[:, :k]
+        rows.append(np.repeat(np.arange(lo, lo + len(best)), k))
+        picks.append(best.ravel())
+    k = min(NEIGHBOURS, n)
+    for lo in range(0, m, BLOCK):
+        reduced = c[:, lo:lo + BLOCK].T.copy()  # one contiguous row per column
+        reduced -= psi[None, :]
+        reduced -= phi[lo:lo + BLOCK, None]
+        best = np.argpartition(reduced, k - 1, axis=1)[:, :k]
+        rows.append(best.ravel())
+        picks.append(np.repeat(np.arange(lo, lo + len(best)), k))
+    return psi, phi, np.concatenate(rows), np.concatenate(picks)
+
+
 def _initial_candidates(c, a, b, xs, ys) -> np.ndarray:
     """Boolean mask of the first candidate pairs.
 
@@ -176,13 +201,9 @@ def _initial_candidates(c, a, b, xs, ys) -> np.ndarray:
     ci, ca = _coarsen(xs, a)
     cj, cb = _coarsen(ys, b)
     *_, phi_coarse = _column_generation(c[np.ix_(ci, cj)], ca, cb, xs[ci], ys[cj])
-    psi = (c[:, cj] - phi_coarse[None, :]).min(axis=1)
-    phi = (c - psi[:, None]).min(axis=0)
-    reduced = c - psi[:, None] - phi[None, :]
+    _, _, rows, cols = _carry_up(c, cj, phi_coarse)
     mask = np.zeros((n, m), dtype=bool)
-    for axis, k in ((1, min(NEIGHBOURS, m)), (0, min(NEIGHBOURS, n))):
-        best = np.argpartition(reduced, k - 1, axis=axis).take(np.arange(k), axis=axis)
-        np.put_along_axis(mask, best, True, axis=axis)
+    mask[rows, cols] = True
     mask[_north_west_corner(a, b)] = True
     return mask
 
@@ -231,12 +252,89 @@ def _solve_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, c: np.ndarray):
     return Coupling(rows, cols, mass, cost), DualPotentials(psi, phi)
 
 
+def _subsample(points: np.ndarray) -> np.ndarray:
+    """Every COARSEN-th atom in k-d tree leaf order, so the atoms kept
+    spread over the sphere whatever order the points come in."""
+    return cKDTree(points, leafsize=COARSEN).indices[::COARSEN]
+
+
+def _assignment(c, xs, ys):
+    """Optimal assignment of the square cost c and its duals.
+
+    Returns (assign, duals): row i goes to column assign[i], and duals is
+    (psi, phi), or None if the dual sweeps do not settle. Instances above
+    FULL_PAIRS subsample both sides, solve that equal-weight instance the
+    same way and carry its target duals up (zeros if they did not settle);
+    linear_sum_assignment then runs on the reduced costs c - psi - phi,
+    which have the same optimum but need far fewer augmenting-path steps.
+    The pairs of smallest reduced cost are the first candidate edges of the
+    dual sweeps; small instances take every pair.
+    """
+    n = len(c)
+    if n * n <= FULL_PAIRS:
+        _, assign = linear_sum_assignment(c)
+        rows, cols = np.divmod(np.arange(n * n), n)
+        return assign, _assignment_duals(c, assign, rows, cols)
+    ci, cj = _subsample(xs), _subsample(ys)
+    _, coarse = _assignment(c[np.ix_(ci, cj)], xs[ci], ys[cj])
+    phi_coarse = coarse[1] if coarse is not None else np.zeros(len(cj))
+    psi, phi, rows, cols = _carry_up(c, cj, phi_coarse)
+    reduced = c - psi[:, None]
+    reduced -= phi[None, :]
+    _, assign = linear_sum_assignment(reduced)
+    del reduced
+    return assign, _assignment_duals(c, assign, rows, cols)
+
+
+def _assignment_duals(c, assign, rows, cols):
+    """Duals (psi, phi) supporting the assignment i -> assign[i], or None.
+
+    Jacobi Bellman-Ford from phi = 0 on the column graph, in which pair
+    (i, j) is an edge assign[i] -> j of weight c[i, j] - c[i, assign[i]].
+    The sweeps run over the candidate pairs (rows, cols) and the assignment
+    until they settle. Then every pair of c is priced in row blocks by the
+    sweep's own float test; the pairs that fail join the candidates and the
+    sweeps go on from the current phi. A sweep only ever lowers phi, and
+    never below the greatest fixed point at or below 0 of the sweep over
+    all pairs, so the duals returned are that fixed point: bit for bit
+    those of sweeps over the dense matrix. A pass that does not settle
+    within n + 1 sweeps means a negative cycle, which an optimal
+    assignment does not have, and gives None.
+    """
+    n = len(c)
+    own = c[np.arange(n), assign]
+    phi = np.zeros(n)
+    rows, cols = np.append(rows, np.arange(n)), np.append(cols, assign)
+    while True:
+        keys = np.unique(cols * n + rows)  # by head column; every column heads its own loop
+        cols, rows = np.divmod(keys, n)
+        tails, weights = assign[rows], c[rows, cols] - own[rows]
+        heads = np.flatnonzero(np.r_[True, cols[1:] != cols[:-1]])
+        for _ in range(n + 1):
+            new = np.minimum(phi, np.minimum.reduceat(phi[tails] + weights, heads))
+            if np.array_equal(new, phi):
+                break
+            phi = new
+        else:
+            return None
+        failed = []  # row-major indices of the pairs that price below phi
+        for lo in range(0, n, BLOCK):
+            via = c[lo:lo + BLOCK] - own[lo:lo + BLOCK, None]
+            via += phi[assign[lo:lo + BLOCK], None]
+            failed.append(np.flatnonzero(via < phi[None, :]) + lo * n)
+        failed = np.concatenate(failed)
+        if not len(failed):
+            return own - phi[assign], phi
+        rows, cols = np.append(rows, failed // n), np.append(cols, failed % n)
+
+
 def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Optimal coupling and dual potentials for the discrete quadratic cost.
 
-    Uses the Hungarian assignment path when atom counts and weights match
+    Uses the multiscale assignment path when atom counts and weights match
     (duals recovered by shortest-path potentials), otherwise certified
-    column generation on the LP.
+    column generation on the LP. If the assignment duals do not settle,
+    it warns with SolverFallbackWarning and solves the LP.
     """
     _check_instance(mu, nu)
     c = cost_matrix(mu.points, nu.points)
@@ -246,13 +344,18 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure):
         and np.allclose(nu.weights, mu.weights[0], rtol=0, atol=1e-12)
     )
     if equal_weights:
-        r, assign = linear_sum_assignment(c)
-        duals = _duals_from_assignment(c, assign)
+        assign, duals = _assignment(c, mu.points, nu.points)
         if duals is not None:
-            psi, phi = duals
+            r = np.arange(mu.count)
             mass = np.full(mu.count, mu.weights[0])
             cost = float(np.sum(mass * c[r, assign]))
-            return Coupling(r, assign, mass, cost), DualPotentials(psi, phi)
+            return Coupling(r, assign, mass, cost), DualPotentials(*duals)
+        warnings.warn(
+            f"assignment duals did not settle within {mu.count + 1} sweeps of a pass; "
+            "solving the transport LP instead",
+            SolverFallbackWarning,
+            stacklevel=2,
+        )
     return _solve_lp(mu, nu, c)
 
 

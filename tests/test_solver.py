@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.special import logsumexp
 
 from conftest import make_measure
 from sphere_ot import geometry as g
 from sphere_ot import measures as me
 from sphere_ot import solver as so
-from sphere_ot.errors import ConfigError, ConvergenceError, SolverError
+from sphere_ot.errors import ConfigError, ConvergenceError, SolverError, SolverFallbackWarning
 from sphere_ot.pipeline import resolve_measure
 
 
@@ -93,6 +93,122 @@ class TestExact:
         assert coupling.total_cost == pytest.approx(expected, abs=1e-12)
 
 
+def _dense_assignment_duals(c, row_to_col):
+    """Reference: Jacobi Bellman-Ford over the dense column reassignment graph.
+
+    Edge k -> j weighs c[i, j] - c[i, k] for the row i assigned to column k;
+    every sweep takes one full n x n pass. None if n + 1 sweeps do not settle.
+    """
+    n = c.shape[0]
+    col_to_row = np.empty(n, dtype=int)
+    col_to_row[row_to_col] = np.arange(n)
+    w = c[col_to_row, :] - c[col_to_row, row_to_col[col_to_row]][:, None]
+    phi = np.zeros(n)
+    for _ in range(n + 1):
+        cand = (phi[:, None] + w).min(axis=0)
+        new = np.minimum(phi, cand)
+        if np.array_equal(new, phi):
+            psi = c[np.arange(n), row_to_col] - phi[row_to_col]
+            return psi, phi
+        phi = new
+    return None
+
+
+def _circle(count, angle):
+    t = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False) + angle
+    return np.column_stack([np.cos(t), np.sin(t)])
+
+
+def _warp(pts, shift=0.35):
+    """Push-forward by the gradient of the convex function |y + shift e|:
+    the identity pairing is provably optimal."""
+    moved = pts + shift * np.eye(pts.shape[1])[-1]
+    return moved / np.linalg.norm(moved, axis=1, keepdims=True)
+
+
+class TestAssignment:
+    """The multiscale assignment path against the dense reference."""
+
+    @pytest.fixture(autouse=True)
+    def no_lp(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the assignment path fell back to the LP")
+
+        monkeypatch.setattr(so, "linprog", forbidden)
+
+    @staticmethod
+    def _assert_matches_reference(pts_mu, pts_nu):
+        mu, nu = make_measure(pts_mu), make_measure(pts_nu)
+        coupling, duals = so.solve_exact(mu, nu)
+        c = g.cost_matrix(pts_mu, pts_nu)
+        _, assign = linear_sum_assignment(c)
+        psi, phi = _dense_assignment_duals(c, assign)
+        assert np.array_equal(coupling.rows, np.arange(mu.count))
+        assert coupling.cols.tobytes() == assign.tobytes()
+        assert duals.psi.tobytes() == psi.tobytes()
+        assert duals.phi.tobytes() == phi.tobytes()
+        return coupling, duals
+
+    @pytest.mark.parametrize("count", [150, 201, 400, 900])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bitwise_equal_to_dense_reference(self, rng, n, count):
+        self._assert_matches_reference(
+            g.random_sphere_points(n, count, rng), g.random_sphere_points(n, count, rng)
+        )
+
+    @pytest.mark.parametrize("count", [150, 400])
+    def test_identical_point_sets(self, rng, count):
+        pts = g.random_sphere_points(2, count, rng)
+        coupling, _ = self._assert_matches_reference(pts, pts.copy())
+        assert np.array_equal(coupling.cols, np.arange(count))
+
+    def test_rotated_circle(self):
+        self._assert_matches_reference(_circle(400, 0.0), _circle(400, 0.003))
+
+    def test_target_permutation(self, rng):
+        pts_mu = g.random_sphere_points(2, 500, rng)
+        pts_nu = g.random_sphere_points(2, 500, rng)
+        perm = rng.permutation(500)
+        mu = make_measure(pts_mu)
+        coupling, _ = so.solve_exact(mu, make_measure(pts_nu))
+        shuffled, _ = so.solve_exact(mu, make_measure(pts_nu[perm]))
+        assert np.array_equal(perm[shuffled.cols], coupling.cols)
+        assert shuffled.total_cost == pytest.approx(coupling.total_cost, abs=1e-12)
+
+    def test_gradient_warp_oracle_two_levels(self, rng, monkeypatch):
+        calls = []
+        real = so.linear_sum_assignment
+
+        def counted(cost):
+            calls.append(len(cost))
+            return real(cost)
+
+        monkeypatch.setattr(so, "linear_sum_assignment", counted)
+        pts = g.random_sphere_points(2, 1000, rng)
+        mu, nu = make_measure(pts), make_measure(_warp(pts))
+        coupling, duals = so.solve_exact(mu, nu)
+        assert calls == [63, 250, 1000]  # 1000 -> 250 -> 63 atoms: two coarse levels
+        assert np.array_equal(coupling.cols, np.arange(1000))
+        expected = float(np.mean(np.sum((mu.points - nu.points) ** 2, axis=1)))
+        assert coupling.total_cost == pytest.approx(expected, abs=1e-12)
+        dual = float(duals.psi @ mu.weights + duals.phi @ nu.weights)
+        assert abs(coupling.total_cost - dual) <= 1e-12
+        assert duals.feasibility_gap(mu, nu) <= 1e-12
+        assert duals.slackness_gap(coupling, mu, nu) <= 1e-12
+
+
+def test_unsettled_assignment_duals_fall_back_to_lp_loudly(rng, monkeypatch):
+    # 300 atoms: the coarse level's duals fail too and the warm start is zero
+    monkeypatch.setattr(so, "_assignment_duals", lambda *args: None)
+    mu = make_measure(g.random_sphere_points(2, 300, rng))
+    nu = make_measure(g.random_sphere_points(2, 300, rng))
+    with pytest.warns(SolverFallbackWarning, match="did not settle"):
+        coupling, duals = so.solve_exact(mu, nu)
+    coupling.validate(mu, nu)
+    assert duals.feasibility_gap(mu, nu) <= 1e-9
+    assert duals.slackness_gap(coupling, mu, nu) <= 1e-9
+
+
 def _random_instance(rng, n, n_src, n_tgt):
     w_mu = rng.random(n_src) + 0.3
     w_nu = rng.random(n_tgt) + 0.3
@@ -132,6 +248,25 @@ class TestColumnGeneration:
         assert duals.feasibility_gap(mu, nu) <= 1e-12
         assert duals.slackness_gap(coupling, mu, nu) <= 1e-12
         assert coupling.total_cost == pytest.approx(_dense_lp_cost(mu, nu), abs=1e-12)
+
+    @pytest.mark.parametrize("n_src, n_tgt", [(600, 300), (7, 900), (900, 7)])
+    def test_blocked_carry_up_matches_whole_matrix(self, rng, n_src, n_tgt):
+        c = g.cost_matrix(g.random_sphere_points(2, n_src, rng),
+                          g.random_sphere_points(2, n_tgt, rng))
+        cols = np.arange(0, n_tgt, 4)
+        phi_coarse = rng.normal(scale=0.1, size=len(cols))
+        psi, phi, rows, picks = so._carry_up(c, cols, phi_coarse)
+        want_psi = (c[:, cols] - phi_coarse[None, :]).min(axis=1)
+        want_phi = (c - want_psi[:, None]).min(axis=0)
+        assert psi.tobytes() == want_psi.tobytes() and phi.tobytes() == want_phi.tobytes()
+        reduced = c - want_psi[:, None] - want_phi[None, :]
+        want = np.zeros(c.shape, dtype=bool)
+        for axis, k in ((1, min(so.NEIGHBOURS, n_tgt)), (0, min(so.NEIGHBOURS, n_src))):
+            best = np.argpartition(reduced, k - 1, axis=axis).take(np.arange(k), axis=axis)
+            np.put_along_axis(want, best, True, axis=axis)
+        got = np.zeros(c.shape, dtype=bool)
+        got[rows, picks] = True
+        assert np.array_equal(got, want)
 
     def test_support_in_row_major_order(self, rng):
         mu, nu = _random_instance(rng, 2, 300, 200)
