@@ -23,8 +23,17 @@ REGION_TARGET = ("T0", "T1", "T2")
 
 
 def _single_linkage_clusters(points: np.ndarray, tol: float) -> list[list[int]]:
-    """Cluster row indices by single linkage at Euclidean threshold tol."""
+    """Cluster row indices by single linkage at Euclidean threshold tol.
+
+    Pairs are joined in row-major order. Each distance is the square root
+    of one vector dot product, as np.linalg.norm takes it for one
+    difference, so the test is bit for bit the pairwise one.
+    """
     k = len(points)
+    if k == 1:
+        return [[0]]
+    diff = points[:, None, :] - points[None, :, :]
+    close = np.sqrt(diff[..., None, :] @ diff[..., None])[..., 0, 0] < tol
     parent = list(range(k))
 
     def find(a):
@@ -33,12 +42,11 @@ def _single_linkage_clusters(points: np.ndarray, tol: float) -> list[list[int]]:
             a = parent[a]
         return a
 
-    for a in range(k):
-        for b in range(a + 1, k):
-            if np.linalg.norm(points[a] - points[b]) < tol:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
+    rows, cols = np.nonzero(np.triu(close, 1))
+    for a, b in zip(rows.tolist(), cols.tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
     groups: dict[int, list[int]] = {}
     for a in range(k):
         groups.setdefault(find(a), []).append(a)

@@ -23,11 +23,20 @@ monotone and starts above every fixed point, so any such run stops at
 the greatest fixed point at or below zero of the sweep over all pairs:
 the duals are bit for bit those of sweeps over the dense matrix. If the
 sweeps do not settle, solve_exact warns with SolverFallbackWarning and
-solves the LP. Dual potentials are returned in
-the cost form psi_i + phi_j <= c(x_i, y_j); the correlation-form convex
-potential used for subdifferential queries is derived from them via
-c(x, y) = 2 - 2 x.y, giving psi_corr(x) = max_j (x.y_j + phi_j / 2)
-= 1 - psi_i / 2 at source atoms.
+solves the LP.
+
+The entropic backend is the stabilised scaling of Schmitzer ("Stabilized
+sparse scaling algorithms for entropy regularized transport problems",
+2019): the kernel is built once for absorbed potentials, each half-step
+is one matrix-vector product, and scalings above SCALING_BOUND are
+absorbed into the potentials before the kernel is rebuilt. Its plan is
+rounded onto the marginals as in Altschuler, Weed and Rigollet (2017,
+Algorithm 2).
+
+Dual potentials are returned in the cost form psi_i + phi_j <= c(x_i, y_j);
+the correlation-form convex potential used for subdifferential queries
+is derived from them via c(x, y) = 2 - 2 x.y, giving
+psi_corr(x) = max_j (x.y_j + phi_j / 2) = 1 - psi_i / 2 at source atoms.
 """
 
 import csv
@@ -51,6 +60,7 @@ FULL_PAIRS = 40_000  # instances with at most this many pairs price every pair f
 COARSEN = 4  # atoms per coarse centre in the multiscale warm start
 NEIGHBOURS = 10  # smallest reduced costs per row and per column in the first candidate set
 BLOCK = 256  # rows or columns per block when selecting or pricing pairs
+SCALING_BOUND = 1e50  # Sinkhorn scalings above this are absorbed into the potentials
 PRICE_TOL = 1e-10  # certified once no pair has reduced cost below -PRICE_TOL
 # HiGHS's default 1e-7 tolerances can leave a candidate pair priced at
 # about -1e-8, which an optimality certificate at 1e-8 cannot absorb.
@@ -379,31 +389,37 @@ def brute_force_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
 
 def _round_to_marginals(plan: np.ndarray, mu_w: np.ndarray, nu_w: np.ndarray) -> np.ndarray:
     """Rescale rows and columns, then add a rank-one correction, so the
-    plan satisfies both marginals exactly."""
+    plan satisfies both marginals exactly: Algorithm 2 of Altschuler, Weed
+    and Rigollet ("Near-linear time approximation algorithms for optimal
+    transport via Sinkhorn iteration", 2017). Works in place on plan."""
     r = plan.sum(axis=1)
-    scale_r = np.minimum(1.0, np.divide(mu_w, r, out=np.ones_like(r), where=r > 0))
-    plan = plan * scale_r[:, None]
+    plan *= np.minimum(1.0, np.divide(mu_w, r, out=np.ones_like(r), where=r > 0))[:, None]
     s = plan.sum(axis=0)
-    scale_c = np.minimum(1.0, np.divide(nu_w, s, out=np.ones_like(s), where=s > 0))
-    plan = plan * scale_c[None, :]
+    plan *= np.minimum(1.0, np.divide(nu_w, s, out=np.ones_like(s), where=s > 0))[None, :]
     err_r = mu_w - plan.sum(axis=1)
     err_c = nu_w - plan.sum(axis=0)
     total = err_r.sum()
     if total > 0:
-        plan = plan + np.outer(err_r, err_c) / total
+        correction = np.outer(err_r, err_c)
+        correction /= total
+        plan += correction
     return plan
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) along axis, as scipy.special.logsumexp computes it
-    for finite input: the maxima are split out and log1p taken of the rest."""
-    top = a.max(axis=axis, keepdims=True)
-    ties = a == top
-    rest = np.exp(a - top)
-    rest[ties] = 0.0
-    count = ties.sum(axis=axis, keepdims=True, dtype=float)
-    out = np.log1p(rest.sum(axis=axis, keepdims=True) / count) + np.log(count) + top
-    return out.squeeze(axis)
+def _kernel(f: np.ndarray, g: np.ndarray, c: np.ndarray, reg: float) -> np.ndarray:
+    """The stabilised kernel exp((f_i + g_j - c_ij) / reg)."""
+    k = f[:, None] + g[None, :]
+    k -= c
+    k /= reg
+    return np.exp(k, out=k)
+
+
+def _scaling(kernel: np.ndarray, other: np.ndarray, weights: np.ndarray):
+    """weights / (kernel @ other), 0 where the weight is 0, and whether no
+    entry exceeds SCALING_BOUND (False on inf or NaN)."""
+    with np.errstate(divide="ignore", over="ignore"):
+        scaling = np.divide(weights, kernel @ other, out=np.zeros_like(weights), where=weights > 0)
+    return scaling, bool(scaling.max() <= SCALING_BOUND)
 
 
 def solve_entropic(
@@ -413,44 +429,71 @@ def solve_entropic(
     max_iter: int = 20_000,
     tol: float = 1e-8,
 ):
-    """Entropic-regularized transport by log-domain matrix scaling.
+    """Entropic-regularized transport by stabilised matrix scaling.
+
+    The absorption scheme of Schmitzer ("Stabilized sparse scaling
+    algorithms for entropy regularized transport problems", 2019): the
+    duals are f + reg log u and g + reg log v, with the kernel
+    K = exp((f + g - c) / reg) built once for the absorbed potentials f, g,
+    and each half-step is one matrix-vector product, u = a / (K v), then
+    v = b / (K^T u). When a half-step gives a scaling above SCALING_BOUND,
+    or one that is not finite, the other side's scaling is absorbed into
+    its potential and the updated side's potential is reset to its
+    c-transform (f_i = min_j c_ij - g_j, or the same for g); K is rebuilt
+    and the half-step is taken again. After such a reset no entry of K
+    exceeds 1 and every line on that side holds an entry 1, which also
+    recovers a line that underflowed to zero. With K <= 1, a scaling can
+    only be small when the other one is large or its weight is small, so
+    no lower bound is needed and zero weights cost no rebuilds. The start
+    f = min_j c_ij, g = 0 is such a reset, so the iterates are those of
+    log-domain Sinkhorn from g = 0.
 
     The returned plan is rounded to satisfy both marginals exactly, so its
     linear cost is always >= the exact optimum; it converges to it as
-    reg -> 0. Raises ConvergenceError if the marginal violation still
-    exceeds tol after max_iter sweeps.
+    reg -> 0. Raises ConvergenceError if the row marginal violation is not
+    within tol after max_iter sweeps, NaN included.
     """
     _check_instance(mu, nu)
     if reg <= 0:
         raise ConfigError("regularization must be positive")
     c = cost_matrix(mu.points, nu.points)
-    log_mu = np.log(mu.weights)
-    log_nu = np.log(nu.weights)
-    f = np.zeros(mu.count)
+    a, b = mu.weights, nu.weights
+    f = c.min(axis=1)
     g = np.zeros(nu.count)
+    kernel = _kernel(f, g, c, reg)
+    u, v = np.ones(mu.count), np.ones(nu.count)
 
-    def row_violation(f, g):
-        z = (f[:, None] + g[None, :] - c) / reg
-        rows = np.exp(z).sum(axis=1)
-        return np.max(np.abs(rows - mu.weights))
+    def row_violation():
+        return np.max(np.abs(u * (kernel @ v) - a))
 
     violation = np.inf
     for it in range(max_iter):
-        f = reg * log_mu - reg * _logsumexp((g[None, :] - c) / reg, axis=1)
-        g = reg * log_nu - reg * _logsumexp((f[:, None] - c) / reg, axis=0)
+        u, ok = _scaling(kernel, v, a)
+        if not ok:
+            g += reg * np.log(v)
+            f = (c - g[None, :]).min(axis=1)
+            kernel = _kernel(f, g, c, reg)
+            u, v = a / kernel.sum(axis=1), np.ones(nu.count)
+        v, ok = _scaling(kernel.T, u, b)
+        if not ok:
+            f += reg * np.log(u)
+            g = (c - f[:, None]).min(axis=0)
+            kernel = _kernel(f, g, c, reg)
+            u, v = np.ones(mu.count), b / kernel.sum(axis=0)
         if it % 10 == 9 or it == max_iter - 1:
-            violation = row_violation(f, g)
+            violation = row_violation()
             if violation <= tol:
                 break
     else:
-        violation = row_violation(f, g)
-    if violation > tol:
+        violation = row_violation()
+    if not violation <= tol:
         raise ConvergenceError(
             f"marginal violation {violation:.3e} > {tol} after {max_iter} iterations"
         )
-    plan = np.exp((f[:, None] + g[None, :] - c) / reg)
-    plan = _round_to_marginals(plan, mu.weights, nu.weights)
-    return _coupling_from_dense(plan, c), DualPotentials(f, g)
+    kernel *= u[:, None]
+    kernel *= v[None, :]
+    plan = _round_to_marginals(kernel, a, b)
+    return _coupling_from_dense(plan, c), DualPotentials(f + reg * np.log(u), g + reg * np.log(v))
 
 
 def truncate_support(coupling: Coupling, rel_tol: float) -> Coupling:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_measure
+from sphere_ot import geometry as g
 from sphere_ot import maps as mp
 from sphere_ot import solver as so
 from sphere_ot.errors import ExtractionError
@@ -85,6 +86,48 @@ class TestExtract:
         expected = 0.75 * a + 0.25 * b
         expected /= np.linalg.norm(expected)
         assert np.allclose(mm.t_plus[0], expected, atol=1e-12)
+
+
+def _pairwise_linkage(points, tol):
+    """Reference: single linkage by a union-find over every pair in turn."""
+    k = len(points)
+    parent = list(range(k))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a in range(k):
+        for b in range(a + 1, k):
+            if np.linalg.norm(points[a] - points[b]) < tol:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[ra] = rb
+    groups = {}
+    for a in range(k):
+        groups.setdefault(find(a), []).append(a)
+    return list(groups.values())
+
+
+class TestSingleLinkage:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_pairwise_reference(self, rng, n):
+        # tol on a pair distance or one ulp either side of it, so pairs sit
+        # right at the threshold; clusters are small spread-out patches
+        for _ in range(300):
+            k = int(rng.integers(1, 20))
+            centres = g.random_sphere_points(n, 3, rng)
+            points = centres[rng.integers(0, 3, size=k)] + 0.05 * rng.normal(size=(k, n + 1))
+            points /= np.linalg.norm(points, axis=1, keepdims=True)
+            dists = [np.linalg.norm(p - q) for i, p in enumerate(points) for q in points[i + 1:]]
+            tol = float(rng.choice(dists)) if dists else 0.1
+            tol = float(np.nextafter(tol, rng.choice([-np.inf, tol, np.inf])))
+            assert mp._single_linkage_clusters(points, tol) == _pairwise_linkage(points, tol)
+
+    def test_single_point(self):
+        assert mp._single_linkage_clusters(np.array([NORTH]), 0.1) == [[0]]
 
 
 class TestClassify:

@@ -9,7 +9,7 @@ from sphere_ot import geometry as g
 from sphere_ot import measures as me
 from sphere_ot import solver as so
 from sphere_ot.errors import ConfigError, ConvergenceError, SolverError, SolverFallbackWarning
-from sphere_ot.pipeline import resolve_measure
+from sphere_ot.pipeline import ENTROPIC_SUPPORT_TOL, resolve_measure
 
 
 @pytest.fixture
@@ -362,6 +362,128 @@ class TestEntropic:
         with pytest.raises(ConvergenceError):
             so.solve_entropic(mu, nu, reg=0.05, max_iter=3, tol=1e-13)
 
+    def test_non_finite_violation_raises(self, rng, monkeypatch):
+        # a NaN cost entry makes the kernel, and so the violation, NaN
+        mu = make_measure(g.random_sphere_points(2, 12, rng))
+        nu = make_measure(g.random_sphere_points(2, 12, rng))
+
+        def poisoned(x, y):
+            c = g.cost_matrix(x, y)
+            c[3, 5] = np.nan
+            return c
+
+        monkeypatch.setattr(so, "cost_matrix", poisoned)
+        with pytest.raises(ConvergenceError, match="nan"):
+            so.solve_entropic(mu, nu, reg=0.05, max_iter=30)
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """Reference: log(sum(exp(a))) along axis, as scipy.special.logsumexp
+    computes it for finite input: the maxima are split out and log1p taken
+    of the rest."""
+    top = a.max(axis=axis, keepdims=True)
+    ties = a == top
+    rest = np.exp(a - top)
+    rest[ties] = 0.0
+    count = ties.sum(axis=axis, keepdims=True, dtype=float)
+    out = np.log1p(rest.sum(axis=axis, keepdims=True) / count) + np.log(count) + top
+    return out.squeeze(axis)
+
+
+def _log_domain_sinkhorn(mu, nu, reg, max_iter=20_000, tol=1e-8, lse=_logsumexp):
+    """Reference: log-domain Sinkhorn from g = 0, one log-sum-exp over the
+    whole cost per half-step. Returns (coupling, duals, iterations)."""
+    c = g.cost_matrix(mu.points, nu.points)
+    log_mu, log_nu = np.log(mu.weights), np.log(nu.weights)
+    f, h = np.zeros(mu.count), np.zeros(nu.count)
+
+    def row_violation(f, h):
+        rows = np.exp((f[:, None] + h[None, :] - c) / reg).sum(axis=1)
+        return np.max(np.abs(rows - mu.weights))
+
+    for it in range(max_iter):
+        f = reg * log_mu - reg * lse((h[None, :] - c) / reg, axis=1)
+        h = reg * log_nu - reg * lse((f[:, None] - c) / reg, axis=0)
+        if it % 10 == 9 or it == max_iter - 1:
+            if row_violation(f, h) <= tol:
+                break
+    assert row_violation(f, h) <= tol, "reference did not converge"
+    plan = np.exp((f[:, None] + h[None, :] - c) / reg)
+    plan = so._round_to_marginals(plan, mu.weights, nu.weights)
+    return so._coupling_from_dense(plan, c), so.DualPotentials(f, h), it + 1
+
+
+def _far_target_instance(n, seed):
+    """Sources on a polar cap, other targets all over the sphere, uneven
+    weights on both sides: at reg 0.002 the first kernel has columns that
+    underflow to zero."""
+    rng = np.random.default_rng(seed)
+    xs = g.random_sphere_points(n, 40, rng)
+    xs[:, -1] = np.abs(xs[:, -1]) + 1.0
+    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+    ys = g.random_sphere_points(n, 45, rng)
+    wx, wy = rng.random(40) + 0.5, rng.random(45) + 0.5
+    return make_measure(xs, wx / wx.sum()), make_measure(ys, wy / wy.sum())
+
+
+class TestStabilisedScaling:
+    """solve_entropic against the log-domain reference it replaced."""
+
+    @staticmethod
+    def _assert_equivalent(mu, nu, reg, monkeypatch):
+        builds, half_steps = [], []
+        kernel, scaling = so._kernel, so._scaling
+        monkeypatch.setattr(so, "_kernel", lambda *a: builds.append(1) or kernel(*a))
+        monkeypatch.setattr(so, "_scaling", lambda *a: half_steps.append(1) or scaling(*a))
+        got, got_duals = so.solve_entropic(mu, nu, reg)
+        want, want_duals, iterations = _log_domain_sinkhorn(mu, nu, reg)
+        assert len(half_steps) == 2 * iterations
+        for name in ("psi", "phi"):  # the -inf duals of zero weights compare equal
+            np.testing.assert_allclose(
+                getattr(got_duals, name), getattr(want_duals, name), rtol=0, atol=1e-12
+            )
+        dense = np.zeros((2, mu.count, nu.count))
+        for plan, coupling in zip(dense, (got, want)):
+            plan[coupling.rows, coupling.cols] = coupling.mass
+        assert np.max(np.abs(dense[0] - dense[1])) <= 1e-12
+        # Full supports are cut at SUPPORT_EPS = 1e-15, inside the noise of
+        # the rank-one rounding correction, so a pair in only one of them
+        # may only carry mass of that order.
+        only_one = (dense[0] > 0) != (dense[1] > 0)
+        assert np.all(dense.max(axis=0)[only_one] < 1e-14)
+        got_t, want_t = (so.truncate_support(cp, ENTROPIC_SUPPORT_TOL) for cp in (got, want))
+        assert np.array_equal(got_t.rows, want_t.rows)
+        assert np.array_equal(got_t.cols, want_t.cols)
+        return len(builds)
+
+    @pytest.mark.parametrize("reg", [0.01, 0.002])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_log_domain_reference(self, n, reg, monkeypatch):
+        mu, nu = _far_target_instance(n, seed=n)
+        builds = self._assert_equivalent(mu, nu, reg, monkeypatch)
+        if reg == 0.002:
+            c = g.cost_matrix(mu.points, nu.points)
+            first = np.exp((c.min(axis=1)[:, None] - c) / reg)
+            assert np.any(first.sum(axis=0) == 0.0)  # columns that plain absorption cannot save
+            assert builds > 1  # at least one absorption
+
+    def test_zero_weight_atoms(self, monkeypatch):
+        # a zero weight gives a zero scaling and a -inf dual, as in the log
+        # domain, and costs no absorptions
+        mu, nu = _far_target_instance(2, seed=2)
+        for measure, zeros in ((mu, [3, 17]), (nu, [8])):
+            measure.weights[zeros] = 0.0
+            measure.weights /= measure.weights.sum()
+        with np.errstate(divide="ignore"):  # the reference takes log(0)
+            builds = self._assert_equivalent(mu, nu, 0.01, monkeypatch)
+        assert builds <= 2
+
+    def test_matches_reference_on_pipeline_mesh(self, monkeypatch):
+        mesh = me.quasi_uniform_mesh(2, 80, 1)
+        mu = resolve_measure("cap:0.98", mesh)
+        nu = resolve_measure("uniform", mesh)
+        self._assert_equivalent(mu, nu, 0.01, monkeypatch)
+
 
 def _monotonicity_brute(coupling, mu, nu):
     """Reference: (x_i - x_k) . (y_j - y_l) over every pair of support entries."""
@@ -427,16 +549,16 @@ class TestLogSumExp:
             a = scale * rng.normal(size=shape)
             ties = np.round(a)  # many tied maxima per row and column
             for arr in (a, ties, np.zeros(shape)):
-                assert so._logsumexp(arr, axis).tobytes() == logsumexp(arr, axis=axis).tobytes()
+                assert _logsumexp(arr, axis).tobytes() == logsumexp(arr, axis=axis).tobytes()
 
-    def test_entropic_solve_unchanged_with_scipy(self, monkeypatch):
+    def test_entropic_solve_unchanged_with_scipy(self):
         mesh = me.quasi_uniform_mesh(2, 80, 1)
         mu = resolve_measure("cap:0.98", mesh)
         nu = resolve_measure("uniform", mesh)
-        ours = so.solve_entropic(mu, nu, reg=0.01)
-        monkeypatch.setattr(so, "_logsumexp", lambda a, axis: logsumexp(a, axis=axis))
-        reference = so.solve_entropic(mu, nu, reg=0.01)
-        for got, want in zip(ours, reference):
+        ours = _log_domain_sinkhorn(mu, nu, reg=0.01)
+        reference = _log_domain_sinkhorn(mu, nu, 0.01, lse=lambda a, axis: logsumexp(a, axis=axis))
+        assert ours[2] == reference[2]
+        for got, want in zip(ours[:2], reference[:2]):
             for name, value in vars(want).items():
                 assert np.asarray(getattr(got, name)).tobytes() == np.asarray(value).tobytes()
 
