@@ -33,11 +33,10 @@ def run_one(kappa: float, mesh_count: int, seed: int) -> dict:
         "total_cost": coupling.total_cost,
     }
     if len(s2):
-        row["lambda_min"] = float(mm.lam[s2].min())
-        row["lambda_max"] = float(mm.lam[s2].max())
-        row["worst_collinearity"] = float(np.max(mm.residual[s2] / mm.lam[s2]))
-        margins = -np.einsum("ij,ij->i", mm.source_points[s2], mm.t_minus[s2])
-        usable = s2[margins > 0]
+        row["lambda_min"] = float(mm.jump[s2].min())
+        row["lambda_max"] = float(mm.jump[s2].max())
+        row["worst_collinearity"] = float(np.max(mm.residual[s2] / mm.jump[s2]))
+        usable = mm.usable_s2()
         if len(usable) >= 2:
             try:
                 consts = regularity.region_constants(mm, usable)

@@ -26,9 +26,8 @@ def run_one(count: int, shift: float, seed: int) -> dict:
     coupling, _ = solver.solve_exact(mu, nu)
     mm = maps.extract_multimap(coupling, mu, nu, 2.0 * mesh.spacing)
     mm = maps.classify_regions(mm, mesh.spacing)
-    dots = np.einsum("ij,ij->i", mm.source_points, mm.t_plus)
-    s1 = np.nonzero((mm.region == "S1") & (np.abs(dots) >= 0.2))[0]
-    fit = regularity.holder_fit(mm.source_points[s1], mm.t_plus[s1], region="S1")
+    s1 = mm.interior_s1()
+    fit = regularity.holder_fit(mm.points[s1], mm.plus[s1], region="S1")
     return {
         "mesh": count,
         "spacing": mesh.spacing,

@@ -9,8 +9,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import maps as maps_mod
 from . import measures as measures_mod
 from . import pipeline as pipe
@@ -106,8 +104,9 @@ def _cmd_solve(args) -> int:
     return result.exit_code
 
 
-def _load_run(run_dir: Path):
-    """Measures, the coupling as the run's extraction read it, and the summary."""
+def _load_map(run_dir: Path, merge_tol=None, zero_tol=None):
+    """The classified source map of a run, extracted from the support the run
+    read; tolerances not given are the run's own."""
     if not run_dir.is_dir():
         raise OSError(f"run directory {run_dir} does not exist")
     mu = measures_mod.load_measure(run_dir / "mu.json")
@@ -117,40 +116,32 @@ def _load_run(run_dir: Path):
         coupling = pipe.extraction_support(coupling, json.load(fh)["solver"])
     with open(run_dir / "summary.json") as fh:
         summary = json.load(fh)
-    return mu, nu, coupling, summary
+    mm = maps_mod.extract_multimap(coupling, mu, nu, merge_tol or summary["merge_tol"])
+    return maps_mod.classify_regions(mm, zero_tol or summary["zero_tol"])
 
 
 def _cmd_extract(args) -> int:
     run_dir = Path(args.run)
-    mu, nu, coupling, summary = _load_run(run_dir)
-    merge_tol = args.merge_tol or summary["merge_tol"]
-    zero_tol = args.zero_tol or summary["zero_tol"]
-    mm = maps_mod.extract_multimap(coupling, mu, nu, merge_tol)
-    mm = maps_mod.classify_regions(mm, zero_tol)
+    mm = _load_map(run_dir, args.merge_tol, args.zero_tol)
     maps_mod.save_multimap_json(mm, run_dir / "multimap.json")
     print(f"regions: {mm.region_counts()} anomalies: {len(mm.anomalies)}")
     return pipe.EXIT_OK
 
 
 def _cmd_diagnose(args) -> int:
-    mu, nu, coupling, summary = _load_run(Path(args.run))
-    mm = maps_mod.extract_multimap(coupling, mu, nu, summary["merge_tol"])
-    mm = maps_mod.classify_regions(mm, summary["zero_tol"])
+    mm = _load_map(Path(args.run))
     window = tuple(args.window) if args.window else None
-    dot_plus = np.einsum("ij,ij->i", mm.source_points, mm.t_plus)
-    s1 = np.nonzero((mm.region == "S1") & (np.abs(dot_plus) >= 0.2))[0]
+    s1 = mm.interior_s1()
     if len(s1) >= 2:
         try:
-            rep = reg_mod.holder_fit(mm.source_points[s1], mm.t_plus[s1], window=window,
+            rep = reg_mod.holder_fit(mm.points[s1], mm.plus[s1], window=window,
                                      region="outer_on_S1_interior")
         except InsufficientDataError as exc:
             print(f"outer_on_S1_interior: skipped ({exc})")
         else:
             print(f"outer map exponent on interior S1: {rep.alpha_hat:.4f} "
                   f"(C={rep.C_hat:.3f}, pairs={rep.pair_count})")
-    s2 = mm.indices_in("S2")
-    margins = -np.einsum("ij,ij->i", mm.source_points[s2], mm.t_minus[s2])
-    usable = s2[margins > 0]
+    usable = mm.usable_s2()
     if len(usable) >= 2:
         try:
             constants = reg_mod.region_constants(mm, usable, window)

@@ -1,12 +1,15 @@
-"""Extraction of the two-valued transport map from an optimal coupling.
+"""Extraction of the two-valued transport map and its inverse from a coupling.
 
-Each source atom's coupling images are merged into clusters (images within
-merge_tol belong to one continuum destination split across neighbouring
-atoms by discretization). One cluster means the atom is univalent; two
-clusters give the outer/inner image pair: the outer image t_plus maximizes
-x . y, the inner image t_minus minimizes it, and their difference is
-lambda(x) x up to a recorded residual. More than two clusters means the
-discretization cannot support a two-image structure and is an error.
+Each atom's coupling images on the other side are merged into clusters
+(images within the atom's merge radius belong to one continuum destination
+split across neighbouring atoms by discretization). One cluster means the
+atom is univalent; two clusters give the outer/inner image pair: the outer
+image maximizes its alignment with the atom, the inner image minimizes it,
+and their difference is a jump along the atom up to a recorded residual.
+On the source side these are t_plus - t_minus = lambda(x) x, on the target
+side s_plus - s_minus = omega(y) y; one routine builds both. More than two
+clusters means the discretization cannot support a two-image structure and
+is an error.
 """
 
 import json
@@ -19,7 +22,12 @@ from .measures import DiscreteMeasure
 from .solver import Coupling
 
 REGION_SOURCE = ("S0", "S1", "S2")
-REGION_TARGET = ("T0", "T1", "T2")
+_REGIONS = {"source": REGION_SOURCE, "target": ("T0", "T1", "T2")}
+# JSON keys of an atom record in the paper's notation: index, outer, inner, jump
+_RECORD_KEYS = {
+    "source": ("i", "t_plus", "t_minus", "lambda"),
+    "target": ("j", "s_plus", "s_minus", "omega"),
+}
 
 
 def _single_linkage_clusters(points: np.ndarray, tol: float) -> list[list[int]]:
@@ -63,64 +71,50 @@ def _spherical_mean(points: np.ndarray, masses: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MultiMap:
-    """Per-source-atom record of the extracted map pair and its region label."""
+    """Per-atom record of one side's image pair and its region label.
 
+    On the source side the points are the atoms x, plus and minus are the
+    outer and inner images t_plus, t_minus and jump is lambda(x); regions
+    are S0/S1/S2. On the target side the points are y, plus and minus are
+    s_plus, s_minus and jump is omega(y); regions are T0/T1/T2. Members
+    hold the other side's atom indices merged into each image.
+    """
+
+    side: str                       # "source" or "target"
     n: int
-    source_points: np.ndarray       # (N, n+1)
-    t_plus: np.ndarray              # (N, n+1)
-    t_minus: np.ndarray             # (N, n+1)
-    lam: np.ndarray                 # (N,) normal-jump size (t_plus - t_minus) . x
-    residual: np.ndarray            # (N,) | t_plus - t_minus - lam x |
+    points: np.ndarray              # (N, n+1)
+    plus: np.ndarray                # (N, n+1) outer image
+    minus: np.ndarray               # (N, n+1) inner image
+    jump: np.ndarray                # (N,) (plus - minus) . point
+    residual: np.ndarray            # (N,) | plus - minus - jump point |
     bivalent: np.ndarray            # (N,) bool
-    region: np.ndarray              # (N,) in {"", "S0", "S1", "S2"}
+    region: np.ndarray              # (N,) a label of the side, "" before classification
+    plus_members: list = field(default_factory=list)
+    minus_members: list = field(default_factory=list)
     merge_tol: float = np.nan
     zero_tol: float = np.nan
-    plus_members: list = field(default_factory=list)   # target indices per atom
-    minus_members: list = field(default_factory=list)
     anomalies: list = field(default_factory=list)
 
     @property
     def count(self) -> int:
-        return len(self.lam)
+        return len(self.jump)
 
     def indices_in(self, label: str) -> np.ndarray:
         return np.nonzero(self.region == label)[0]
 
     def region_counts(self) -> dict:
-        return {label: int((self.region == label).sum()) for label in REGION_SOURCE}
+        return {label: int((self.region == label).sum()) for label in _REGIONS[self.side]}
 
+    def interior_s1(self) -> np.ndarray:
+        """S1 atoms away from the degenerate band: |x . t_plus| >= 0.2."""
+        dot_plus = np.einsum("ij,ij->i", self.points, self.plus)
+        return np.nonzero((self.region == "S1") & (np.abs(dot_plus) >= 0.2))[0]
 
-@dataclass
-class InverseMaps:
-    """Per-target-atom record of the inverse source pair and target region."""
-
-    n: int
-    target_points: np.ndarray
-    s_plus: np.ndarray
-    s_minus: np.ndarray
-    omega: np.ndarray
-    residual: np.ndarray
-    bivalent: np.ndarray
-    region: np.ndarray
-    plus_members: list = field(default_factory=list)   # source indices per atom
-    minus_members: list = field(default_factory=list)
-
-    @property
-    def count(self) -> int:
-        return len(self.omega)
-
-    def indices_in(self, label: str) -> np.ndarray:
-        return np.nonzero(self.region == label)[0]
-
-    def region_counts(self) -> dict:
-        return {label: int((self.region == label).sum()) for label in REGION_TARGET}
-
-
-def support_images(coupling: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure, i: int):
-    """Targets fed by source atom i as (index, point, mass), best aligned first."""
-    cols, mass = coupling.images_of(i)
-    order = np.argsort(-(nu.points[cols] @ mu.points[i]))
-    return [(int(cols[k]), nu.points[cols[k]], float(mass[k])) for k in order]
+    def usable_s2(self) -> np.ndarray:
+        """S2 atoms with a positive inner alignment margin -x . t_minus."""
+        s2 = self.indices_in("S2")
+        margins = -np.einsum("ij,ij->i", self.points[s2], self.minus[s2])
+        return s2[margins > 0]
 
 
 def _merge_images(x, points, masses, merge_tol, what, index):
@@ -131,10 +125,9 @@ def _merge_images(x, points, masses, merge_tol, what, index):
             "the discretization is too coarse for a two-image structure"
         )
     reps = [_spherical_mean(points[c], masses[c]) for c in clusters]
-    dots = [float(x @ r) for r in reps]
     if len(reps) == 1:
         return reps[0], reps[0], clusters[0], clusters[0], False
-    hi, lo = (0, 1) if dots[0] >= dots[1] else (1, 0)
+    hi, lo = (0, 1) if float(x @ reps[0]) >= float(x @ reps[1]) else (1, 0)
     return reps[hi], reps[lo], clusters[hi], clusters[lo], True
 
 
@@ -154,185 +147,110 @@ def _weight_scaled_tols(merge_tol: float, weights: np.ndarray, opposite: np.ndar
     return np.minimum(tols, max(merge_tol, MAX_MERGE_RADIUS))
 
 
-def extract_multimap(
-    coupling: Coupling,
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    merge_tol: float,
-    weight_scaled: bool = True,
-) -> MultiMap:
-    """Build the per-source two-image map from the coupling support.
+def _two_images(side, n, coupling, points, opposite, tols, merge_tol) -> MultiMap:
+    """Merge every atom's images into its outer and inner image, unlabelled.
 
-    With weight_scaled (default), each source's merge radius is
-    merge_tol * sqrt(weight ratio) so that heavy atoms' locally spread
-    images still merge into one cluster; atoms at or below the median
-    weight use merge_tol unchanged.
+    The support is sorted by this side's index; atom a merges the opposite
+    points it sends mass to (or receives it from) at radius tols[a].
     """
-    n_atoms = mu.count
-    d = mu.points.shape[1]
-    tols = (
-        _weight_scaled_tols(merge_tol, mu.weights, nu.weights)
-        if weight_scaled
-        else np.full(n_atoms, merge_tol)
-    )
-    t_plus = np.empty((n_atoms, d))
-    t_minus = np.empty((n_atoms, d))
-    lam = np.empty(n_atoms)
-    residual = np.empty(n_atoms)
-    bivalent = np.zeros(n_atoms, dtype=bool)
-    plus_members: list = []
-    minus_members: list = []
-    order = np.argsort(coupling.rows, kind="stable")
-    rows = coupling.rows[order]
-    cols = coupling.cols[order]
+    pair = (coupling.rows, coupling.cols)
+    own, other = pair if side == "source" else pair[::-1]
+    count, d = points.shape
+    plus, minus = np.empty((2, count, d))
+    jump, residual = np.empty((2, count))
+    bivalent = np.zeros(count, dtype=bool)
+    plus_members, minus_members = [], []
+    order = np.argsort(own, kind="stable")
+    other = other[order]
     mass = coupling.mass[order]
-    bounds = np.searchsorted(rows, np.arange(n_atoms + 1))
-    for i in range(n_atoms):
-        lo, hi = bounds[i], bounds[i + 1]
+    bounds = np.searchsorted(own[order], np.arange(count + 1))
+    for a in range(count):
+        lo, hi = bounds[a], bounds[a + 1]
         if lo == hi:
-            raise ExtractionError(f"source atom {i} carries no coupling mass")
-        idx = cols[lo:hi]
-        pts = nu.points[idx]
-        ms = mass[lo:hi]
-        x = mu.points[i]
-        tp, tm, plus_cl, minus_cl, is_bi = _merge_images(x, pts, ms, tols[i], "source", i)
-        t_plus[i] = tp
-        t_minus[i] = tm
-        lam[i] = float((tp - tm) @ x)
-        residual[i] = float(np.linalg.norm(tp - tm - lam[i] * x))
-        bivalent[i] = is_bi
+            raise ExtractionError(f"{side} atom {a} carries no coupling mass")
+        idx = other[lo:hi]
+        x = points[a]
+        p, m, plus_cl, minus_cl, bivalent[a] = _merge_images(
+            x, opposite[idx], mass[lo:hi], tols[a], side, a
+        )
+        plus[a] = p
+        minus[a] = m
+        jump[a] = float((p - m) @ x)
+        residual[a] = float(np.linalg.norm(p - m - jump[a] * x))
         plus_members.append(idx[plus_cl])
         minus_members.append(idx[minus_cl])
     return MultiMap(
-        n=mu.n,
-        source_points=mu.points.copy(),
-        t_plus=t_plus,
-        t_minus=t_minus,
-        lam=lam,
-        residual=residual,
-        bivalent=bivalent,
-        region=np.full(n_atoms, "", dtype="<U2"),
-        merge_tol=merge_tol,
-        plus_members=plus_members,
-        minus_members=minus_members,
+        side, n, points.copy(), plus, minus, jump, residual, bivalent,
+        np.full(count, "", dtype="<U2"), plus_members, minus_members, merge_tol,
     )
 
 
-def classify_regions(mm: MultiMap, zero_tol: float) -> MultiMap:
-    """Label every source atom S0 / S1 / S2 in place and return the map.
+def _label_regions(mm: MultiMap, zero_tol: float) -> np.ndarray:
+    """The region rule of both sides; returns x . plus per atom.
 
-    Univalent atoms with |x . t_plus| within zero_tol of zero form the
+    Bivalent atoms get the side's label 2; univalent atoms whose outer image
+    is aligned beyond zero_tol get label 1; the rest form the band, label 0.
+    """
+    mm.zero_tol = zero_tol
+    dot_plus = np.einsum("ij,ij->i", mm.points, mm.plus)
+    label = np.where(mm.bivalent, 2, np.where(dot_plus > zero_tol, 1, 0))
+    mm.region = np.array(_REGIONS[mm.side])[label]
+    return dot_plus
+
+
+def extract_multimap(
+    coupling: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure, merge_tol: float
+) -> MultiMap:
+    """Build the per-source two-image map t_plus, t_minus from the coupling support.
+
+    Each source's merge radius is merge_tol * sqrt(weight ratio against
+    the median target weight), so that heavy atoms' locally spread images
+    still merge into one cluster; atoms at or below the median weight use
+    merge_tol unchanged.
+    """
+    tols = _weight_scaled_tols(merge_tol, mu.weights, nu.weights)
+    return _two_images("source", mu.n, coupling, mu.points, nu.points, tols, merge_tol)
+
+
+def classify_regions(mm: MultiMap, zero_tol: float) -> MultiMap:
+    """Label every source atom S0 / S1 / S2 and return the map.
+
+    Univalent atoms with x . t_plus within zero_tol of zero form the
     degenerate band S0; other univalent atoms with positive alignment are
     S1; bivalent atoms are S2. Bivalent atoms missing the sign structure
     (x . t_plus > 0 > x . t_minus) are recorded as anomalies, as are
-    univalent atoms with strongly negative alignment.
+    univalent atoms with strongly negative alignment, which stay in S0.
     """
+    dot_plus = _label_regions(mm, zero_tol)
+    dot_minus = np.einsum("ij,ij->i", mm.points, mm.minus)
+    sign = mm.bivalent & ~((dot_plus > 0.0) & (dot_minus < 0.0))
+    # S0 atoms outside the band map across the equator
+    across = (mm.region == "S0") & ~(np.abs(dot_plus) <= zero_tol)
     mm.anomalies = []
-    mm.zero_tol = zero_tol
-    dot_plus = np.einsum("ij,ij->i", mm.source_points, mm.t_plus)
-    dot_minus = np.einsum("ij,ij->i", mm.source_points, mm.t_minus)
-    for i in range(mm.count):
-        if mm.bivalent[i]:
-            mm.region[i] = "S2"
-            if not (dot_plus[i] > 0.0 and dot_minus[i] < 0.0):
-                mm.anomalies.append(
-                    {"atom": int(i), "kind": "bivalent sign structure",
-                     "dot_plus": float(dot_plus[i]), "dot_minus": float(dot_minus[i])}
-                )
-        elif abs(dot_plus[i]) <= zero_tol:
-            mm.region[i] = "S0"
-        elif dot_plus[i] > zero_tol:
-            mm.region[i] = "S1"
-        else:
-            # Univalent atom mapping across the equator: no continuum
-            # counterpart; keep it in the degenerate band but flag it.
-            mm.region[i] = "S0"
-            mm.anomalies.append(
-                {"atom": int(i), "kind": "univalent negative alignment",
-                 "dot_plus": float(dot_plus[i])}
-            )
+    for i in np.nonzero(sign | across)[0].tolist():
+        record = {"atom": i, "kind": "univalent negative alignment", "dot_plus": float(dot_plus[i])}
+        if sign[i]:
+            record.update(kind="bivalent sign structure", dot_minus=float(dot_minus[i]))
+        mm.anomalies.append(record)
     return mm
 
 
-def invert_maps(
-    mm: MultiMap,
-    coupling: Coupling,
-    nu: DiscreteMeasure,
-    merge_tol: float | None = None,
-    zero_tol: float | None = None,
-    weight_scaled: bool = True,
-) -> InverseMaps:
-    """Per-target inverse pair by the same clustering, roles swapped.
+def invert_maps(mm: MultiMap, coupling: Coupling, nu: DiscreteMeasure) -> MultiMap:
+    """Per-target inverse pair s_plus, s_minus by the same extraction, roles swapped.
 
     s_plus maximizes y . x over the merged source clusters feeding the
     target, s_minus minimizes it, and omega = (s_plus - s_minus) . y.
     Targets with two source clusters form T2; the rest split into T0 / T1
-    by the alignment of s_plus, mirroring the source-side bands.
-    Tolerances default to the ones the multimap was built with.
+    by the source-side rule. The tolerances are those of the classified
+    source map; merge radii scale nu's weights against the support's row
+    marginal.
     """
-    m_atoms = nu.count
-    d = nu.points.shape[1]
-    if merge_tol is None:
-        merge_tol = mm.merge_tol
-    if zero_tol is None:
-        zero_tol = mm.zero_tol
-    if not np.isfinite(merge_tol) or not np.isfinite(zero_tol):
+    if not np.isfinite(mm.merge_tol) or not np.isfinite(mm.zero_tol):
         raise ExtractionError("merge_tol / zero_tol unavailable; classify the map first")
-    mu_weights = np.bincount(coupling.rows, weights=coupling.mass, minlength=mm.count)
-    tols = (
-        _weight_scaled_tols(merge_tol, nu.weights, mu_weights)
-        if weight_scaled
-        else np.full(m_atoms, merge_tol)
-    )
-    s_plus = np.empty((m_atoms, d))
-    s_minus = np.empty((m_atoms, d))
-    omega = np.empty(m_atoms)
-    residual = np.empty(m_atoms)
-    bivalent = np.zeros(m_atoms, dtype=bool)
-    plus_members: list = []
-    minus_members: list = []
-    order = np.argsort(coupling.cols, kind="stable")
-    rows = coupling.rows[order]
-    cols = coupling.cols[order]
-    mass = coupling.mass[order]
-    bounds = np.searchsorted(cols, np.arange(m_atoms + 1))
-    for j in range(m_atoms):
-        lo, hi = bounds[j], bounds[j + 1]
-        if lo == hi:
-            raise ExtractionError(f"target atom {j} receives no coupling mass")
-        idx = rows[lo:hi]
-        pts = mm.source_points[idx]
-        ms = mass[lo:hi]
-        y = nu.points[j]
-        sp, sm, plus_cl, minus_cl, is_bi = _merge_images(y, pts, ms, tols[j], "target", j)
-        s_plus[j] = sp
-        s_minus[j] = sm
-        omega[j] = float((sp - sm) @ y)
-        residual[j] = float(np.linalg.norm(sp - sm - omega[j] * y))
-        bivalent[j] = is_bi
-        plus_members.append(idx[plus_cl])
-        minus_members.append(idx[minus_cl])
-    region = np.full(m_atoms, "", dtype="<U2")
-    dot_plus = np.einsum("ij,ij->i", nu.points, s_plus)
-    for j in range(m_atoms):
-        if bivalent[j]:
-            region[j] = "T2"
-        elif abs(dot_plus[j]) <= zero_tol:
-            region[j] = "T0"
-        else:
-            region[j] = "T1" if dot_plus[j] > 0 else "T0"
-    return InverseMaps(
-        n=mm.n,
-        target_points=nu.points.copy(),
-        s_plus=s_plus,
-        s_minus=s_minus,
-        omega=omega,
-        residual=residual,
-        bivalent=bivalent,
-        region=region,
-        plus_members=plus_members,
-        minus_members=minus_members,
-    )
+    tols = _weight_scaled_tols(mm.merge_tol, nu.weights, coupling.row_marginal(mm.count))
+    inv = _two_images("target", mm.n, coupling, nu.points, mm.points, tols, mm.merge_tol)
+    _label_regions(inv, mm.zero_tol)
+    return inv
 
 
 def nu1_split(mm: MultiMap, nu: DiscreteMeasure):
@@ -350,17 +268,17 @@ def nu1_split(mm: MultiMap, nu: DiscreteMeasure):
     return nu.restrict(keep), nu.restrict(rest_idx)
 
 
-def save_multimap_json(mm: MultiMap, path) -> None:
-    records = [
-        {
-            "i": int(i),
-            "t_plus": [float(v) for v in mm.t_plus[i]],
-            "t_minus": [float(v) for v in mm.t_minus[i]],
-            "lambda": float(mm.lam[i]),
-            "residual": float(mm.residual[i]),
-            "region": str(mm.region[i]),
-        }
-        for i in range(mm.count)
+def atom_records(mm: MultiMap) -> list:
+    """One JSON record per atom, keyed in the notation of the map's side."""
+    index, plus, minus, jump = _RECORD_KEYS[mm.side]
+    columns = (mm.plus, mm.minus, mm.jump, mm.residual, mm.region)
+    return [
+        {index: a, plus: p, minus: m, jump: j, "residual": r, "region": g}
+        for a, (p, m, j, r, g) in enumerate(zip(*(c.tolist() for c in columns)))
     ]
+
+
+def save_multimap_json(mm: MultiMap, path) -> None:
     with open(path, "w") as fh:
-        json.dump({"n": mm.n, "atoms": records, "anomalies": mm.anomalies}, fh, sort_keys=True)
+        json.dump({"n": mm.n, "atoms": atom_records(mm), "anomalies": mm.anomalies}, fh,
+                  sort_keys=True)

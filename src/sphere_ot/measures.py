@@ -91,7 +91,8 @@ def _relaxed_random_mesh(n: int, count: int, seed: int) -> SphereMesh:
             d = np.maximum(dists[:, j], 1e-9)[:, None]
             step += diff / d**3
         scale = 0.02 * (count ** (-1.0 / n))
-        points = normalize(points + scale * step / np.maximum(np.linalg.norm(step, axis=1, keepdims=True), 1e-12))
+        norms = np.maximum(np.linalg.norm(step, axis=1, keepdims=True), 1e-12)
+        points = normalize(points + scale * step / norms)
     # Monte-Carlo cell areas: fraction of uniform samples nearest to each point.
     samples = normalize(rng.normal(size=(_MC_AREA_SAMPLES, n + 1)))
     tree = cKDTree(points)

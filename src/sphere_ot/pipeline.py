@@ -149,20 +149,16 @@ def extraction_support(coupling, solver: str):
 def _holder_reports(mm, window):
     """Envelope fits per region, skipping regions with too little data."""
     reports = {}
-    dot_plus = np.einsum("ij,ij->i", mm.source_points, mm.t_plus)
-    s1 = np.nonzero((mm.region == "S1") & (np.abs(dot_plus) >= 0.2))[0]
     jobs = [
-        ("outer_on_S1_interior", s1, mm.t_plus),
-        ("outer_on_S2", mm.indices_in("S2"), mm.t_plus),
-        ("inner_on_S2", mm.indices_in("S2"), mm.t_minus),
+        ("outer_on_S1_interior", mm.interior_s1(), mm.plus),
+        ("outer_on_S2", mm.indices_in("S2"), mm.plus),
+        ("inner_on_S2", mm.indices_in("S2"), mm.minus),
     ]
     for name, idx, values in jobs:
         if len(idx) < 2:
             continue
         try:
-            rep = reg_mod.holder_fit(
-                mm.source_points[idx], values[idx], window=window, region=name
-            )
+            rep = reg_mod.holder_fit(mm.points[idx], values[idx], window=window, region=name)
         except InsufficientDataError:
             continue
         reports[name] = rep
@@ -235,7 +231,7 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
         "region_partition", "every source atom carries exactly one region label",
         bool(np.all(np.isin(mm.region, maps_mod.REGION_SOURCE))), float(mm.count), 0.0,
     ))
-    lam_max = float(mm.lam.max()) if mm.count else 0.0
+    lam_max = float(mm.jump.max()) if mm.count else 0.0
     checks.append(Check(
         "normal_jump_bound", "normal jump lambda stays within the diameter bound 2",
         lam_max <= 2.0 + 1e-9, lam_max, 2.0 + 1e-9,
@@ -248,7 +244,7 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
     ))
     s2 = mm.indices_in("S2")
     if len(s2):
-        collin = float(np.max(mm.residual[s2] / np.maximum(mm.lam[s2], 1e-15)))
+        collin = float(np.max(mm.residual[s2] / np.maximum(mm.jump[s2], 1e-15)))
         checks.append(Check(
             "collinearity",
             "outer minus inner image is normal to the source up to a tenth of the jump",
@@ -284,22 +280,19 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
 
     window = (2.0 * mesh.spacing, max(0.5, 4.0 * mesh.spacing))
     holder = _holder_reports(mm, window)
-    constants = None
-    bound_ratio = None
-    if len(s2) >= 2:
-        margins = -np.einsum("ij,ij->i", mm.source_points[s2], mm.t_minus[s2])
-        usable = s2[margins > 0]
-        if len(usable) >= 2:
-            try:
-                constants = reg_mod.region_constants(mm, usable, window)
-                bound_ratio = reg_mod.t_minus_bound_check(mm, usable, window, constants)
-                checks.append(Check(
-                    "inner_bound",
-                    "inner-map displacements respect the proof-level constant",
-                    bound_ratio <= 1.0, bound_ratio, 1.0, required=exact,
-                ))
-            except InsufficientDataError:
-                pass
+    constants = bound_ratio = None
+    usable = mm.usable_s2()
+    if len(usable) >= 2:
+        try:
+            constants = reg_mod.region_constants(mm, usable, window)
+            bound_ratio = reg_mod.t_minus_bound_check(mm, usable, window, constants)
+            checks.append(Check(
+                "inner_bound",
+                "inner-map displacements respect the proof-level constant",
+                bound_ratio <= 1.0, bound_ratio, 1.0, required=exact,
+            ))
+        except InsufficientDataError:
+            pass
     injectivity = None
     if len(t2) >= 2:
         try:
@@ -370,20 +363,7 @@ def _holder_as_dict(rep) -> dict:
 
 
 def _inverse_records(inv) -> dict:
-    return {
-        "n": inv.n,
-        "atoms": [
-            {
-                "j": int(j),
-                "s_plus": [float(v) for v in inv.s_plus[j]],
-                "s_minus": [float(v) for v in inv.s_minus[j]],
-                "omega": float(inv.omega[j]),
-                "residual": float(inv.residual[j]),
-                "region": str(inv.region[j]),
-            }
-            for j in range(inv.count)
-        ],
-    }
+    return {"n": inv.n, "atoms": maps_mod.atom_records(inv)}
 
 
 def _dichotomy_probes(inv, t2) -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from .errors import ConfigError, DomainError, InsufficientDataError
-from .maps import InverseMaps, MultiMap
+from .maps import MultiMap
 
 LOW_CONFIDENCE_PAIRS = 30
 
@@ -191,14 +191,14 @@ def region_constants(
         raise InsufficientDataError("empty bivalent subset")
     if not np.all(mm.bivalent[idx]):
         raise DomainError("subset must consist of bivalent atoms")
-    margins = -np.einsum("ij,ij->i", mm.source_points[idx], mm.t_minus[idx])
+    margins = -np.einsum("ij,ij->i", mm.points[idx], mm.minus[idx])
     if np.any(margins <= 0):
         raise DomainError("inner images must be negatively aligned on the subset")
     k = float(margins.min())
     alpha = holder_exponent(mm.n)
     if window is None:
-        window = default_window(mm.source_points)
-    c_plus = holder_constant(mm.source_points[idx], mm.t_plus[idx], alpha, window)
+        window = default_window(mm.points)
+    c_plus = holder_constant(mm.points[idx], mm.plus[idx], alpha, window)
     return RegionConstants.from_holder(k, c_plus, alpha)
 
 
@@ -220,19 +220,19 @@ def t_minus_bound_check(
     if len(idx) < 2:
         raise InsufficientDataError("need at least two atoms in the subset")
     if window is None:
-        window = default_window(mm.source_points)
+        window = default_window(mm.points)
     alpha = holder_exponent(mm.n)
-    base, tested = (mm.t_plus, mm.t_minus) if not converse else (mm.t_minus, mm.t_plus)
+    base, tested = (mm.plus, mm.minus) if not converse else (mm.minus, mm.plus)
     if constants is None:
         if converse:
-            margins = np.einsum("ij,ij->i", mm.source_points[idx], mm.t_plus[idx])
+            margins = np.einsum("ij,ij->i", mm.points[idx], mm.plus[idx])
             if np.any(margins <= 0):
                 raise DomainError("outer images must be positively aligned on the subset")
-            c_base = holder_constant(mm.source_points[idx], base[idx], alpha, window)
+            c_base = holder_constant(mm.points[idx], base[idx], alpha, window)
             constants = RegionConstants.from_holder(float(margins.min()), c_base, alpha)
         else:
             constants = region_constants(mm, idx, window)
-    r, d = _pair_table(mm.source_points[idx], tested[idx], window)
+    r, d = _pair_table(mm.points[idx], tested[idx], window)
     if len(r) == 0:
         raise InsufficientDataError(f"no pairs inside window {window}")
     bound = constants.C_minus_proof * r**alpha
@@ -248,8 +248,8 @@ def segment_normal_check(
     inward direction is -u/|u|, and the check passes when both sources'
     projections onto it stay above k_u / 2 (up to roundoff).
     """
-    z0 = mm.t_minus[i0]
-    z1 = mm.t_minus[i1]
+    z0 = mm.minus[i0]
+    z1 = mm.minus[i1]
     diff = z1 - z0
     dd = float(diff @ diff)
     s_star = 0.0 if dd == 0.0 else float(np.clip(-(z0 @ diff) / dd, 0.0, 1.0))
@@ -259,8 +259,8 @@ def segment_normal_check(
     seg = (1.0 - ts)[:, None] * z0[None, :] + ts[:, None] * z1[None, :]
     norms = np.linalg.norm(seg, axis=1)
     grads = -seg / norms[:, None]
-    proj0 = grads @ mm.source_points[i0]
-    proj1 = grads @ mm.source_points[i1]
+    proj0 = grads @ mm.points[i0]
+    proj1 = grads @ mm.points[i1]
     min_proj = float(min(proj0.min(), proj1.min()))
     return min_proj, min_proj > k_u / 2.0 - 1e-9
 
@@ -307,13 +307,13 @@ def vector_lemma_margin_batch(us: np.ndarray, vs: np.ndarray):
     return alphas, margins
 
 
-def monotonicity_check(inv: InverseMaps, region_idx: np.ndarray) -> float:
+def monotonicity_check(inv: MultiMap, region_idx: np.ndarray) -> float:
     """min over region pairs of (s_minus(y1) - s_minus(y0)) . (y1 - y0)."""
     idx = np.asarray(region_idx, dtype=int)
     if len(idx) < 2:
         raise InsufficientDataError("need at least two atoms for pair monotonicity")
-    s = inv.s_minus[idx]
-    y = inv.target_points[idx]
+    s = inv.minus[idx]
+    y = inv.points[idx]
     g = s @ y.T
     diag = np.diag(g)
     dots = diag[:, None] + diag[None, :] - g - g.T
@@ -334,7 +334,7 @@ class DichotomyReport:
     K_m: float               # empirical worst |s_plus| / |dy| ratio over members
 
 
-def dichotomy_probe(inv: InverseMaps, center: int, m: int) -> DichotomyReport:
+def dichotomy_probe(inv: MultiMap, center: int, m: int) -> DichotomyReport:
     """Angles between target offsets and weighted-normal differences at one target.
 
     For every other bivalent target y, beta(y, y1) is the angle between
@@ -349,14 +349,14 @@ def dichotomy_probe(inv: InverseMaps, center: int, m: int) -> DichotomyReport:
     if center not in t2:
         raise DomainError("probe centre must be a bivalent target")
     others = t2[t2 != center]
-    y1 = inv.target_points[center]
-    w1 = inv.omega[center]
+    y1 = inv.points[center]
+    w1 = inv.jump[center]
     betas = np.empty(len(others))
     bound_ok = True
     for k, j in enumerate(others):
-        yj = inv.target_points[j]
+        yj = inv.points[j]
         diff = y1 - yj
-        vec = w1 * y1 - inv.omega[j] * yj
+        vec = w1 * y1 - inv.jump[j] * yj
         nv = np.linalg.norm(vec)
         nd = np.linalg.norm(diff)
         if nv < 1e-12:
@@ -365,15 +365,15 @@ def dichotomy_probe(inv: InverseMaps, center: int, m: int) -> DichotomyReport:
             raise DomainError(f"duplicate target atoms {center} and {j}")
         beta = math.acos(float(np.clip(diff @ vec / (nd * nv), -1.0, 1.0)))
         betas[k] = beta
-        if w1 > 0 and inv.omega[j] > 0:
+        if w1 > 0 and inv.jump[j] > 0:
             gamma = math.acos(float(np.clip(y1 @ yj, -1.0, 1.0)))
             if beta >= (math.pi - gamma) / 2.0 + 1e-9:
                 bound_ok = False
     sel = (betas >= math.pi / 2.0 - 1.0 / m) & (betas <= math.pi / 2.0)
     members = others[sel]
     if len(members):
-        dy = np.linalg.norm(inv.target_points[members] - y1, axis=1)
-        ds = np.linalg.norm(inv.s_plus[members] - inv.s_plus[center], axis=1)
+        dy = np.linalg.norm(inv.points[members] - y1, axis=1)
+        ds = np.linalg.norm(inv.plus[members] - inv.plus[center], axis=1)
         k_m = float(np.min(ds / dy))
     else:
         k_m = float("nan")
@@ -391,7 +391,7 @@ class InjectivityReport:
 
 
 def injectivity_lower_bound(
-    inv: InverseMaps,
+    inv: MultiMap,
     region_idx: np.ndarray,
     exponent: float,
     window: tuple | None = None,
@@ -407,7 +407,7 @@ def injectivity_lower_bound(
     idx = np.asarray(region_idx, dtype=int)
     if len(idx) < 2:
         raise InsufficientDataError("need at least two target atoms")
-    y = inv.target_points[idx]
+    y = inv.points[idx]
     if window is None:
         window = default_window(y)
     r = pdist(y)
@@ -415,8 +415,8 @@ def injectivity_lower_bound(
     keep &= (r >= window[0]) & (r <= window[1])
     if not np.any(keep):
         raise InsufficientDataError("no usable target pairs after deduplication")
-    dm = pdist(inv.s_minus[idx])[keep]
-    dp = pdist(inv.s_plus[idx])[keep]
+    dm = pdist(inv.minus[idx])[keep]
+    dp = pdist(inv.plus[idx])[keep]
     denom = r[keep] ** exponent
     return InjectivityReport(
         s_minus_ratio=float(np.min(dm / denom)),

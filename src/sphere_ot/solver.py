@@ -97,16 +97,6 @@ class Coupling:
         if max(row_err, col_err) > tol:
             raise SolverError(f"marginal violation {max(row_err, col_err):.3e} exceeds {tol}")
 
-    def images_of(self, i: int):
-        """Indices and masses of the targets fed by source atom i."""
-        sel = self.rows == i
-        return self.cols[sel], self.mass[sel]
-
-    def sources_of(self, j: int):
-        """Indices and masses of the sources feeding target atom j."""
-        sel = self.cols == j
-        return self.rows[sel], self.mass[sel]
-
 
 @dataclass
 class DualPotentials:
@@ -602,11 +592,12 @@ def brenier_potential(
 
 
 def save_coupling_csv(coupling: Coupling, path) -> None:
+    """One `i,j,mass` line per support entry, masses by repr; the bytes are
+    those of csv.writer's default dialect."""
+    entries = zip(coupling.rows.tolist(), coupling.cols.tolist(), coupling.mass.tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "mass"])
-        for i, j, m in zip(coupling.rows, coupling.cols, coupling.mass):
-            writer.writerow([int(i), int(j), repr(float(m))])
+        fh.write("i,j,mass\r\n")
+        fh.writelines(f"{i},{j},{m!r}\r\n" for i, j, m in entries)
 
 
 def load_coupling_csv(path, mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:

@@ -43,11 +43,12 @@ def bivalent_family(count=40, seed=0):
     assert np.all(lam > 0)
     tps = tms + lam[:, None] * xs
     mm = maps_mod.MultiMap(
+        side="source",
         n=2,
-        source_points=xs,
-        t_plus=tps,
-        t_minus=tms,
-        lam=lam,
+        points=xs,
+        plus=tps,
+        minus=tms,
+        jump=lam,
         residual=np.zeros(count),
         bivalent=np.ones(count, dtype=bool),
         region=np.full(count, "S2", dtype="<U2"),
@@ -57,6 +58,25 @@ def bivalent_family(count=40, seed=0):
         minus_members=[np.array([i]) for i in range(count)],
     )
     return mm
+
+
+def images_of(coupling, i):
+    """Indices and masses of the targets fed by source atom i."""
+    sel = coupling.rows == i
+    return coupling.cols[sel], coupling.mass[sel]
+
+
+def sources_of(coupling, j):
+    """Indices and masses of the sources feeding target atom j."""
+    sel = coupling.cols == j
+    return coupling.rows[sel], coupling.mass[sel]
+
+
+def support_images(coupling, mu, nu, i):
+    """Targets fed by source atom i as (index, point, mass), best aligned first."""
+    cols, mass = images_of(coupling, i)
+    order = np.argsort(-(nu.points[cols] @ mu.points[i]))
+    return [(int(cols[k]), nu.points[cols[k]], float(mass[k])) for k in order]
 
 
 def random_suitable_pair(n, count, rng, floor=0.3):

@@ -144,7 +144,7 @@ def test_criterion_03_identity_case(identity_500):
     diagonal = np.array_equal(coupling.rows, coupling.cols)
     cost_ok = coupling.total_cost <= 1e-10
     all_s1 = bool(np.all(mm.region == "S1"))
-    dots = np.einsum("ij,ij->i", mm.source_points, mm.t_plus)
+    dots = np.einsum("ij,ij->i", mm.points, mm.plus)
     aligned = bool(np.allclose(dots, 1.0, atol=1e-12))
     report(3, diagonal and cost_ok and all_s1 and aligned,
            f"diagonal coupling, cost {coupling.total_cost:.2e} <= 1e-10, "
@@ -156,11 +156,11 @@ def test_criterion_04_bivalence_geometry(bivalent_1000):
     inv = bivalent_1000["inv"]
     s2 = mm.indices_in("S2")
     assert len(s2) > 0, "instance must exhibit bivalent atoms"
-    dots_plus = np.einsum("ij,ij->i", mm.source_points[s2], mm.t_plus[s2])
-    dots_minus = np.einsum("ij,ij->i", mm.source_points[s2], mm.t_minus[s2])
-    lam_ok = bool(np.all(mm.lam[s2] > 0))
+    dots_plus = np.einsum("ij,ij->i", mm.points[s2], mm.plus[s2])
+    dots_minus = np.einsum("ij,ij->i", mm.points[s2], mm.minus[s2])
+    lam_ok = bool(np.all(mm.jump[s2] > 0))
     signs_ok = bool(np.all(dots_plus > 0) and np.all(dots_minus < 0))
-    collin = float(np.max(mm.residual[s2] / mm.lam[s2]))
+    collin = float(np.max(mm.residual[s2] / mm.jump[s2]))
     outer = sorted({int(j) for i in s2 for j in mm.plus_members[i]})
     inner = {int(j) for i in s2 for j in mm.minus_members[i]}
     landing_t1 = all(inv.region[j] == "T1" for j in outer)
@@ -175,7 +175,7 @@ def test_criterion_05_lambda_bound(identity_500, bivalent_1000, warped_2000, sui
     worst = -np.inf
     total = 0
     for inst in all_extracted(identity_500, bivalent_1000, warped_2000, suitable_solves):
-        worst = max(worst, float(inst["mm"].lam.max()))
+        worst = max(worst, float(inst["mm"].jump.max()))
         total += inst["mm"].count
     report(5, worst <= 2.0 + 1e-9,
            f"max normal jump {worst:.6f} <= 2 + 1e-9 over {total} atoms in "
@@ -228,9 +228,9 @@ def test_criterion_08_angle_bound(bivalent_1000, suitable_solves):
 
 def test_criterion_09_exponent_consistency(warped_2000):
     mm = warped_2000["mm"]
-    dots = np.einsum("ij,ij->i", mm.source_points, mm.t_plus)
+    dots = np.einsum("ij,ij->i", mm.points, mm.plus)
     s1 = np.nonzero((mm.region == "S1") & (np.abs(dots) >= 0.2))[0]
-    fit = rg.holder_fit(mm.source_points[s1], mm.t_plus[s1], region="S1")
+    fit = rg.holder_fit(mm.points[s1], mm.plus[s1], region="S1")
     target = 1.0 / 7.0 - 0.05
     elapsed = warped_2000["elapsed"]
     report(9, fit.alpha_hat >= target and elapsed < 300.0,
@@ -247,9 +247,9 @@ def test_criterion_10_constant_formulas(bivalent_1000):
     ratios.append(rg.t_minus_bound_check(family, np.arange(40), (0.01, 0.5)))
     mm = bivalent_1000["mm"]
     s2 = mm.indices_in("S2")
-    margins = -np.einsum("ij,ij->i", mm.source_points[s2], mm.t_minus[s2])
+    margins = -np.einsum("ij,ij->i", mm.points[s2], mm.minus[s2])
     usable = s2[margins > 0]
-    window = rg.default_window(mm.source_points)
+    window = rg.default_window(mm.points)
     ratios.append(rg.t_minus_bound_check(mm, usable, window))
     worst = max(ratios)
     report(10, formulas_ok and worst <= 1.0,

@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
-from conftest import make_measure
+from conftest import make_measure, random_suitable_pair, sources_of, support_images
 from sphere_ot import geometry as g
 from sphere_ot import maps as mp
+from sphere_ot import measures as me
+from sphere_ot import pipeline as pipe
 from sphere_ot import solver as so
 from sphere_ot.errors import ExtractionError
 
@@ -22,7 +26,7 @@ def split_instance():
 class TestSupportImages:
     def test_sorted_by_alignment_and_mass_identity(self, split_instance):
         mu, nu, coupling = split_instance
-        images = mp.support_images(coupling, mu, nu, 0)
+        images = support_images(coupling, mu, nu, 0)
         assert [j for j, _, _ in images] == [0, 1]
         assert sum(m for _, _, m in images) == pytest.approx(mu.weights[0])
 
@@ -33,7 +37,7 @@ class TestSupportImages:
         mu = make_measure(pts)
         coupling, _ = so.solve_exact(mu, mu)
         for i in range(10):
-            images = mp.support_images(coupling, mu, mu, i)
+            images = support_images(coupling, mu, mu, i)
             assert len(images) == 1
             assert images[0][0] == i
 
@@ -42,9 +46,9 @@ class TestExtract:
     def test_split_example(self, split_instance):
         mu, nu, coupling = split_instance
         mm = mp.extract_multimap(coupling, mu, nu, merge_tol=0.1)
-        assert np.allclose(mm.t_plus[0], [0.6, 0.0, 0.8], atol=1e-12)
-        assert np.allclose(mm.t_minus[0], [0.6, 0.0, -0.8], atol=1e-12)
-        assert mm.lam[0] == pytest.approx(1.6, abs=1e-12)
+        assert np.allclose(mm.plus[0], [0.6, 0.0, 0.8], atol=1e-12)
+        assert np.allclose(mm.minus[0], [0.6, 0.0, -0.8], atol=1e-12)
+        assert mm.jump[0] == pytest.approx(1.6, abs=1e-12)
         assert mm.residual[0] == pytest.approx(0.0, abs=1e-12)
         assert mm.bivalent[0]
 
@@ -53,8 +57,8 @@ class TestExtract:
         nu = make_measure([NORTH], weights=[1.0])
         coupling = so.Coupling(np.array([0]), np.array([0]), np.array([1.0]), 0.0)
         mm = mp.extract_multimap(coupling, mu, nu, merge_tol=0.1)
-        assert np.allclose(mm.t_plus[0], mm.t_minus[0])
-        assert mm.lam[0] == pytest.approx(0.0, abs=1e-15)
+        assert np.allclose(mm.plus[0], mm.minus[0])
+        assert mm.jump[0] == pytest.approx(0.0, abs=1e-15)
         assert not mm.bivalent[0]
 
     def test_close_images_merge(self):
@@ -74,7 +78,7 @@ class TestExtract:
             np.array([0, 0, 0]), np.array([0, 1, 2]), np.array([1 / 3] * 3), 0.0
         )
         with pytest.raises(ExtractionError):
-            mp.extract_multimap(coupling, mu, nu, merge_tol=0.05, weight_scaled=False)
+            mp.extract_multimap(coupling, mu, nu, merge_tol=0.05)
 
     def test_mass_weighted_merge_average(self):
         mu = make_measure([NORTH], weights=[1.0])
@@ -85,7 +89,7 @@ class TestExtract:
         mm = mp.extract_multimap(coupling, mu, nu, merge_tol=0.5)
         expected = 0.75 * a + 0.25 * b
         expected /= np.linalg.norm(expected)
-        assert np.allclose(mm.t_plus[0], expected, atol=1e-12)
+        assert np.allclose(mm.plus[0], expected, atol=1e-12)
 
 
 def _pairwise_linkage(points, tol):
@@ -151,8 +155,8 @@ class TestClassify:
         mu, nu, coupling = split_instance
         mm = mp.classify_regions(mp.extract_multimap(coupling, mu, nu, 0.1), 0.05)
         assert mm.region[0] == "S2"
-        assert float(mm.source_points[0] @ mm.t_plus[0]) == pytest.approx(0.8)
-        assert float(mm.source_points[0] @ mm.t_minus[0]) == pytest.approx(-0.8)
+        assert float(mm.points[0] @ mm.plus[0]) == pytest.approx(0.8)
+        assert float(mm.points[0] @ mm.minus[0]) == pytest.approx(-0.8)
         assert not mm.anomalies
 
     def test_sign_anomaly_recorded(self):
@@ -182,9 +186,9 @@ class TestInverse:
         mm = mp.classify_regions(mp.extract_multimap(coupling, mu, nu, 0.1), 0.05)
         inv = mp.invert_maps(mm, coupling, nu)
         assert inv.region[0] == "T2"
-        assert inv.omega[0] == pytest.approx(1.6, abs=1e-12)
-        assert np.allclose(inv.s_plus[0], [0.6, 0.0, 0.8], atol=1e-12)
-        assert np.allclose(inv.s_minus[0], [0.6, 0.0, -0.8], atol=1e-12)
+        assert inv.jump[0] == pytest.approx(1.6, abs=1e-12)
+        assert np.allclose(inv.plus[0], [0.6, 0.0, 0.8], atol=1e-12)
+        assert np.allclose(inv.minus[0], [0.6, 0.0, -0.8], atol=1e-12)
 
     def test_identity_all_univalent(self, rng):
         from sphere_ot import geometry as g
@@ -195,13 +199,13 @@ class TestInverse:
         mm = mp.classify_regions(mp.extract_multimap(coupling, mu, mu, 0.1), 0.05)
         inv = mp.invert_maps(mm, coupling, mu)
         assert np.all(inv.region == "T1")
-        assert np.allclose(inv.omega, 0.0, atol=1e-15)
+        assert np.allclose(inv.jump, 0.0, atol=1e-15)
 
     def test_bivalent_targets_fed_by_both(self, bivalent_instance):
         coupling = bivalent_instance["coupling"]
         inv = bivalent_instance["inv"]
         for j in inv.indices_in("T2"):
-            sources, _ = coupling.sources_of(int(j))
+            sources, _ = sources_of(coupling, int(j))
             assert set(inv.plus_members[j]).issubset(set(sources.tolist()))
             assert set(inv.minus_members[j]).issubset(set(sources.tolist()))
             assert len(inv.plus_members[j]) and len(inv.minus_members[j])
@@ -242,9 +246,9 @@ class TestSolvedInstanceInvariants:
         inv = bivalent_instance["inv"]
         s2 = mm.indices_in("S2")
         assert len(s2) > 0
-        dots_plus = np.einsum("ij,ij->i", mm.source_points[s2], mm.t_plus[s2])
-        dots_minus = np.einsum("ij,ij->i", mm.source_points[s2], mm.t_minus[s2])
-        assert np.all(mm.lam[s2] > 0)
+        dots_plus = np.einsum("ij,ij->i", mm.points[s2], mm.plus[s2])
+        dots_minus = np.einsum("ij,ij->i", mm.points[s2], mm.minus[s2])
+        assert np.all(mm.jump[s2] > 0)
         assert np.all(dots_plus > 0)
         assert np.all(dots_minus < 0)
         # sole supplier at the discrete level: outer and inner image sets
@@ -254,10 +258,10 @@ class TestSolvedInstanceInvariants:
         inner = {int(j) for i in s2 for j in mm.minus_members[i]}
         assert not outer & inner
         assert all(inv.region[j] != "T2" for j in outer)
-        assert all(float(inv.target_points[j] @ inv.s_plus[j]) > 0 for j in outer)
+        assert all(float(inv.points[j] @ inv.plus[j]) > 0 for j in outer)
 
     def test_lambda_bound(self, bivalent_instance):
-        assert float(bivalent_instance["mm"].lam.max()) <= 2.0 + 1e-9
+        assert float(bivalent_instance["mm"].jump.max()) <= 2.0 + 1e-9
 
     def test_support_monotonicity(self, bivalent_instance):
         val = so.support_monotonicity_min(
@@ -276,3 +280,154 @@ class TestSolvedInstanceInvariants:
         assert len(data["atoms"]) == mm.count
         rec = data["atoms"][0]
         assert set(rec) == {"i", "t_plus", "t_minus", "lambda", "residual", "region"}
+
+
+def _former_loops(coupling, mu, nu, merge_tol, zero_tol):
+    """Reference: the per-side loops extract_multimap, classify_regions and
+    invert_maps ran before they shared one routine, as plain dicts."""
+
+    def side(points, opposite, own, other, tols, what):
+        count, d = points.shape
+        rec = {
+            "plus": np.empty((count, d)), "minus": np.empty((count, d)),
+            "jump": np.empty(count), "residual": np.empty(count),
+            "bivalent": np.zeros(count, dtype=bool), "plus_members": [], "minus_members": [],
+        }
+        order = np.argsort(own, kind="stable")
+        own_sorted = own[order]
+        other = other[order]
+        mass = coupling.mass[order]
+        bounds = np.searchsorted(own_sorted, np.arange(count + 1))
+        for a in range(count):
+            lo, hi = bounds[a], bounds[a + 1]
+            assert lo < hi
+            idx = other[lo:hi]
+            x = points[a]
+            tp, tm, plus_cl, minus_cl, is_bi = mp._merge_images(
+                x, opposite[idx], mass[lo:hi], tols[a], what, a
+            )
+            rec["plus"][a] = tp
+            rec["minus"][a] = tm
+            rec["jump"][a] = float((tp - tm) @ x)
+            rec["residual"][a] = float(np.linalg.norm(tp - tm - rec["jump"][a] * x))
+            rec["bivalent"][a] = is_bi
+            rec["plus_members"].append(idx[plus_cl])
+            rec["minus_members"].append(idx[minus_cl])
+        rec["points"] = points.copy()
+        return rec
+
+    src = side(mu.points, nu.points, coupling.rows, coupling.cols,
+               mp._weight_scaled_tols(merge_tol, mu.weights, nu.weights), "source")
+    src["region"], anomalies = _former_source_regions(src, zero_tol)
+    mu_weights = np.bincount(coupling.rows, weights=coupling.mass, minlength=mu.count)
+    tgt = side(nu.points, src["points"], coupling.cols, coupling.rows,
+               mp._weight_scaled_tols(merge_tol, nu.weights, mu_weights), "target")
+    tgt["region"] = _former_target_regions(tgt, zero_tol)
+    return src, anomalies, tgt
+
+
+def _former_source_regions(rec, zero_tol):
+    """Reference: the former classify_regions loop; (region, anomalies)."""
+    count = len(rec["points"])
+    anomalies = []
+    region = np.full(count, "", dtype="<U2")
+    dot_plus = np.einsum("ij,ij->i", rec["points"], rec["plus"])
+    dot_minus = np.einsum("ij,ij->i", rec["points"], rec["minus"])
+    for i in range(count):
+        if rec["bivalent"][i]:
+            region[i] = "S2"
+            if not (dot_plus[i] > 0.0 and dot_minus[i] < 0.0):
+                anomalies.append({"atom": int(i), "kind": "bivalent sign structure",
+                                  "dot_plus": float(dot_plus[i]),
+                                  "dot_minus": float(dot_minus[i])})
+        elif abs(dot_plus[i]) <= zero_tol:
+            region[i] = "S0"
+        elif dot_plus[i] > zero_tol:
+            region[i] = "S1"
+        else:
+            region[i] = "S0"
+            anomalies.append({"atom": int(i), "kind": "univalent negative alignment",
+                              "dot_plus": float(dot_plus[i])})
+    return region, anomalies
+
+
+def _former_target_regions(rec, zero_tol):
+    """Reference: the former T0 / T1 / T2 loop of invert_maps."""
+    count = len(rec["points"])
+    region = np.full(count, "", dtype="<U2")
+    dot_plus = np.einsum("ij,ij->i", rec["points"], rec["plus"])
+    for j in range(count):
+        if rec["bivalent"][j]:
+            region[j] = "T2"
+        elif abs(dot_plus[j]) <= zero_tol:
+            region[j] = "T0"
+        else:
+            region[j] = "T1" if dot_plus[j] > 0 else "T0"
+    return region
+
+
+def _instance(kind, n, count):
+    """Plan, measures and tolerances of one instance for the reference test."""
+    if kind == "uneven":
+        # density floor 0.01: weights spread over a factor of about 250
+        mesh, mu, nu = random_suitable_pair(n, count, np.random.default_rng(count), floor=0.01)
+    else:
+        mesh = me.quasi_uniform_mesh(n, count, 0)
+        mu = me.sample_density(pipe.builtin_density("cap:0.98", n), mesh)
+        nu = me.uniform_measure(mesh)
+    if kind == "entropic":
+        coupling, _ = so.solve_entropic(mu, nu, reg=0.01)
+        coupling = pipe.extraction_support(coupling, "entropic")
+    else:
+        coupling, _ = so.solve_exact(mu, nu)
+    return coupling, mu, nu, 2.0 * mesh.spacing, mesh.spacing
+
+
+class TestFormerLoops:
+    @pytest.mark.parametrize("kind, n, count", [
+        ("exact", 1, 150), ("exact", 2, 220), ("exact", 3, 200), ("entropic", 1, 150),
+        ("entropic", 2, 200), ("entropic", 3, 300), ("uneven", 2, 120),
+    ])
+    def test_bitwise_equal(self, kind, n, count):
+        coupling, mu, nu, merge_tol, zero_tol = _instance(kind, n, count)
+        mm = mp.classify_regions(mp.extract_multimap(coupling, mu, nu, merge_tol), zero_tol)
+        inv = mp.invert_maps(mm, coupling, nu)
+        src, anomalies, tgt = _former_loops(coupling, mu, nu, merge_tol, zero_tol)
+        for rec, ref in ((mm, src), (inv, tgt)):
+            for name in ("points", "plus", "minus", "jump", "residual", "bivalent", "region"):
+                got = getattr(rec, name)
+                assert got.dtype == ref[name].dtype and got.tobytes() == ref[name].tobytes()
+            for name in ("plus_members", "minus_members"):
+                got = getattr(rec, name)
+                assert len(got) == len(ref[name])
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref[name]))
+        assert mm.anomalies == anomalies
+
+    def test_region_rule_at_band_edges(self):
+        # x . plus exactly at +-zero_tol, inside and outside the band, and NaN,
+        # each on a univalent and a bivalent atom
+        zero_tol = 0.25
+        dots = np.array([0.25, -0.25, 0.0, 0.5, -0.5, 0.75, np.nan])
+        count = 2 * len(dots)
+        z = np.concatenate([dots, dots])
+        plus = np.column_stack([np.sqrt(np.abs(1 - z**2)), np.zeros(count), z])
+        minus = plus[::-1].copy()
+        rec = {
+            "points": np.tile([0.0, 0.0, 1.0], (count, 1)), "plus": plus, "minus": minus,
+            "bivalent": np.arange(count) >= len(dots),
+        }
+
+        def record(side):
+            return mp.MultiMap(
+                side=side, n=2, points=rec["points"], plus=plus, minus=minus,
+                jump=np.zeros(count), residual=np.zeros(count), bivalent=rec["bivalent"],
+                region=np.full(count, "", dtype="<U2"),
+            )
+
+        region, anomalies = _former_source_regions(rec, zero_tol)
+        mm = mp.classify_regions(record("source"), zero_tol)
+        assert mm.region.tobytes() == region.tobytes()
+        assert json.dumps(mm.anomalies) == json.dumps(anomalies)
+        inv = record("target")
+        mp._label_regions(inv, zero_tol)
+        assert inv.region.tobytes() == _former_target_regions(rec, zero_tol).tobytes()

@@ -74,14 +74,14 @@ class TestRegionConstants:
     def test_margin_is_min(self):
         # two nearby bivalent atoms with inner alignments -0.3 and -0.5
         mm = bivalent_family(2)
-        mm.source_points = np.array([[0.0, 0.0, 1.0], [np.sin(0.1), 0.0, np.cos(0.1)]])
+        mm.points = np.array([[0.0, 0.0, 1.0], [np.sin(0.1), 0.0, np.cos(0.1)]])
         for k, target_dot in enumerate((-0.3, -0.5)):
-            x = mm.source_points[k]
+            x = mm.points[k]
             w = np.array([1.0, 0.0, 0.0]) - x[0] * x
             w /= np.linalg.norm(w)
-            mm.t_minus[k] = target_dot * x + np.sqrt(1 - target_dot**2) * w
-        lam = -2 * np.einsum("ij,ij->i", mm.source_points, mm.t_minus)
-        mm.t_plus = mm.t_minus + lam[:, None] * mm.source_points
+            mm.minus[k] = target_dot * x + np.sqrt(1 - target_dot**2) * w
+        lam = -2 * np.einsum("ij,ij->i", mm.points, mm.minus)
+        mm.plus = mm.minus + lam[:, None] * mm.points
         consts = rg.region_constants(mm, np.array([0, 1]), window=(1e-12, 2.0))
         assert consts.k_U == pytest.approx(0.3)
 
@@ -92,7 +92,7 @@ class TestRegionConstants:
 
     def test_rejects_nonnegative_alignment(self):
         mm = bivalent_family(3)
-        mm.t_minus[1] = mm.t_plus[1]  # inner image on the positive side
+        mm.minus[1] = mm.plus[1]  # inner image on the positive side
         with pytest.raises(DomainError):
             rg.region_constants(mm, np.arange(3), window=(1e-12, 2.0))
 
@@ -119,7 +119,7 @@ class TestInnerBound:
     def test_generous_constant_on_univalent_data(self):
         # inner equals outer (continuous), tested against a generous constant
         mm = bivalent_family(30)
-        mm.t_minus = mm.t_plus.copy()
+        mm.minus = mm.plus.copy()
         consts = rg.RegionConstants.from_holder(1.0, 10.0, rg.holder_exponent(2))
         ratio = rg.t_minus_bound_check(mm, np.arange(30), (0.01, 0.5), consts)
         assert ratio < 1.0
@@ -134,8 +134,8 @@ class TestInnerBound:
 class TestSegmentNormal:
     def test_single_point_segment(self):
         mm = bivalent_family(2)
-        mm.source_points = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-        mm.t_minus = np.array([[0.6, 0.0, -0.8], [0.6, 0.0, -0.8]])
+        mm.points = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        mm.minus = np.array([[0.6, 0.0, -0.8], [0.6, 0.0, -0.8]])
         proj, ok = rg.segment_normal_check(mm, 0, 1, k_u=1.6)
         assert proj == pytest.approx(0.8, abs=1e-12)
         assert ok  # 0.8 > 1.6 / 2
@@ -150,7 +150,7 @@ class TestSegmentNormal:
 
     def test_antipodal_inner_images(self):
         mm = bivalent_family(2)
-        mm.t_minus = np.array([[0.6, 0.0, -0.8], [-0.6, 0.0, 0.8]])
+        mm.minus = np.array([[0.6, 0.0, -0.8], [-0.6, 0.0, 0.8]])
         with pytest.raises(DomainError):
             rg.segment_normal_check(mm, 0, 1, k_u=0.5)
 
@@ -216,12 +216,13 @@ def synthetic_inverse(points, s_plus, s_minus, region=None):
     residual = np.linalg.norm(s_plus - s_minus - omega[:, None] * points, axis=1)
     if region is None:
         region = np.full(count, "T2", dtype="<U2")
-    return mp.InverseMaps(
+    return mp.MultiMap(
+        side="target",
         n=points.shape[1] - 1,
-        target_points=points,
-        s_plus=s_plus,
-        s_minus=s_minus,
-        omega=omega,
+        points=points,
+        plus=s_plus,
+        minus=s_minus,
+        jump=omega,
         residual=residual,
         bivalent=region == "T2",
         region=np.asarray(region, dtype="<U2"),
@@ -335,9 +336,9 @@ class TestInjectivity:
         t2 = inv.indices_in("T2")
         rep = rg.injectivity_lower_bound(inv, t2, exponent=7.0)
         assert rep.s_minus_ratio > 0
-        window = rg.default_window(mm.source_points)
+        window = rg.default_window(mm.points)
         s2 = mm.indices_in("S2")
-        margins = -np.einsum("ij,ij->i", mm.source_points[s2], mm.t_minus[s2])
+        margins = -np.einsum("ij,ij->i", mm.points[s2], mm.minus[s2])
         usable = s2[margins > 0]
         consts = rg.region_constants(mm, usable, window)
         assert rep.s_minus_ratio >= 1.0 / consts.C_minus_proof

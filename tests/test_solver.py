@@ -4,7 +4,7 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.special import logsumexp
 
-from conftest import make_measure
+from conftest import images_of, make_measure
 from sphere_ot import geometry as g
 from sphere_ot import measures as me
 from sphere_ot import solver as so
@@ -587,7 +587,7 @@ class TestBrenierPotential:
         coupling, duals = so.solve_exact(mu, nu)
         for i in range(12):
             value, argmax = so.brenier_potential(duals, nu, mu.points[i])
-            cols, _ = coupling.images_of(i)
+            cols, _ = images_of(coupling, i)
             assert set(cols.tolist()).issubset(set(argmax.tolist()))
             assert value == pytest.approx(1.0 - duals.psi[i] / 2.0, abs=1e-9)
 
@@ -603,6 +603,31 @@ class TestIO:
         assert np.array_equal(loaded.cols, coupling.cols)
         assert np.array_equal(loaded.mass, coupling.mass)
         assert loaded.total_cost == pytest.approx(coupling.total_cost, abs=1e-12)
+
+    def test_coupling_csv_bytes_match_csv_writer(self, tmp_path, rng):
+        import csv
+
+        def reference(coupling, path):
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["i", "j", "mass"])
+                for i, j, m in zip(coupling.rows, coupling.cols, coupling.mass):
+                    writer.writerow([int(i), int(j), repr(float(m))])
+
+        mu = make_measure(g.random_sphere_points(2, 60, rng))
+        nu = make_measure(g.random_sphere_points(2, 70, rng))
+        entropic, _ = so.solve_entropic(mu, nu, reg=0.01)
+        # extreme magnitudes, a repr with 17 digits, a 64-bit index, no entries
+        special = so.Coupling(
+            np.array([0, 7, 123456789]), np.array([1 << 40, 0, 3]),
+            np.array([1e-300, 0.1 + 0.2, 5e-324]), 0.0,
+        )
+        empty = so.Coupling(np.array([], dtype=int), np.array([], dtype=int), np.array([]), 0.0)
+        for k, coupling in enumerate((entropic, special, empty)):
+            reference(coupling, tmp_path / f"ref{k}.csv")
+            so.save_coupling_csv(coupling, tmp_path / f"new{k}.csv")
+            expected = (tmp_path / f"ref{k}.csv").read_bytes()
+            assert (tmp_path / f"new{k}.csv").read_bytes() == expected
 
     @pytest.mark.parametrize("line", ["-1,0,0.5", "2,0,0.5", "0,-1,0.5", "0,2,0.5"])
     def test_coupling_csv_index_out_of_range(self, tmp_path, instance_2x2, line):
