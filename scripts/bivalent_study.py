@@ -1,51 +1,45 @@
 #!/usr/bin/env python3
 """Sweep cap concentration against a uniform target and track the bivalent set.
 
-For each concentration the instance is solved exactly, the two-valued map
-extracted, and the bivalent geometry summarized: region fractions, normal
-jump statistics, worst collinearity ratio, and the inner-map constants.
-Writes one JSON with all rows (plot-ready, no rendering here).
+Each concentration is one exact `run_pipeline` run, kept in a directory
+of its own under <out stem>.runs/ beside the output. Its row reads the
+region fractions, normal jump statistics, worst collinearity ratio,
+inner-map constants and check results from that run. Writes one JSON with
+all rows (plot-ready, no rendering here).
 """
 
 import argparse
 import json
 from pathlib import Path
 
-import numpy as np
-
-from sphere_ot import maps, measures, pipeline, regularity, solver
+from sphere_ot import pipeline
 
 
-def run_one(kappa: float, mesh_count: int, seed: int) -> dict:
-    mesh = measures.quasi_uniform_mesh(2, mesh_count, seed)
-    mu = measures.sample_density(pipeline.builtin_density(f"cap:{kappa}", 2), mesh)
-    nu = measures.uniform_measure(mesh)
-    coupling, _ = solver.solve_exact(mu, nu)
-    mm = maps.extract_multimap(coupling, mu, nu, 2.0 * mesh.spacing)
-    mm = maps.classify_regions(mm, mesh.spacing)
-    s2 = mm.indices_in("S2")
+def run_one(kappa: float, mesh_count: int, seed: int, runs: Path) -> dict:
+    config = pipeline.RunConfig(n=2, mesh_count=mesh_count, seed=seed,
+                                output_dir=runs / f"cap-{kappa}")
+    result = pipeline.run_pipeline(config, f"cap:{kappa}", "uniform")
+    regions, multimap, found = (json.loads((result.output_dir / f"{name}.json").read_text())
+                                for name in ("regions", "multimap", "constants"))
     row = {
         "kappa": kappa,
         "mesh": mesh_count,
-        "regions": mm.region_counts(),
-        "bivalent_fraction": len(s2) / mm.count,
-        "anomalies": len(mm.anomalies),
-        "total_cost": coupling.total_cost,
+        "regions": result.summary["source_regions"],
+        "bivalent_fraction": result.summary["bivalent_fraction"],
+        "anomalies": len(regions["anomalies"]),
+        "total_cost": result.summary["total_cost"],
+        "exit_code": result.exit_code,
+        "checks_failed": result.summary["checks_failed"],
     }
-    if len(s2):
-        row["lambda_min"] = float(mm.jump[s2].min())
-        row["lambda_max"] = float(mm.jump[s2].max())
-        row["worst_collinearity"] = float(np.max(mm.residual[s2] / mm.jump[s2]))
-        usable = mm.usable_s2()
-        if len(usable) >= 2:
-            try:
-                consts = regularity.region_constants(mm, usable)
-                row["k_U"] = consts.k_U
-                row["C_plus"] = consts.C_plus
-                row["C_minus_proof"] = consts.C_minus_proof
-                row["bound_ratio"] = regularity.t_minus_bound_check(mm, usable)
-            except Exception as exc:  # diagnostics stay best-effort per row
-                row["constants_error"] = str(exc)
+    jumps = [a["lambda"] for a in multimap["atoms"] if a["region"] == "S2"]
+    if jumps:
+        row["lambda_min"], row["lambda_max"] = min(jumps), max(jumps)
+        row["worst_collinearity"] = next(c.value for c in result.checks
+                                         if c.name == "collinearity")
+    if found["constants"] is not None:
+        row.update({k: found["constants"][k] for k in ("k_U", "C_plus", "C_minus_proof")})
+    if found["inner_bound_ratio"] is not None:
+        row["bound_ratio"] = found["inner_bound_ratio"]
     return row
 
 
@@ -60,11 +54,10 @@ def main() -> None:
 
     rows = []
     for kappa in args.kappas:
-        row = run_one(kappa, args.mesh, args.seed)
+        row = run_one(kappa, args.mesh, args.seed, Path(args.out).with_suffix(".runs"))
         rows.append(row)
-        frac = row["bivalent_fraction"]
-        print(f"kappa={kappa:.2f}: bivalent fraction {frac:.3f} "
-              f"(regions {row['regions']})")
+        print(f"kappa={kappa:.2f}: bivalent fraction {row['bivalent_fraction']:.3f} "
+              f"(regions {row['regions']}, exit {row['exit_code']})")
     Path(args.out).write_text(json.dumps(rows, indent=1, sort_keys=True))
     print(f"wrote {args.out}")
 

@@ -3,8 +3,9 @@
 
 Solves the gradient-warp instance (target atoms are the sources pushed by
 the gradient of |y + s e|, so the identity pairing is provably optimal) at
-several mesh sizes and reports the envelope-fit exponent and constant of
-the outer map on the interior univalent region.
+several mesh sizes, each as one `run_pipeline` run kept under
+<out stem>.runs/ beside the output, and reports the envelope-fit exponent
+and constant of the outer map on the interior univalent region.
 """
 
 import argparse
@@ -13,28 +14,33 @@ from pathlib import Path
 
 import numpy as np
 
-from sphere_ot import maps, measures, regularity, solver
+from sphere_ot import measures, pipeline
 
 
-def run_one(count: int, shift: float, seed: int) -> dict:
+def run_one(count: int, shift: float, seed: int, runs: Path) -> dict:
     mesh = measures.quasi_uniform_mesh(2, count, seed)
     moved = mesh.points + shift * np.array([0.0, 0.0, 1.0])
     moved /= np.linalg.norm(moved, axis=1, keepdims=True)
     w = np.full(count, 1.0 / count)
-    mu = measures.DiscreteMeasure(2, mesh.points, w, mesh.cell_areas)
-    nu = measures.DiscreteMeasure(2, moved, w.copy(), mesh.cell_areas.copy())
-    coupling, _ = solver.solve_exact(mu, nu)
-    mm = maps.extract_multimap(coupling, mu, nu, 2.0 * mesh.spacing)
-    mm = maps.classify_regions(mm, mesh.spacing)
-    s1 = mm.interior_s1()
-    fit = regularity.holder_fit(mm.points[s1], mm.plus[s1], region="S1")
+    runs.mkdir(parents=True, exist_ok=True)
+    specs = []
+    for side, points in (("mu", mesh.points), ("nu", moved)):
+        specs.append(str(runs / f"mesh-{count}-{side}.json"))
+        measures.save_measure(measures.DiscreteMeasure(2, points, w, mesh.cell_areas), specs[-1])
+    config = pipeline.RunConfig(n=2, mesh_count=count, seed=seed,
+                                output_dir=runs / f"mesh-{count}")
+    result = pipeline.run_pipeline(config, *specs)
+    with open(result.output_dir / "holder_reports.json") as fh:
+        fit = json.load(fh)["outer_on_S1_interior"]
     return {
         "mesh": count,
-        "spacing": mesh.spacing,
-        "alpha_hat": fit.alpha_hat,
-        "C_hat": fit.C_hat,
-        "pairs": fit.pair_count,
-        "window": list(fit.scale_window),
+        "spacing": result.summary["mesh_spacing"],
+        "alpha_hat": fit["alpha_hat"],
+        "C_hat": fit["C_hat"],
+        "pairs": fit["pair_count"],
+        "window": fit["scale_window"],
+        "exit_code": result.exit_code,
+        "checks_failed": result.summary["checks_failed"],
     }
 
 
@@ -48,10 +54,10 @@ def main() -> None:
 
     rows = []
     for count in args.sizes:
-        row = run_one(count, args.shift, args.seed)
+        row = run_one(count, args.shift, args.seed, Path(args.out).with_suffix(".runs"))
         rows.append(row)
         print(f"mesh {count:5d}: alpha_hat={row['alpha_hat']:.3f} "
-              f"C_hat={row['C_hat']:.3f} ({row['pairs']} pairs)")
+              f"C_hat={row['C_hat']:.3f} ({row['pairs']} pairs, exit {row['exit_code']})")
     Path(args.out).write_text(json.dumps(rows, indent=1, sort_keys=True))
     print(f"wrote {args.out}")
 

@@ -42,19 +42,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--nu", default="uniform", help="density spec or measure JSON path")
     s.add_argument("--solver", choices=("exact", "entropic"), default="exact")
     s.add_argument("--reg", type=float, default=0.01, help="entropic regularization")
-    s.add_argument("--epsilon", type=float, default=None, help="suitability level")
-    s.add_argument("--merge-tol", type=float, default=None)
-    s.add_argument("--zero-tol", type=float, default=None)
     s.add_argument("--out", default="run", help="output directory")
 
     e = sub.add_parser("extract", help="re-extract maps from a solved run directory")
     e.add_argument("--run", required=True)
-    e.add_argument("--merge-tol", type=float, default=None)
-    e.add_argument("--zero-tol", type=float, default=None)
 
     d = sub.add_parser("diagnose", help="recompute regularity reports for a run")
     d.add_argument("--run", required=True)
-    d.add_argument("--window", type=float, nargs=2, default=None, metavar=("RMIN", "RMAX"))
 
     m = sub.add_parser("mtw", help="structural-condition sweep for the sphere cost")
     m.add_argument("--n", type=int, default=2)
@@ -85,9 +79,6 @@ def _cmd_solve(args) -> int:
         seed=args.seed,
         solver=args.solver,
         reg=args.reg,
-        epsilon_suitable=args.epsilon,
-        merge_tol=args.merge_tol,
-        zero_tol=args.zero_tol,
         output_dir=Path(args.out),
     )
     result = pipe.run_pipeline(config, args.mu, args.nu)
@@ -104,9 +95,9 @@ def _cmd_solve(args) -> int:
     return result.exit_code
 
 
-def _load_map(run_dir: Path, merge_tol=None, zero_tol=None):
+def _load_map(run_dir: Path):
     """The classified source map of a run, extracted from the support the run
-    read; tolerances not given are the run's own."""
+    read with the run's own tolerances."""
     if not run_dir.is_dir():
         raise OSError(f"run directory {run_dir} does not exist")
     mu = measures_mod.load_measure(run_dir / "mu.json")
@@ -116,13 +107,13 @@ def _load_map(run_dir: Path, merge_tol=None, zero_tol=None):
         coupling = pipe.extraction_support(coupling, json.load(fh)["solver"])
     with open(run_dir / "summary.json") as fh:
         summary = json.load(fh)
-    mm = maps_mod.extract_multimap(coupling, mu, nu, merge_tol or summary["merge_tol"])
-    return maps_mod.classify_regions(mm, zero_tol or summary["zero_tol"])
+    mm = maps_mod.extract_multimap(coupling, mu, nu, summary["merge_tol"])
+    return maps_mod.classify_regions(mm, summary["zero_tol"])
 
 
 def _cmd_extract(args) -> int:
     run_dir = Path(args.run)
-    mm = _load_map(run_dir, args.merge_tol, args.zero_tol)
+    mm = _load_map(run_dir)
     maps_mod.save_multimap_json(mm, run_dir / "multimap.json")
     print(f"regions: {mm.region_counts()} anomalies: {len(mm.anomalies)}")
     return pipe.EXIT_OK
@@ -130,12 +121,10 @@ def _cmd_extract(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     mm = _load_map(Path(args.run))
-    window = tuple(args.window) if args.window else None
     s1 = mm.interior_s1()
     if len(s1) >= 2:
         try:
-            rep = reg_mod.holder_fit(mm.points[s1], mm.plus[s1], window=window,
-                                     region="outer_on_S1_interior")
+            rep = reg_mod.holder_fit(mm.points[s1], mm.plus[s1], region="outer_on_S1_interior")
         except InsufficientDataError as exc:
             print(f"outer_on_S1_interior: skipped ({exc})")
         else:
@@ -144,8 +133,8 @@ def _cmd_diagnose(args) -> int:
     usable = mm.usable_s2()
     if len(usable) >= 2:
         try:
-            constants = reg_mod.region_constants(mm, usable, window)
-            ratio = reg_mod.t_minus_bound_check(mm, usable, window, constants)
+            constants = reg_mod.region_constants(mm, usable)
+            ratio = reg_mod.t_minus_bound_check(mm, usable, constants=constants)
         except InsufficientDataError as exc:
             print(f"bivalent_constants: skipped ({exc})")
         else:

@@ -64,7 +64,9 @@ def _single_linkage_clusters(points: np.ndarray, tol: float) -> list[list[int]]:
 def _spherical_mean(points: np.ndarray, masses: np.ndarray) -> np.ndarray:
     v = (points * masses[:, None]).sum(axis=0)
     norm = np.linalg.norm(v)
-    if norm < 1e-8:
+    # relative to the cluster's mass: entropic supports keep clusters far
+    # lighter than 1e-8 whose images are well defined
+    if norm < 1e-8 * masses.sum():
         raise ExtractionError("cluster mass centre collapsed to the origin")
     return v / norm
 

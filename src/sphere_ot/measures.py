@@ -21,6 +21,12 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _MC_AREA_SAMPLES = 200_000
 
 
+def median_spacing(points: np.ndarray) -> float:
+    """Median distance from each point to its nearest neighbour."""
+    dists, _ = cKDTree(points).query(points, k=2)
+    return float(np.median(dists[:, 1]))
+
+
 @dataclass
 class SphereMesh:
     """Point set on S^n with per-point quadrature cell areas."""
@@ -36,9 +42,7 @@ class SphereMesh:
     @property
     def spacing(self) -> float:
         """Median nearest-neighbour distance; the resolution scale of the mesh."""
-        tree = cKDTree(self.points)
-        dists, _ = tree.query(self.points, k=2)
-        return float(np.median(dists[:, 1]))
+        return median_spacing(self.points)
 
     def validate(self) -> None:
         norms = np.linalg.norm(self.points, axis=1)

@@ -38,16 +38,13 @@ ENTROPIC_SUPPORT_TOL = 1e-6
 
 @dataclass
 class RunConfig:
-    """Parameters of one pipeline run; tolerances default from the mesh."""
+    """Parameters of one pipeline run; the tolerances follow from the mesh spacing."""
 
     n: int = 2
     mesh_count: int = 200
     seed: int = 0
     solver: str = "exact"
     reg: float = 0.01
-    epsilon_suitable: float | None = None
-    merge_tol: float | None = None
-    zero_tol: float | None = None
     output_dir: Path = Path("run")
 
     def validate(self) -> None:
@@ -59,10 +56,6 @@ class RunConfig:
             raise ConfigError("solver must be 'exact' or 'entropic'")
         if self.solver == "entropic" and self.reg <= 0:
             raise ConfigError("entropic regularization must be positive")
-        for name in ("epsilon_suitable", "merge_tol", "zero_tol"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigError(f"{name} must be positive")
 
 
 def builtin_density(spec: str, n: int):
@@ -180,9 +173,9 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
     mesh = measures_mod.quasi_uniform_mesh(config.n, config.mesh_count, config.seed)
     mu = resolve_measure(mu_spec, mesh)
     nu = resolve_measure(nu_spec, mesh)
-    epsilon = config.epsilon_suitable or measures_mod.default_epsilon(config.n)
-    merge_tol = config.merge_tol or 2.0 * mesh.spacing
-    zero_tol = config.zero_tol or mesh.spacing
+    epsilon = measures_mod.default_epsilon(config.n)
+    spacing = mesh.spacing
+    merge_tol, zero_tol = 2.0 * spacing, spacing
 
     checks: list[Check] = []
     certificate = measures_mod.check_suitable(mu, nu, epsilon, symmetric=False)
@@ -278,7 +271,7 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
         mass_split <= 1e-10, mass_split, 1e-10,
     ))
 
-    window = (2.0 * mesh.spacing, max(0.5, 4.0 * mesh.spacing))
+    window = reg_mod.scale_window(spacing)
     holder = _holder_reports(mm, window)
     constants = bound_ratio = None
     usable = mm.usable_s2()
@@ -345,7 +338,7 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
         "target_regions": inv.region_counts(),
         "bivalent_fraction": float(len(s2)) / mm.count,
         "checks_failed": [c.name for c in checks if c.required and not c.passed],
-        "mesh_spacing": mesh.spacing,
+        "mesh_spacing": spacing,
         "merge_tol": merge_tol,
         "zero_tol": zero_tol,
     }

@@ -18,6 +18,7 @@ from scipy.spatial.distance import pdist
 
 from .errors import ConfigError, DomainError, InsufficientDataError
 from .maps import MultiMap
+from .measures import median_spacing
 
 LOW_CONFIDENCE_PAIRS = 30
 
@@ -65,19 +66,19 @@ class RegionConstants:
         )
 
 
-def default_window(points: np.ndarray) -> tuple:
-    """Scale window (2x nearest-neighbour spacing, 0.5) for a sample set.
+def scale_window(spacing: float) -> tuple:
+    """Scale window (2x the spacing, 0.5) for a sample set of that spacing.
 
     Below twice the spacing, discretization noise dominates; above 0.5 the
     fit is no longer local. On coarse sample sets the upper edge widens to
     four spacings so the window never empties.
     """
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(points)
-    dists, _ = tree.query(points, k=2)
-    spacing = float(np.median(dists[:, 1]))
     return (2.0 * spacing, max(0.5, 4.0 * spacing))
+
+
+def default_window(points: np.ndarray) -> tuple:
+    """The scale window at the median nearest-neighbour spacing of the points."""
+    return scale_window(median_spacing(points))
 
 
 def _pair_table(points: np.ndarray, values: np.ndarray, window: tuple):

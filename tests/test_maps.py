@@ -91,6 +91,15 @@ class TestExtract:
         expected /= np.linalg.norm(expected)
         assert np.allclose(mm.plus[0], expected, atol=1e-12)
 
+    def test_light_cluster_keeps_its_point(self):
+        a = np.array([0.6, 0.0, 0.8])
+        assert np.allclose(mp._spherical_mean(a[None, :], np.array([3.2e-9])), a,
+                           rtol=0.0, atol=1e-15)
+
+    def test_antipodal_cluster_collapses(self):
+        with pytest.raises(ExtractionError, match="collapsed"):
+            mp._spherical_mean(np.array([NORTH, -NORTH]), np.array([0.5, 0.5]))
+
 
 def _pairwise_linkage(points, tol):
     """Reference: single linkage by a union-find over every pair in turn."""

@@ -67,8 +67,6 @@ class TestRunPipeline:
             pipe.RunConfig(n=2, mesh_count=3, output_dir=tmp_path).validate()
         with pytest.raises(ConfigError):
             pipe.RunConfig(solver="magic", output_dir=tmp_path).validate()
-        with pytest.raises(ConfigError):
-            pipe.RunConfig(merge_tol=-1.0, output_dir=tmp_path).validate()
 
     def test_unknown_density(self):
         with pytest.raises(ConfigError):
@@ -202,6 +200,13 @@ class TestCLI:
         written = (run / "multimap.json").read_bytes()
         assert cli.main(["extract", "--run", str(run)]) == 0
         assert (run / "multimap.json").read_bytes() == written
+
+    def test_entropic_s3_light_clusters(self, tmp_path, capsys):
+        # this support on S^3 holds image clusters lighter than 1e-8
+        assert cli.main([
+            "solve", "--n", "3", "--mesh", "150", "--mu", "cap:0.98", "--nu", "uniform",
+            "--solver", "entropic", "--out", str(tmp_path / "s3"),
+        ]) == 0
 
     def test_mtw_subcommand(self, tmp_path, capsys):
         assert cli.main(["mtw", "--n", "2", "--samples", "30",
