@@ -125,6 +125,20 @@ def cost_matrix(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return c
 
 
+def pair_costs(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """cost_matrix(xs, ys)[rows, cols] without the full matrix.
+
+    The same expression on the listed pairs only; the cross term is an
+    einsum, not a matrix product, so an entry may differ from the matrix's
+    in the last ulp.
+    """
+    sq_x = np.einsum("ij,ij->i", xs, xs)
+    sq_y = np.einsum("ij,ij->i", ys, ys)
+    c = sq_x[rows] + sq_y[cols] - 2.0 * np.einsum("ij,ij->i", xs[rows], ys[cols])
+    np.maximum(c, 0.0, out=c)
+    return c
+
+
 def _check_ball(v: np.ndarray, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if float(v @ v) >= 1.0:

@@ -11,7 +11,15 @@ fast computation of the earth mover's distance and finding optimal
 solutions to transportation problems", 2014). Large instances start
 from the duals of a coarsened instance solved the same way, following
 Schmitzer ("A sparse multiscale algorithm for dense optimal transport",
-2016). When both sides have the same number of equally weighted atoms an
+2016). Only the first LP of a level is solved cold; each later round
+adds at most ROUND_CAP priced pairs per row and per column to one HiGHS
+model and restarts dual simplex from the previous basis. That model is
+scipy's bundled HiGHS object, scipy.optimize._highspy._core._Highs, a
+private binding: pyproject.toml pins scipy to the series it was tested
+with, and there is no fallback. The LP duals are shifted so that
+max(phi) = 0, the gauge of the assignment path.
+
+When both sides have the same number of equally weighted atoms an
 assignment path is used instead, built on the same two ideas. Every
 COARSEN-th atom of each side in k-d tree order forms a coarse instance
 that is solved first; its target duals, carried up by two c-transforms,
@@ -48,26 +56,33 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize._highspy import _core as highs
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, ConvergenceError, SolverError, SolverFallbackWarning
-from .geometry import cost_matrix
+from .geometry import cost_matrix, pair_costs
 from .measures import DiscreteMeasure
 
 MASS_TOL = 1e-8
 SUPPORT_EPS = 1e-15
-FULL_PAIRS = 40_000  # instances with at most this many pairs price every pair from the start
+FULL_PAIRS = 40_000  # assignment instances of at most this many pairs price every pair
+LP_FULL_PAIRS = 3_600  # LP instances of at most this many pairs price every pair
 COARSEN = 4  # atoms per coarse centre in the multiscale warm start
 NEIGHBOURS = 10  # smallest reduced costs per row and per column in the first candidate set
 BLOCK = 256  # rows or columns per block when selecting or pricing pairs
 SCALING_BOUND = 1e50  # Sinkhorn scalings above this are absorbed into the potentials
 PRICE_TOL = 1e-10  # certified once no pair has reduced cost below -PRICE_TOL
+ROUND_CAP = 2  # most negatively priced pairs per row and per column added in one round
 # HiGHS's default 1e-7 tolerances can leave a candidate pair priced at
 # about -1e-8, which an optimality certificate at 1e-8 cannot absorb.
 HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": PRICE_TOL,
     "dual_feasibility_tolerance": PRICE_TOL,
 }
+# The warm rounds: serial dual simplex (strategy 1) from the previous basis.
+# From the same basis, primal simplex took 3 to 9 times as long on the first
+# warm round of cap:0.98 at meshes 2000 and 4000, in about as many pivots.
+WARM_OPTIONS = {"output_flag": False, "solver": "simplex", "simplex_strategy": 1, "presolve": "off"}
 
 
 @dataclass
@@ -112,8 +127,8 @@ class DualPotentials:
 
     def slackness_gap(self, coupling: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
         """max |psi_i + phi_j - c_ij| over the coupling support."""
-        c = cost_matrix(mu.points, nu.points)
-        s = self.psi[coupling.rows] + self.phi[coupling.cols] - c[coupling.rows, coupling.cols]
+        c = pair_costs(mu.points, nu.points, coupling.rows, coupling.cols)
+        s = self.psi[coupling.rows] + self.phi[coupling.cols] - c
         return float(np.max(np.abs(s))) if len(s) else 0.0
 
 
@@ -153,15 +168,40 @@ def _coarsen(points: np.ndarray, weights: np.ndarray):
     return centres[keep], mass[keep]
 
 
+def _smallest_reduced(c, psi, phi, k):
+    """The k pairs of smallest reduced cost c - psi - phi in every row and
+    in every column, as (rows, cols); a pair may appear twice.
+
+    The work runs in blocks of BLOCK rows or columns, so no temporary as
+    large as c is made; every row and column is reduced on its own, so the
+    pairs are those of the whole-matrix calls.
+    """
+    n, m = c.shape
+    rows, cols = [], []
+    kr = min(k, m)
+    for lo in range(0, n, BLOCK):
+        reduced = c[lo:lo + BLOCK] - psi[lo:lo + BLOCK, None] - phi[None, :]
+        best = np.argpartition(reduced, kr - 1, axis=1)[:, :kr]
+        rows.append(np.repeat(np.arange(lo, lo + len(best)), kr))
+        cols.append(best.ravel())
+    kc = min(k, n)
+    for lo in range(0, m, BLOCK):
+        reduced = c[:, lo:lo + BLOCK].T.copy()  # one contiguous row per column
+        reduced -= psi[None, :]
+        reduced -= phi[lo:lo + BLOCK, None]
+        best = np.argpartition(reduced, kc - 1, axis=1)[:, :kc]
+        rows.append(best.ravel())
+        cols.append(np.repeat(np.arange(lo, lo + len(best)), kc))
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def _carry_up(c, cols, phi_coarse):
     """Duals on all of c from target duals phi_coarse on the columns cols.
 
-    Two c-transforms give psi and phi. Returns (psi, phi, rows, picks): the
+    Two c-transforms give psi and phi, in blocks of BLOCK rows so no
+    temporary as large as c is made. Returns (psi, phi, rows, picks): the
     pairs (rows, picks) are the NEIGHBOURS of smallest reduced cost
-    c - psi - phi in every row and in every column. The work runs in blocks
-    of BLOCK rows or columns, so no temporary as large as c is made; every
-    row and column is reduced on its own, so the minima and the selected
-    pairs are those of the whole-matrix calls.
+    c - psi - phi in every row and in every column.
     """
     n, m = c.shape
     psi = np.empty(n)
@@ -170,22 +210,7 @@ def _carry_up(c, cols, phi_coarse):
         blk = slice(lo, lo + BLOCK)
         psi[blk] = (c[blk][:, cols] - phi_coarse[None, :]).min(axis=1)
         np.minimum(phi, (c[blk] - psi[blk, None]).min(axis=0), out=phi)
-    rows, picks = [], []
-    k = min(NEIGHBOURS, m)
-    for lo in range(0, n, BLOCK):
-        reduced = c[lo:lo + BLOCK] - psi[lo:lo + BLOCK, None] - phi[None, :]
-        best = np.argpartition(reduced, k - 1, axis=1)[:, :k]
-        rows.append(np.repeat(np.arange(lo, lo + len(best)), k))
-        picks.append(best.ravel())
-    k = min(NEIGHBOURS, n)
-    for lo in range(0, m, BLOCK):
-        reduced = c[:, lo:lo + BLOCK].T.copy()  # one contiguous row per column
-        reduced -= psi[None, :]
-        reduced -= phi[lo:lo + BLOCK, None]
-        best = np.argpartition(reduced, k - 1, axis=1)[:, :k]
-        rows.append(best.ravel())
-        picks.append(np.repeat(np.arange(lo, lo + len(best)), k))
-    return psi, phi, np.concatenate(rows), np.concatenate(picks)
+    return (psi, phi, *_smallest_reduced(c, psi, phi, NEIGHBOURS))
 
 
 def _initial_candidates(c, a, b, xs, ys) -> np.ndarray:
@@ -196,7 +221,7 @@ def _initial_candidates(c, a, b, xs, ys) -> np.ndarray:
     c-transforms and keep the pairs of smallest reduced cost.
     """
     n, m = c.shape
-    if n * m <= FULL_PAIRS:
+    if n * m <= LP_FULL_PAIRS:
         return np.ones((n, m), dtype=bool)
     ci, ca = _coarsen(xs, a)
     cj, cb = _coarsen(ys, b)
@@ -211,35 +236,106 @@ def _initial_candidates(c, a, b, xs, ys) -> np.ndarray:
 def _column_generation(c, a, b, xs, ys):
     """Optimal plan on the candidate pairs with duals feasible on all of c.
 
-    Returns (rows, cols, mass, psi, phi) with the pairs in row-major order.
-    Raises SolverError rather than return a plan whose duals price any
-    pair below -PRICE_TOL.
+    The first restricted LP is solved cold by HiGHS interior point with
+    crossover. Each later round adds the ROUND_CAP most negatively priced
+    pairs of every row and of every column to one HiGHS model and restarts
+    dual simplex from the previous basis.
+    Returns (rows, cols, mass, psi, phi) with the pairs in row-major order
+    and the duals in the gauge max(phi) = 0. Raises SolverError rather
+    than return a plan whose duals price any pair below -PRICE_TOL.
     """
     n, m = c.shape
     mask = _initial_candidates(c, a, b, xs, ys)
     b_eq = np.concatenate([a, b])
+    rows, cols = np.divmod(np.flatnonzero(mask), m)
+    starts, indices, values = _columns(rows, cols + n)
+    a_eq = sparse.csc_matrix((values, indices, starts), shape=(n + m, len(rows)))
+    res = linprog(c[rows, cols], A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                  method="highs-ipm", options=HIGHS_OPTIONS)
+    if res.status != 0:
+        raise SolverError(f"LP backend failed: {res.message}")
+    mass, duals = res.x, res.eqlin.marginals
+    model = None
     while True:
-        pairs = np.flatnonzero(mask)
-        rows, cols = np.divmod(pairs, m)
-        k = len(pairs)
-        a_eq = sparse.csr_matrix(
-            (np.ones(2 * k), (np.concatenate([rows, cols + n]), np.tile(np.arange(k), 2))),
-            shape=(n + m, k),
+        psi, phi = duals[:n].copy(), duals[n:].copy()
+        new_rows, new_cols = _priced_pairs(c, psi, phi, mask)
+        if not len(new_rows):
+            order = np.argsort(rows * m + cols)
+            top = phi.max()
+            return rows[order], cols[order], mass[order], psi + top, phi - top
+        if model is None:
+            model = _warm_model(c[rows, cols], rows, cols + n, b_eq, mass > 0)
+        mask[new_rows, new_cols] = True
+        rows, cols = np.append(rows, new_rows), np.append(cols, new_cols)
+        mass, duals = _warm_round(model, c[new_rows, new_cols], new_rows, new_cols + n)
+
+
+def _priced_pairs(c, psi, phi, mask):
+    """Pairs to add in the next round, in row-major order: the ROUND_CAP
+    most negatively priced pairs of every row and every column, among the
+    pairs priced below -PRICE_TOL. Every pair of c is priced; a candidate
+    priced below -PRICE_TOL raises SolverError."""
+    priced = c - psi[:, None] - phi[None, :] < -PRICE_TOL
+    if np.any(priced & mask):
+        raise SolverError(
+            "LP duals price a candidate pair below "
+            f"-{PRICE_TOL:g}; the plan is not certified optimal"
         )
-        res = linprog(c.ravel()[pairs], A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                      method="highs-ipm", options=HIGHS_OPTIONS)
-        if res.status != 0:
-            raise SolverError(f"LP backend failed: {res.message}")
-        psi, phi = res.eqlin.marginals[:n].copy(), res.eqlin.marginals[n:].copy()
-        priced = c - psi[:, None] - phi[None, :] < -PRICE_TOL
-        if np.any(priced & mask):
-            raise SolverError(
-                "LP duals price a candidate pair below "
-                f"-{PRICE_TOL:g}; the plan is not certified optimal"
-            )
-        if not priced.any():
-            return rows, cols, res.x, psi, phi
-        mask |= priced
+    if not priced.any():
+        return np.empty(0, dtype=int), np.empty(0, dtype=int)
+    rows, cols = _smallest_reduced(c, psi, phi, ROUND_CAP)
+    keep = priced[rows, cols]
+    return np.divmod(np.unique(rows[keep] * c.shape[1] + cols[keep]), c.shape[1])
+
+
+def _warm_model(costs, rows, cons, b_eq, basic):
+    """One HiGHS model of the restricted transport LP on the pairs whose
+    constraint rows are rows and cons (the target rows, offset by the
+    source count), set for dual simplex from the alien basis in which the
+    pairs flagged basic are basic; HiGHS completes it with slacks."""
+    model = highs._Highs()
+    for option, value in {**HIGHS_OPTIONS, **WARM_OPTIONS}.items():
+        model.setOptionValue(option, value)
+    k = len(costs)
+    lp = highs.HighsLp()
+    lp.num_col_, lp.num_row_ = k, len(b_eq)
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = costs, np.zeros(k), np.full(k, np.inf)
+    lp.row_lower_, lp.row_upper_ = b_eq, b_eq
+    matrix = lp.a_matrix_
+    matrix.format_ = highs.MatrixFormat.kColwise
+    matrix.num_col_, matrix.num_row_ = k, len(b_eq)
+    matrix.start_, matrix.index_, matrix.value_ = _columns(rows, cons)
+    model.passModel(lp)
+    basis = highs.HighsBasis()
+    basis.valid = basis.alien = True
+    status = highs.HighsBasisStatus
+    basis.col_status = [status.kBasic if flag else status.kLower for flag in basic]
+    basis.row_status = [status.kLower] * len(b_eq)
+    model.setBasis(basis)
+    return model
+
+
+def _warm_round(model, costs, rows, cons):
+    """Append the pairs to the model and re-solve from its basis.
+    Returns (mass of every column, row duals)."""
+    k = len(costs)
+    model.addCols(k, costs, np.zeros(k), np.full(k, np.inf), 2 * k, *_columns(rows, cons))
+    model.run()
+    status = model.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise SolverError(
+            f"LP backend failed: warm round ended {model.modelStatusToString(status)}"
+        )
+    solution = model.getSolution()
+    return np.array(solution.col_value), np.array(solution.row_dual)
+
+
+def _columns(rows, cons):
+    """Column-wise (starts, indices, values) of transport columns, each a 1
+    in its source row and in its target row."""
+    k = len(rows)
+    indices = np.column_stack([rows, cons]).ravel().astype(np.int32)
+    return np.arange(0, 2 * k + 1, 2, dtype=np.int32), indices, np.ones(2 * k)
 
 
 def _solve_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, c: np.ndarray):
@@ -503,8 +599,8 @@ def truncate_support(coupling: Coupling, rel_tol: float) -> Coupling:
 
 
 def total_cost_of(coupling: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    c = cost_matrix(mu.points, nu.points)
-    return float(np.sum(coupling.mass * c[coupling.rows, coupling.cols]))
+    c = pair_costs(mu.points, nu.points, coupling.rows, coupling.cols)
+    return float(np.sum(coupling.mass * c))
 
 
 def cyclical_monotonicity_violation(

@@ -133,6 +133,20 @@ class TestCost:
             for j in range(7):
                 assert c[i, j] == pytest.approx(g.cost_extrinsic(xs[i], ys[j]), abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pair_costs_match_cost_matrix(self, rng, n):
+        # the cross term is an einsum, not a matmul, so agreement is to the ulp
+        xs = g.random_sphere_points(n, 300, rng)
+        ys = np.vstack([g.random_sphere_points(n, 250, rng), xs[:50], -xs[:50]])
+        c = g.cost_matrix(xs, ys)
+        rows = rng.integers(0, len(xs), size=5000)
+        cols = rng.integers(0, len(ys), size=5000)
+        rows[:50], cols[:50] = np.arange(50), 250 + np.arange(50)  # coincident pairs
+        got = g.pair_costs(xs, ys, rows, cols)
+        np.testing.assert_allclose(got, c[rows, cols], rtol=0, atol=1e-15)
+        assert got.min() >= 0.0
+        assert g.pair_costs(xs, ys, rows[:0], cols[:0]).shape == (0,)
+
 
 class TestGradient:
     def test_value_at_origin_is_minus_2y(self):

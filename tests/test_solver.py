@@ -62,6 +62,7 @@ class TestExact:
             nu = make_measure(pts_nu, w_nu / w_nu.sum())
             coupling, duals = so.solve_exact(mu, nu)
             coupling.validate(mu, nu)
+            assert duals.phi.max() == 0.0  # the gauge of the assignment path
             assert coupling.size <= 20 + 25 - 1
             assert duals.feasibility_gap(mu, nu) <= 1e-9
             assert duals.slackness_gap(coupling, mu, nu) <= 1e-9
@@ -232,17 +233,18 @@ def _dense_lp_cost(mu, nu):
 
 
 class TestColumnGeneration:
-    """Instances above so.FULL_PAIRS take the multiscale warm start."""
+    """Instances above so.LP_FULL_PAIRS take the multiscale warm start."""
 
     @pytest.mark.parametrize("n, n_src, n_tgt", [
         (1, 210, 210), (2, 210, 210), (3, 210, 210), (2, 600, 90),
         (2, 6000, 7), (2, 7, 6000),
     ])
     def test_certified_and_matches_dense_lp(self, rng, n, n_src, n_tgt):
-        assert n_src * n_tgt > so.FULL_PAIRS
+        assert n_src * n_tgt > so.LP_FULL_PAIRS
         mu, nu = _random_instance(rng, n, n_src, n_tgt)
         coupling, duals = so.solve_exact(mu, nu)
         coupling.validate(mu, nu, tol=1e-12)
+        assert duals.phi.max() == 0.0
         dual = float(duals.psi @ mu.weights + duals.phi @ nu.weights)
         assert abs(coupling.total_cost - dual) <= 1e-12
         assert duals.feasibility_gap(mu, nu) <= 1e-12
@@ -287,6 +289,128 @@ class TestColumnGeneration:
         with pytest.raises(SolverError, match="not certified"):
             so.solve_exact(mu, nu)
 
+
+def _cap_instance(n, size=150):
+    """cap:0.98 against uniform on a quasi-uniform mesh of S^n: above
+    LP_FULL_PAIRS, and every level past the coarsest takes warm rounds."""
+    mesh = me.quasi_uniform_mesh(n, size, 1)
+    return resolve_measure("cap:0.98", mesh), resolve_measure("uniform", mesh)
+
+
+class _ColdModel:
+    """All-cold reference for the warm HiGHS model: every round re-solves
+    all of its columns from scratch with linprog."""
+
+    def __init__(self, costs, rows, cons, b_eq, basic):
+        self.costs, self.rows, self.cons, self.b_eq = costs, rows, cons, b_eq
+
+    def round(self, costs, rows, cons):
+        self.costs = np.append(self.costs, costs)
+        self.rows, self.cons = np.append(self.rows, rows), np.append(self.cons, cons)
+        k = len(self.costs)
+        a_eq = sparse.csr_matrix(
+            (np.ones(2 * k), (np.append(self.rows, self.cons), np.tile(np.arange(k), 2))),
+            shape=(len(self.b_eq), k),
+        )
+        res = linprog(self.costs, A_eq=a_eq, b_eq=self.b_eq, bounds=(0, None),
+                      method="highs-ipm", options=so.HIGHS_OPTIONS)
+        assert res.status == 0
+        return res.x, res.eqlin.marginals
+
+
+class TestWarmRounds:
+    """Every round after the first of a level restarts one HiGHS model."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """Records (pairs priced, pairs added) of every warm round."""
+        rounds = []
+        priced, warm = so._priced_pairs, so._warm_round
+
+        def priced_spy(c, psi, phi, mask):
+            rows, cols = priced(c, psi, phi, mask)
+            if len(rows):
+                rounds.append({"c": c, "psi": psi, "phi": phi, "picked": (rows, cols)})
+            return rows, cols
+
+        def warm_spy(model, costs, rows, cons):
+            rounds[-1]["added"] = (rows, cons - len(rounds[-1]["psi"]))
+            return warm(model, costs, rows, cons)
+
+        monkeypatch.setattr(so, "_priced_pairs", priced_spy)
+        monkeypatch.setattr(so, "_warm_round", warm_spy)
+        return rounds
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_certified_and_matches_dense_lp(self, spy, n):
+        mu, nu = _cap_instance(n)
+        coupling, duals = so.solve_exact(mu, nu)
+        assert spy and all("added" in r for r in spy)
+        coupling.validate(mu, nu, tol=1e-12)
+        assert duals.phi.max() == 0.0
+        dual = float(duals.psi @ mu.weights + duals.phi @ nu.weights)
+        assert abs(coupling.total_cost - dual) <= 1e-12
+        assert duals.feasibility_gap(mu, nu) <= 1e-12
+        assert duals.slackness_gap(coupling, mu, nu) <= 1e-12
+        assert coupling.total_cost == pytest.approx(_dense_lp_cost(mu, nu), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_duals_match_all_cold_rounds(self, monkeypatch, n):
+        mu, nu = _cap_instance(n)
+        warm, warm_duals = so.solve_exact(mu, nu)
+        monkeypatch.setattr(so, "_warm_model", _ColdModel)
+        monkeypatch.setattr(so, "_warm_round", lambda model, *pairs: model.round(*pairs))
+        cold, cold_duals = so.solve_exact(mu, nu)
+        assert warm.total_cost == pytest.approx(cold.total_cost, abs=1e-12)
+        if n > 1:  # the equally spaced circle has tied optimal plans
+            assert np.array_equal(warm.rows, cold.rows) and np.array_equal(warm.cols, cold.cols)
+            np.testing.assert_allclose(warm.mass, cold.mass, rtol=0, atol=1e-12)
+        assert warm_duals.phi.max() == 0.0 and cold_duals.phi.max() == 0.0
+        np.testing.assert_allclose(warm_duals.psi, cold_duals.psi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(warm_duals.phi, cold_duals.phi, rtol=0, atol=1e-12)
+
+    def test_each_round_adds_two_most_negative_per_line(self, spy):
+        mu, nu = _cap_instance(2)
+        so.solve_exact(mu, nu)
+        assert len(spy) >= 2
+        for r in spy:
+            reduced = r["c"] - r["psi"][:, None] - r["phi"][None, :]
+            priced = reduced < -so.PRICE_TOL
+            want = np.zeros(reduced.shape, dtype=bool)
+            for axis in (0, 1):
+                # rank the priced pairs of every line by reduced cost; keep ranks 0 and 1
+                order = np.argsort(np.where(priced, reduced, np.inf), axis=axis)
+                ranks = np.argsort(order, axis=axis)
+                want |= priced & (ranks < 2)
+            for pairs in (r["picked"], r["added"]):
+                got = np.zeros(reduced.shape, dtype=bool)
+                got[pairs] = True
+                assert np.array_equal(got, want)
+                assert np.all(np.diff(pairs[0] * reduced.shape[1] + pairs[1]) > 0)
+
+    def test_uncertified_warm_duals_raise(self, monkeypatch):
+        warm = so._warm_round
+
+        def perturbed(*args):
+            mass, duals = warm(*args)
+            duals[-1] += 1e-6
+            return mass, duals
+
+        monkeypatch.setattr(so, "_warm_round", perturbed)
+        with pytest.raises(SolverError, match="not certified"):
+            so.solve_exact(*_cap_instance(2))
+
+    def test_non_optimal_warm_round_raises(self, monkeypatch):
+        build = so._warm_model
+
+        def capped(*args):
+            model = build(*args)
+            model.setOptionValue("simplex_iteration_limit", 0)
+            return model
+
+        monkeypatch.setattr(so, "_warm_model", capped)
+        with pytest.raises(SolverError, match="warm round ended"):
+            so.solve_exact(*_cap_instance(2))
 
 class TestOracle:
     def test_2x2(self, instance_2x2):
