@@ -46,11 +46,6 @@ def random_sphere_points(n: int, count: int, rng: np.random.Generator) -> np.nda
     return normalize(rng.normal(size=(count, n + 1)))
 
 
-def in_positive_neighbourhood(x: np.ndarray, y: np.ndarray) -> bool:
-    """True iff the normals at x and y are strictly positively aligned (x . y > 0)."""
-    return float(np.dot(x, y)) > 0.0
-
-
 def tangent_frame(base: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal frame of the tangent space at base.
 

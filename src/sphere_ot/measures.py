@@ -152,11 +152,11 @@ class DiscreteMeasure:
         return self.weights / self.cell_areas
 
     def validate(self, require_unit_mass: bool = True) -> None:
-        if np.any(self.weights < 0):
-            raise DomainError("weights must be nonnegative")
-        if np.any(self.cell_areas <= 0):
-            raise DomainError("cell areas must be positive")
-        if require_unit_mass and abs(self.mass - 1.0) > 1e-10:
+        if not np.all(np.isfinite(self.weights) & (self.weights >= 0)):
+            raise DomainError("weights must be finite and nonnegative")
+        if not np.all(np.isfinite(self.cell_areas) & (self.cell_areas > 0)):
+            raise DomainError("cell areas must be finite and positive")
+        if require_unit_mass and not abs(self.mass - 1.0) <= 1e-10:
             raise DomainError(f"total mass is {self.mass}, expected 1")
 
     def restrict(self, indices: np.ndarray) -> "DiscreteMeasure":
@@ -243,17 +243,21 @@ def save_measure(measure: DiscreteMeasure, path) -> None:
 
 
 def load_measure(path) -> DiscreteMeasure:
-    """Read a measure JSON file and validate its invariants."""
-    with open(path) as fh:
-        data = json.load(fh)
-    n = int(data["n"])
-    points = np.array([a["p"] for a in data["atoms"]], dtype=float)
-    weights = np.array([a["w"] for a in data["atoms"]], dtype=float)
-    areas = np.array([a["a"] for a in data["atoms"]], dtype=float)
-    if points.shape[1] != n + 1:
+    """Read a measure JSON file and validate its invariants; a file that
+    does not parse, or lacks a key, raises DomainError naming it."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        n = int(data["n"])
+        points = np.array([a["p"] for a in data["atoms"]], dtype=float)
+        weights = np.array([a["w"] for a in data["atoms"]], dtype=float)
+        areas = np.array([a["a"] for a in data["atoms"]], dtype=float)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DomainError(f"{path}: not a measure file: {exc!r}") from None
+    if points.ndim != 2 or points.shape[1] != n + 1:
         raise DomainError("atom coordinates do not match the declared dimension")
     norms = np.linalg.norm(points, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-10:
+    if not np.max(np.abs(norms - 1.0)) <= 1e-10:
         raise DomainError("atoms must be unit vectors")
     m = DiscreteMeasure(n, points, weights, areas)
     m.validate()

@@ -105,12 +105,13 @@ class Coupling:
         return np.bincount(self.cols, weights=self.mass, minlength=n_cols)
 
     def validate(self, mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = MASS_TOL) -> None:
-        if np.any(self.mass <= 0):
+        if not np.all(self.mass > 0):
             raise SolverError("coupling entries must be strictly positive")
         row_err = np.max(np.abs(self.row_marginal(mu.count) - mu.weights))
         col_err = np.max(np.abs(self.col_marginal(nu.count) - nu.weights))
-        if max(row_err, col_err) > tol:
-            raise SolverError(f"marginal violation {max(row_err, col_err):.3e} exceeds {tol}")
+        err = np.maximum(row_err, col_err)  # NaN if either is
+        if not err <= tol:
+            raise SolverError(f"marginal violation {err:.3e} exceeds {tol}")
 
 
 @dataclass
@@ -213,41 +214,39 @@ def _carry_up(c, cols, phi_coarse):
     return (psi, phi, *_smallest_reduced(c, psi, phi, NEIGHBOURS))
 
 
-def _initial_candidates(c, a, b, xs, ys) -> np.ndarray:
-    """Boolean mask of the first candidate pairs.
+def _initial_candidates(c, a, b, xs, ys):
+    """The first candidate pairs as (rows, cols), sorted row-major.
 
     Small instances take every pair. Larger ones solve the instance
-    coarsened on both sides, carry its target duals up by two
-    c-transforms and keep the pairs of smallest reduced cost.
+    coarsened on both sides, carry its target duals up by two c-transforms
+    and keep the pairs of smallest reduced cost and the north-west corner.
     """
     n, m = c.shape
     if n * m <= LP_FULL_PAIRS:
-        return np.ones((n, m), dtype=bool)
+        return np.divmod(np.arange(n * m), m)
     ci, ca = _coarsen(xs, a)
     cj, cb = _coarsen(ys, b)
     *_, phi_coarse = _column_generation(c[np.ix_(ci, cj)], ca, cb, xs[ci], ys[cj])
     _, _, rows, cols = _carry_up(c, cj, phi_coarse)
-    mask = np.zeros((n, m), dtype=bool)
-    mask[rows, cols] = True
-    mask[_north_west_corner(a, b)] = True
-    return mask
+    corner_rows, corner_cols = _north_west_corner(a, b)
+    return np.divmod(np.unique(np.r_[rows * m + cols, corner_rows * m + corner_cols]), m)
 
 
 def _column_generation(c, a, b, xs, ys):
     """Optimal plan on the candidate pairs with duals feasible on all of c.
 
-    The first restricted LP is solved cold by HiGHS interior point with
-    crossover. Each later round adds the ROUND_CAP most negatively priced
-    pairs of every row and of every column to one HiGHS model and restarts
-    dual simplex from the previous basis.
+    The candidates are index arrays and pricing runs in blocks, so no
+    array as large as c is made. The first restricted LP is solved cold by
+    HiGHS interior point with crossover. Each later round adds the
+    ROUND_CAP most negatively priced pairs of every row and of every column
+    to one HiGHS model and restarts dual simplex from the previous basis.
     Returns (rows, cols, mass, psi, phi) with the pairs in row-major order
     and the duals in the gauge max(phi) = 0. Raises SolverError rather
     than return a plan whose duals price any pair below -PRICE_TOL.
     """
     n, m = c.shape
-    mask = _initial_candidates(c, a, b, xs, ys)
+    rows, cols = _initial_candidates(c, a, b, xs, ys)
     b_eq = np.concatenate([a, b])
-    rows, cols = np.divmod(np.flatnonzero(mask), m)
     starts, indices, values = _columns(rows, cols + n)
     a_eq = sparse.csc_matrix((values, indices, starts), shape=(n + m, len(rows)))
     res = linprog(c[rows, cols], A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
@@ -258,33 +257,30 @@ def _column_generation(c, a, b, xs, ys):
     model = None
     while True:
         psi, phi = duals[:n].copy(), duals[n:].copy()
-        new_rows, new_cols = _priced_pairs(c, psi, phi, mask)
+        new_rows, new_cols = _priced_pairs(c, psi, phi, rows, cols)
         if not len(new_rows):
             order = np.argsort(rows * m + cols)
             top = phi.max()
             return rows[order], cols[order], mass[order], psi + top, phi - top
         if model is None:
             model = _warm_model(c[rows, cols], rows, cols + n, b_eq, mass > 0)
-        mask[new_rows, new_cols] = True
         rows, cols = np.append(rows, new_rows), np.append(cols, new_cols)
         mass, duals = _warm_round(model, c[new_rows, new_cols], new_rows, new_cols + n)
 
 
-def _priced_pairs(c, psi, phi, mask):
+def _priced_pairs(c, psi, phi, rows, cols):
     """Pairs to add in the next round, in row-major order: the ROUND_CAP
     most negatively priced pairs of every row and every column, among the
-    pairs priced below -PRICE_TOL. Every pair of c is priced; a candidate
-    priced below -PRICE_TOL raises SolverError."""
-    priced = c - psi[:, None] - phi[None, :] < -PRICE_TOL
-    if np.any(priced & mask):
+    pairs priced below -PRICE_TOL. These include each row's most negative
+    pair, so an empty result certifies that no pair of c prices below
+    -PRICE_TOL. A candidate (rows, cols) priced so raises SolverError."""
+    if np.any(c[rows, cols] - psi[rows] - phi[cols] < -PRICE_TOL):
         raise SolverError(
             "LP duals price a candidate pair below "
             f"-{PRICE_TOL:g}; the plan is not certified optimal"
         )
-    if not priced.any():
-        return np.empty(0, dtype=int), np.empty(0, dtype=int)
     rows, cols = _smallest_reduced(c, psi, phi, ROUND_CAP)
-    keep = priced[rows, cols]
+    keep = c[rows, cols] - psi[rows] - phi[cols] < -PRICE_TOL
     return np.divmod(np.unique(rows[keep] * c.shape[1] + cols[keep]), c.shape[1])
 
 
@@ -700,11 +696,14 @@ def load_coupling_csv(path, mu: DiscreteMeasure, nu: DiscreteMeasure) -> Couplin
     rows, cols, mass = [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        for i, j, m in reader:
-            rows.append(int(i))
-            cols.append(int(j))
-            mass.append(float(m))
+        try:
+            next(reader)
+            for i, j, m in reader:
+                rows.append(int(i))
+                cols.append(int(j))
+                mass.append(float(m))
+        except (StopIteration, ValueError) as exc:
+            raise SolverError(f"{path}: line {reader.line_num}: {exc!r}") from None
     rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
     for side, idx, count in (("source", rows, mu.count), ("target", cols, nu.count)):
         if idx.size and (idx.min() < 0 or idx.max() >= count):

@@ -217,14 +217,3 @@ class TestCrossDerivative:
         rich = g.cross_derivative_frame(x, x, h=1e-2, richardson=True)
         target = -2.0 * np.eye(2)
         assert np.max(np.abs(rich - target)) < np.max(np.abs(plain - target))
-
-
-class TestNeighbourhood:
-    def test_coincident_inside(self):
-        assert g.in_positive_neighbourhood(NORTH, NORTH)
-
-    def test_orthogonal_excluded(self):
-        assert not g.in_positive_neighbourhood(NORTH, np.array([1.0, 0.0, 0.0]))
-
-    def test_antipodal_excluded(self):
-        assert not g.in_positive_neighbourhood(NORTH, -NORTH)

@@ -172,6 +172,34 @@ class TestMeasureIO:
         with pytest.raises(DomainError):
             me.load_measure(path)
 
+    def test_loader_rejects_nan_weight(self, tmp_path):
+        m = me.uniform_measure(me.quasi_uniform_mesh(2, 10, 0))
+        m.weights[3] = np.nan
+        path = tmp_path / "nan.json"
+        me.save_measure(m, path)
+        with pytest.raises(DomainError, match="weights"):
+            me.load_measure(path)
+
+    def test_loader_rejects_nan_coordinate(self, tmp_path):
+        m = me.uniform_measure(me.quasi_uniform_mesh(2, 10, 0))
+        m.points[3, 0] = np.nan
+        path = tmp_path / "nan.json"
+        me.save_measure(m, path)
+        with pytest.raises(DomainError, match="unit vectors"):
+            me.load_measure(path)
+
+    def test_loader_rejects_empty_atom_list(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"n": 2, "atoms": []}')
+        with pytest.raises(DomainError, match="dimension"):
+            me.load_measure(path)
+
+    def test_nan_cell_area_rejected(self):
+        m = me.uniform_measure(me.quasi_uniform_mesh(2, 10, 0))
+        m.cell_areas[3] = np.nan
+        with pytest.raises(DomainError, match="cell areas"):
+            m.validate()
+
     def test_restriction_keeps_weights(self):
         mesh = me.quasi_uniform_mesh(2, 30, 0)
         m = me.uniform_measure(mesh)

@@ -218,5 +218,39 @@ class TestCLI:
                          "--format", "csv"]) == 0
         assert (tmp_path / "run" / "report.csv").exists()
 
+    def test_malformed_coupling_file_is_solver_failure(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert cli.main(["solve", "--mesh", "60", "--out", str(run)]) == 0
+        lines = (run / "coupling.csv").read_text().count("\n")
+        with open(run / "coupling.csv", "a") as fh:
+            fh.write("3,oops\n")
+        capsys.readouterr()
+        assert cli.main(["extract", "--run", str(run)]) == 3
+        assert f"coupling.csv: line {lines + 1}:" in capsys.readouterr().err
+        (run / "coupling.csv").write_text("")
+        assert cli.main(["extract", "--run", str(run)]) == 3
+        assert "coupling.csv: line 0:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"n": 2, "atoms": [', '{"atoms": []}',
+                                      '{"n": 2, "atoms": [{"p": [0, 0, 1], "w": 1}]}'])
+    def test_malformed_measure_file_is_invariant_violation(self, tmp_path, capsys, text):
+        run = tmp_path / "run"
+        assert cli.main(["solve", "--mesh", "60", "--out", str(run)]) == 0
+        (run / "mu.json").write_text(text)
+        capsys.readouterr()
+        assert cli.main(["extract", "--run", str(run)]) == 2
+        assert "mu.json: not a measure file" in capsys.readouterr().err
+
+    def test_nan_weight_rejected_before_solving(self, tmp_path, capsys):
+        path = tmp_path / "mu.json"
+        assert cli.main(["gen", "--mesh", "60", "--out", str(path)]) == 0
+        data = json.loads(path.read_text())
+        data["atoms"][0]["w"] = float("nan")
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = cli.main(["solve", "--mesh", "60", "--mu", str(path), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "weights must be finite" in capsys.readouterr().err
+
     def test_report_missing_dir(self, tmp_path, capsys):
         assert cli.main(["report", "--run", str(tmp_path / "ghost")]) == 4

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -44,6 +46,11 @@ class TestExact:
         coupling, _ = so.solve_exact(mu, nu)
         assert coupling.size == 2
         assert np.allclose(np.sort(coupling.mass), [0.5, 0.5])
+
+    def test_nan_mass_rejected(self, instance_2x2):
+        coupling = so.Coupling(np.array([0, 1]), np.array([0, 1]), np.array([np.nan, 0.5]), 0.0)
+        with pytest.raises(SolverError):
+            coupling.validate(*instance_2x2)
 
     def test_mass_mismatch_rejected(self):
         mu = make_measure([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], weights=[0.5, 0.6])
@@ -276,6 +283,20 @@ class TestColumnGeneration:
         keys = coupling.rows * nu.count + coupling.cols
         assert np.all(np.diff(keys) > 0)
 
+    def test_no_array_as_large_as_c(self):
+        # a dense n x m float array next to the row-block temporaries of
+        # pricing (about c.nbytes here, 256 rows of 1000) would pass 1.5
+        mesh = me.quasi_uniform_mesh(2, 1000, 1)
+        mu, nu = resolve_measure("cap:0.98", mesh), resolve_measure("uniform", mesh)
+        c = g.cost_matrix(mu.points, nu.points)
+        tracemalloc.start()
+        try:
+            so._column_generation(c, mu.weights, nu.weights, mu.points, nu.points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * c.nbytes
+
     def test_uncertified_duals_raise(self, rng, monkeypatch):
         real = so.linprog
 
@@ -327,8 +348,8 @@ class TestWarmRounds:
         rounds = []
         priced, warm = so._priced_pairs, so._warm_round
 
-        def priced_spy(c, psi, phi, mask):
-            rows, cols = priced(c, psi, phi, mask)
+        def priced_spy(c, psi, phi, *candidates):
+            rows, cols = priced(c, psi, phi, *candidates)
             if len(rows):
                 rounds.append({"c": c, "psi": psi, "phi": phi, "picked": (rows, cols)})
             return rows, cols
