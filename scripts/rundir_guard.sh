@@ -7,8 +7,10 @@
 # REV is checked out with `git worktree add --detach` into a temporary
 # directory (mktemp, so under $TMPDIR) that is removed on exit. Every
 # instance runs as `sphere-ot solve ... --out run` inside a directory of its
-# own, so config.json records the same output_dir on both sides; the CLI's
-# stdout and exit code are kept next to each run directory and compared too.
+# own, so config.json records the same output_dir on both sides. After each
+# solve, `sphere-ot extract --run run` rewrites the map artifacts in place, so
+# the comparison covers what extract writes as well. The stdout and exit code
+# of both commands are kept next to each run directory and compared too.
 # Ends with `diff -r` and exits non-zero on any difference.
 set -euo pipefail
 
@@ -48,6 +50,11 @@ solve_all() {  # $1: source tree, $2: output root
             --out run >stdout.txt) || code=$?
         echo "$code" >"$dir/exit_code"
         echo "  $name: exit $code"
+        code=0
+        (cd "$dir" && PYTHONPATH="$1/src" python3 -m sphere_ot.cli extract --run run \
+            >extract_stdout.txt) || code=$?
+        echo "$code" >"$dir/extract_exit_code"
+        echo "  $name: extract exit $code"
     done
 }
 

@@ -95,9 +95,8 @@ def _cmd_solve(args) -> int:
     return result.exit_code
 
 
-def _load_map(run_dir: Path):
-    """The classified source map of a run, extracted from the support the run
-    read with the run's own tolerances."""
+def _load_run(run_dir: Path):
+    """A solved run's summary, its measures and the support its maps were read from."""
     if not run_dir.is_dir():
         raise OSError(f"run directory {run_dir} does not exist")
     mu = measures_mod.load_measure(run_dir / "mu.json")
@@ -106,43 +105,35 @@ def _load_map(run_dir: Path):
     with open(run_dir / "config.json") as fh:
         coupling = pipe.extraction_support(coupling, json.load(fh)["solver"])
     with open(run_dir / "summary.json") as fh:
-        summary = json.load(fh)
-    mm = maps_mod.extract_multimap(coupling, mu, nu, summary["merge_tol"])
-    return maps_mod.classify_regions(mm, summary["zero_tol"])
+        return json.load(fh), coupling, mu, nu
 
 
 def _cmd_extract(args) -> int:
     run_dir = Path(args.run)
-    mm = _load_map(run_dir)
-    maps_mod.save_multimap_json(mm, run_dir / "multimap.json")
+    summary, coupling, mu, nu = _load_run(run_dir)
+    mm = pipe.map_stage(coupling, mu, nu, summary["merge_tol"], summary["zero_tol"], run_dir)[0]
     print(f"regions: {mm.region_counts()} anomalies: {len(mm.anomalies)}")
     return pipe.EXIT_OK
 
 
 def _cmd_diagnose(args) -> int:
-    mm = _load_map(Path(args.run))
-    s1 = mm.interior_s1()
-    if len(s1) >= 2:
-        try:
-            rep = reg_mod.holder_fit(mm.points[s1], mm.plus[s1], region="outer_on_S1_interior")
-        except InsufficientDataError as exc:
-            print(f"outer_on_S1_interior: skipped ({exc})")
-        else:
-            print(f"outer map exponent on interior S1: {rep.alpha_hat:.4f} "
-                  f"(C={rep.C_hat:.3f}, pairs={rep.pair_count})")
-    usable = mm.usable_s2()
-    if len(usable) >= 2:
-        try:
-            constants = reg_mod.region_constants(mm, usable)
-            ratio = reg_mod.t_minus_bound_check(mm, usable, constants=constants)
-        except InsufficientDataError as exc:
-            print(f"bivalent_constants: skipped ({exc})")
-        else:
-            print(f"bivalent constants: k={constants.k_U:.4f} C+={constants.C_plus:.4f} "
-                  f"C-(statement)={constants.C_minus_statement:.4f} "
-                  f"C-(proof)={constants.C_minus_proof:.4f} bound ratio={ratio:.4f}")
+    summary, coupling, mu, nu = _load_run(Path(args.run))
+    mm = maps_mod.extract_multimap(coupling, mu, nu, summary["merge_tol"])
+    mm = maps_mod.classify_regions(mm, summary["zero_tol"])
+    window = reg_mod.scale_window(summary["mesh_spacing"])
+    fits, skipped = pipe._holder_reports(mm, window)
+    for name, rep in fits.items():
+        print(f"{name}: alpha={rep.alpha_hat:.4f} (C={rep.C_hat:.3f}, pairs={rep.pair_count})")
+    for name, reason in skipped.items():
+        print(f"{name}: skipped ({reason})")
+    try:
+        constants, ratio = pipe._bivalent_constants(mm, window)
+    except InsufficientDataError as exc:
+        print(f"bivalent_constants: skipped ({exc})")
     else:
-        print("no bivalent region to diagnose")
+        print(f"bivalent constants: k={constants.k_U:.4f} C+={constants.C_plus:.4f} "
+              f"C-(statement)={constants.C_minus_statement:.4f} "
+              f"C-(proof)={constants.C_minus_proof:.4f} bound ratio={ratio:.4f}")
     return pipe.EXIT_OK
 
 

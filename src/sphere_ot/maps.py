@@ -2,10 +2,12 @@
 
 Each atom's coupling images on the other side are merged into clusters
 (images within the atom's merge radius belong to one continuum destination
-split across neighbouring atoms by discretization). One cluster means the
-atom is univalent; two clusters give the outer/inner image pair: the outer
-image maximizes its alignment with the atom, the inner image minimizes it,
-and their difference is a jump along the atom up to a recorded residual.
+split across neighbouring atoms by discretization): single linkage, taken
+as the connected components of the graph of close image pairs, for a chunk
+of whole atoms at a time. One cluster means the atom is univalent; two
+clusters give the outer/inner image pair: the outer image maximizes its
+alignment with the atom, the inner image minimizes it, and their
+difference is a jump along the atom up to a recorded residual.
 On the source side these are t_plus - t_minus = lambda(x) x, on the target
 side s_plus - s_minus = omega(y) y; one routine builds both. More than two
 clusters means the discretization cannot support a two-image structure and
@@ -16,6 +18,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ExtractionError
 from .measures import DiscreteMeasure
@@ -28,47 +32,6 @@ _RECORD_KEYS = {
     "source": ("i", "t_plus", "t_minus", "lambda"),
     "target": ("j", "s_plus", "s_minus", "omega"),
 }
-
-
-def _single_linkage_clusters(points: np.ndarray, tol: float) -> list[list[int]]:
-    """Cluster row indices by single linkage at Euclidean threshold tol.
-
-    Pairs are joined in row-major order. Each distance is the square root
-    of one vector dot product, as np.linalg.norm takes it for one
-    difference, so the test is bit for bit the pairwise one.
-    """
-    k = len(points)
-    if k == 1:
-        return [[0]]
-    diff = points[:, None, :] - points[None, :, :]
-    close = np.sqrt(diff[..., None, :] @ diff[..., None])[..., 0, 0] < tol
-    parent = list(range(k))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    rows, cols = np.nonzero(np.triu(close, 1))
-    for a, b in zip(rows.tolist(), cols.tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for a in range(k):
-        groups.setdefault(find(a), []).append(a)
-    return list(groups.values())
-
-
-def _spherical_mean(points: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    v = (points * masses[:, None]).sum(axis=0)
-    norm = np.linalg.norm(v)
-    # relative to the cluster's mass: entropic supports keep clusters far
-    # lighter than 1e-8 whose images are well defined
-    if norm < 1e-8 * masses.sum():
-        raise ExtractionError("cluster mass centre collapsed to the origin")
-    return v / norm
 
 
 @dataclass
@@ -119,20 +82,6 @@ class MultiMap:
         return s2[margins > 0]
 
 
-def _merge_images(x, points, masses, merge_tol, what, index):
-    clusters = _single_linkage_clusters(points, merge_tol)
-    if len(clusters) > 2:
-        raise ExtractionError(
-            f"{what} atom {index} has {len(clusters)} image clusters; "
-            "the discretization is too coarse for a two-image structure"
-        )
-    reps = [_spherical_mean(points[c], masses[c]) for c in clusters]
-    if len(reps) == 1:
-        return reps[0], reps[0], clusters[0], clusters[0], False
-    hi, lo = (0, 1) if float(x @ reps[0]) >= float(x @ reps[1]) else (1, 0)
-    return reps[hi], reps[lo], clusters[hi], clusters[lo], True
-
-
 # Scaled merge radii never exceed this: genuine two-image splits keep the
 # images separated by the normal jump (order 1), while within-patch gaps
 # stay at mesh scale, so radii near 0.5 separate the two regimes.
@@ -149,11 +98,38 @@ def _weight_scaled_tols(merge_tol: float, weights: np.ndarray, opposite: np.ndar
     return np.minimum(tols, max(merge_tol, MAX_MERGE_RADIUS))
 
 
+# Image pairs are listed for a chunk of whole atoms at a time, at most this
+# many unless one atom alone has more: listed for a whole entropic support at
+# once they would take memory like the sum of its squared image counts.
+PAIR_CHUNK = 2**16
+
+
+def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for every row, as stacked (1, d) @ (d, 1) products: the
+    bits of a vector dot and of np.linalg.norm, which einsum does not keep."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _linkage_labels(images: np.ndarray, sizes: np.ndarray, tols: np.ndarray) -> np.ndarray:
+    """Single-linkage cluster of every image: atom a owns the next sizes[a]
+    rows of images, and two of them are linked when closer than tols[a].
+    Labels count up in the order of each cluster's first image."""
+    count = len(images)
+    later = np.repeat(np.cumsum(sizes), sizes) - np.arange(count) - 1
+    first = np.repeat(np.arange(count), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    diff = images[first] - images[second]
+    close = np.sqrt(_rowwise_dot(diff, diff)) < np.repeat(tols, sizes)[first]
+    graph = coo_array((np.ones(close.sum()), (first[close], second[close])), shape=(count, count))
+    return connected_components(graph, directed=False)[1]
+
+
 def _two_images(side, n, coupling, points, opposite, tols, merge_tol) -> MultiMap:
     """Merge every atom's images into its outer and inner image, unlabelled.
 
     The support is sorted by this side's index; atom a merges the opposite
-    points it sends mass to (or receives it from) at radius tols[a].
+    points it sends mass to (or receives it from) at radius tols[a]. A
+    cluster's image is its mass-weighted mean, projected to the sphere.
     """
     pair = (coupling.rows, coupling.cols)
     own, other = pair if side == "source" else pair[::-1]
@@ -163,24 +139,52 @@ def _two_images(side, n, coupling, points, opposite, tols, merge_tol) -> MultiMa
     bivalent = np.zeros(count, dtype=bool)
     plus_members, minus_members = [], []
     order = np.argsort(own, kind="stable")
-    other = other[order]
-    mass = coupling.mass[order]
+    other, mass = other[order], coupling.mass[order]
     bounds = np.searchsorted(own[order], np.arange(count + 1))
-    for a in range(count):
-        lo, hi = bounds[a], bounds[a + 1]
-        if lo == hi:
-            raise ExtractionError(f"{side} atom {a} carries no coupling mass")
-        idx = other[lo:hi]
-        x = points[a]
-        p, m, plus_cl, minus_cl, bivalent[a] = _merge_images(
-            x, opposite[idx], mass[lo:hi], tols[a], side, a
-        )
-        plus[a] = p
-        minus[a] = m
-        jump[a] = float((p - m) @ x)
-        residual[a] = float(np.linalg.norm(p - m - jump[a] * x))
-        plus_members.append(idx[plus_cl])
-        minus_members.append(idx[minus_cl])
+    sizes = np.diff(bounds)
+    pairs = np.concatenate([[0], np.cumsum(sizes * (sizes - 1) // 2)])
+    a = 0
+    while a < count:  # atoms a to b - 1: as many as PAIR_CHUNK pairs allow, at least one
+        b = max(a + 1, int(np.searchsorted(pairs, pairs[a] + PAIR_CHUNK, "right")) - 1)
+        lo, hi = bounds[a], bounds[b]
+        idx, x = other[lo:hi], points[a:b]
+        label = _linkage_labels(opposite[idx], sizes[a:b], tols[a:b])
+        owner = np.empty(label.max(initial=-1) + 1, dtype=int)
+        owner[label] = np.repeat(np.arange(b - a), sizes[a:b])
+        clusters = np.bincount(owner, minlength=b - a)
+        # image sums weighted by mass, and the mass last; np.add.at adds in
+        # support order, as a sum over axis 0 of one cluster's rows does
+        sums = np.zeros((len(owner), d + 1))
+        np.add.at(sums, label, np.column_stack([opposite[idx] * mass[lo:hi, None], mass[lo:hi]]))
+        norm = np.sqrt(_rowwise_dot(sums[:, :d], sums[:, :d]))
+        bad = (clusters == 0) | (clusters > 2)
+        # collapsed relative to the cluster's mass: entropic supports keep
+        # clusters far lighter than 1e-8 whose images are well defined
+        bad[owner[norm < 1e-8 * sums[:, d]]] = True
+        if bad.any():  # the first failing atom, by the loop's order of tests
+            i = int(np.argmax(bad))
+            raise ExtractionError(
+                f"{side} atom {a + i} carries no coupling mass" if clusters[i] == 0
+                else "cluster mass centre collapsed to the origin" if clusters[i] <= 2
+                else f"{side} atom {a + i} has {clusters[i]} image clusters; "
+                "the discretization is too coarse for a two-image structure"
+            )
+        rep = sums[:, :d] / norm[:, None]
+        # an atom's clusters: the first, and the second if it has two
+        c0 = np.cumsum(clusters) - clusters
+        c1 = c0 + (clusters == 2)
+        swap = ~(_rowwise_dot(x, rep[c0]) >= _rowwise_dot(x, rep[c1]))
+        outer, inner = np.where(swap, c1, c0), np.where(swap, c0, c1)
+        plus[a:b], minus[a:b], bivalent[a:b] = rep[outer], rep[inner], clusters == 2
+        step = rep[outer] - rep[inner]
+        jump[a:b] = _rowwise_dot(step, x)
+        off = step - jump[a:b, None] * x
+        residual[a:b] = np.sqrt(_rowwise_dot(off, off))
+        by_cluster = idx[np.argsort(label, kind="stable")]
+        members = np.split(by_cluster, np.cumsum(np.bincount(label))[:-1])
+        plus_members += [members[c] for c in outer]
+        minus_members += [members[c] for c in inner]
+        a = b
     return MultiMap(
         side, n, points.copy(), plus, minus, jump, residual, bivalent,
         np.full(count, "", dtype="<U2"), plus_members, minus_members, merge_tol,
@@ -262,10 +266,8 @@ def nu1_split(mm: MultiMap, nu: DiscreteMeasure):
     image mass from any S2 atom, nu_rest the complement; weights keep
     their original (unnormalized) values and partition nu atomwise.
     """
-    inner = set()
-    for i in np.nonzero(mm.bivalent)[0]:
-        inner.update(int(j) for j in mm.minus_members[i])
-    rest_idx = np.array(sorted(inner), dtype=int)
+    inner = [mm.minus_members[i] for i in np.flatnonzero(mm.bivalent)]
+    rest_idx = np.unique(np.concatenate([np.zeros(0, dtype=int), *inner]))
     keep = np.setdiff1d(np.arange(nu.count), rest_idx)
     return nu.restrict(keep), nu.restrict(rest_idx)
 
@@ -281,6 +283,7 @@ def atom_records(mm: MultiMap) -> list:
 
 
 def save_multimap_json(mm: MultiMap, path) -> None:
+    # json.dumps takes the C encoder, json.dump never does; the bytes agree
     with open(path, "w") as fh:
-        json.dump({"n": mm.n, "atoms": atom_records(mm), "anomalies": mm.anomalies}, fh,
-                  sort_keys=True)
+        fh.write(json.dumps({"n": mm.n, "atoms": atom_records(mm), "anomalies": mm.anomalies},
+                            sort_keys=True))

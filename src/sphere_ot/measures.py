@@ -45,13 +45,14 @@ class SphereMesh:
         return median_spacing(self.points)
 
     def validate(self) -> None:
+        # written as not (err <= tol) so that a NaN fails each test
         norms = np.linalg.norm(self.points, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-10:
+        if not np.max(np.abs(norms - 1.0)) <= 1e-10:
             raise DomainError("mesh points must be unit vectors")
-        if np.any(self.cell_areas <= 0):
+        if not np.all(self.cell_areas > 0):
             raise DomainError("cell areas must be positive")
         total = float(self.cell_areas.sum())
-        if abs(total - sphere_area(self.n)) > 0.01 * sphere_area(self.n):
+        if not abs(total - sphere_area(self.n)) <= 0.01 * sphere_area(self.n):
             raise DomainError(f"cell areas sum to {total}, expected {sphere_area(self.n)}")
 
 
@@ -239,7 +240,7 @@ def save_measure(measure: DiscreteMeasure, path) -> None:
         for p, w, a in zip(measure.points, measure.weights, measure.cell_areas)
     ]
     with open(path, "w") as fh:
-        json.dump({"n": measure.n, "atoms": atoms}, fh, sort_keys=True)
+        fh.write(json.dumps({"n": measure.n, "atoms": atoms}, sort_keys=True))
 
 
 def load_measure(path) -> DiscreteMeasure:

@@ -140,22 +140,45 @@ def extraction_support(coupling, solver: str):
 
 
 def _holder_reports(mm, window):
-    """Envelope fits per region, skipping regions with too little data."""
-    reports = {}
+    """Envelope fits per region, and why each region without one has too little data."""
+    reports, skipped = {}, {}
     jobs = [
         ("outer_on_S1_interior", mm.interior_s1(), mm.plus),
         ("outer_on_S2", mm.indices_in("S2"), mm.plus),
         ("inner_on_S2", mm.indices_in("S2"), mm.minus),
     ]
     for name, idx, values in jobs:
-        if len(idx) < 2:
-            continue
         try:
-            rep = reg_mod.holder_fit(mm.points[idx], values[idx], window=window, region=name)
-        except InsufficientDataError:
-            continue
-        reports[name] = rep
-    return reports
+            if len(idx) < 2:
+                raise InsufficientDataError(f"{len(idx)} atoms in the region")
+            reports[name] = reg_mod.holder_fit(mm.points[idx], values[idx], window=window,
+                                               region=name)
+        except InsufficientDataError as exc:
+            skipped[name] = str(exc)
+    return reports, skipped
+
+
+def _bivalent_constants(mm, window):
+    """Region constants and the inner-bound ratio on the usable S2 atoms;
+    InsufficientDataError when fewer than two of them have a pair in the window."""
+    usable = mm.usable_s2()
+    constants = reg_mod.region_constants(mm, usable, window)
+    return constants, reg_mod.t_minus_bound_check(mm, usable, window, constants)
+
+
+def map_stage(coupling, mu, nu, merge_tol: float, zero_tol: float, out: Path):
+    """Extract, classify and invert the maps and split nu; write multimap.json,
+    inverse.json and regions.json into out. Returns (mm, inv, nu1, nu_rest)."""
+    mm = maps_mod.extract_multimap(coupling, mu, nu, merge_tol)
+    mm = maps_mod.classify_regions(mm, zero_tol)
+    inv = maps_mod.invert_maps(mm, coupling, nu)
+    nu1, nu_rest = maps_mod.nu1_split(mm, nu)
+    maps_mod.save_multimap_json(mm, out / "multimap.json")
+    _json_dump(_inverse_records(inv), out / "inverse.json")
+    regions = {"source_regions": mm.region_counts(), "target_regions": inv.region_counts(),
+               "anomalies": mm.anomalies, "nu1_mass": nu1.mass, "nu_rest_mass": nu_rest.mass}
+    _json_dump(regions, out / "regions.json")
+    return mm, inv, nu1, nu_rest
 
 
 def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
@@ -215,10 +238,7 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
         cyc <= 1e-9, cyc, 1e-9, required=exact,
     ))
 
-    mm = maps_mod.extract_multimap(extraction_input, mu, nu, merge_tol)
-    mm = maps_mod.classify_regions(mm, zero_tol)
-    inv = maps_mod.invert_maps(mm, extraction_input, nu)
-    nu1, nu_rest = maps_mod.nu1_split(mm, nu)
+    mm, inv, nu1, nu_rest = map_stage(extraction_input, mu, nu, merge_tol, zero_tol, out)
 
     checks.append(Check(
         "region_partition", "every source atom carries exactly one region label",
@@ -272,20 +292,17 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
     ))
 
     window = reg_mod.scale_window(spacing)
-    holder = _holder_reports(mm, window)
+    holder, _ = _holder_reports(mm, window)
     constants = bound_ratio = None
-    usable = mm.usable_s2()
-    if len(usable) >= 2:
-        try:
-            constants = reg_mod.region_constants(mm, usable, window)
-            bound_ratio = reg_mod.t_minus_bound_check(mm, usable, window, constants)
-            checks.append(Check(
-                "inner_bound",
-                "inner-map displacements respect the proof-level constant",
-                bound_ratio <= 1.0, bound_ratio, 1.0, required=exact,
-            ))
-        except InsufficientDataError:
-            pass
+    try:
+        constants, bound_ratio = _bivalent_constants(mm, window)
+        checks.append(Check(
+            "inner_bound",
+            "inner-map displacements respect the proof-level constant",
+            bound_ratio <= 1.0, bound_ratio, 1.0, required=exact,
+        ))
+    except InsufficientDataError:
+        pass
     injectivity = None
     if len(t2) >= 2:
         try:
@@ -304,18 +321,6 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
     measures_mod.save_measure(nu, out / "nu.json")
     solver_mod.save_coupling_csv(coupling, out / "coupling.csv")
     solver_mod.save_duals_json(duals, coupling.total_cost, out / "duals.json")
-    maps_mod.save_multimap_json(mm, out / "multimap.json")
-    _json_dump(_inverse_records(inv), out / "inverse.json")
-    _json_dump(
-        {
-            "source_regions": mm.region_counts(),
-            "target_regions": inv.region_counts(),
-            "anomalies": mm.anomalies,
-            "nu1_mass": nu1.mass,
-            "nu_rest_mass": nu_rest.mass,
-        },
-        out / "regions.json",
-    )
     _json_dump(
         {name: _holder_as_dict(rep) for name, rep in holder.items()},
         out / "holder_reports.json",

@@ -715,12 +715,11 @@ def load_coupling_csv(path, mu: DiscreteMeasure, nu: DiscreteMeasure) -> Couplin
 
 def save_duals_json(duals: DualPotentials, total_cost: float, path) -> None:
     with open(path, "w") as fh:
-        json.dump(
+        fh.write(json.dumps(
             {
                 "phi": [float(v) for v in duals.phi],
                 "psi": [float(v) for v in duals.psi],
                 "total_cost": float(total_cost),
             },
-            fh,
             sort_keys=True,
-        )
+        ))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,12 +94,104 @@ class TestExtract:
 
     def test_light_cluster_keeps_its_point(self):
         a = np.array([0.6, 0.0, 0.8])
-        assert np.allclose(mp._spherical_mean(a[None, :], np.array([3.2e-9])), a,
-                           rtol=0.0, atol=1e-15)
+        mu = make_measure([NORTH], weights=[1.0])
+        nu = make_measure([a], weights=[1.0])
+        coupling = so.Coupling(np.array([0]), np.array([0]), np.array([3.2e-9]), 0.0)
+        mm = mp.extract_multimap(coupling, mu, nu, merge_tol=0.1)
+        assert np.allclose(mm.plus[0], a, rtol=0.0, atol=1e-15)
 
     def test_antipodal_cluster_collapses(self):
+        # a merge radius above the diameter puts both poles in one cluster
+        mu = make_measure([NORTH], weights=[1.0])
+        nu = make_measure([NORTH, -NORTH])
+        coupling = so.Coupling(np.array([0, 0]), np.array([0, 1]), np.array([0.5, 0.5]), 0.0)
         with pytest.raises(ExtractionError, match="collapsed"):
-            mp._spherical_mean(np.array([NORTH, -NORTH]), np.array([0.5, 0.5]))
+            mp.extract_multimap(coupling, mu, nu, merge_tol=3.0)
+
+
+def _single_linkage_clusters(points, tol):
+    """Reference: the former single linkage of one atom's images, by a
+    union-find over the close pairs in row-major order."""
+    k = len(points)
+    if k == 1:
+        return [[0]]
+    diff = points[:, None, :] - points[None, :, :]
+    close = np.sqrt(diff[..., None, :] @ diff[..., None])[..., 0, 0] < tol
+    parent = list(range(k))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    rows, cols = np.nonzero(np.triu(close, 1))
+    for a, b in zip(rows.tolist(), cols.tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    groups = {}
+    for a in range(k):
+        groups.setdefault(find(a), []).append(a)
+    return list(groups.values())
+
+
+def _spherical_mean(points, masses):
+    """Reference: the former cluster image, the normalised mass-weighted sum."""
+    v = (points * masses[:, None]).sum(axis=0)
+    norm = np.linalg.norm(v)
+    if norm < 1e-8 * masses.sum():
+        raise ExtractionError("cluster mass centre collapsed to the origin")
+    return v / norm
+
+
+def _merge_images(x, points, masses, merge_tol, what, index):
+    """Reference: the former merge of one atom's images into (outer, inner,
+    outer cluster, inner cluster, bivalent)."""
+    clusters = _single_linkage_clusters(points, merge_tol)
+    if len(clusters) > 2:
+        raise ExtractionError(
+            f"{what} atom {index} has {len(clusters)} image clusters; "
+            "the discretization is too coarse for a two-image structure"
+        )
+    reps = [_spherical_mean(points[c], masses[c]) for c in clusters]
+    if len(reps) == 1:
+        return reps[0], reps[0], clusters[0], clusters[0], False
+    hi, lo = (0, 1) if float(x @ reps[0]) >= float(x @ reps[1]) else (1, 0)
+    return reps[hi], reps[lo], clusters[hi], clusters[lo], True
+
+
+def _former_side(coupling, points, opposite, own, other, tols, what):
+    """Reference: the former per-atom loop of one side, as a plain dict."""
+    count, d = points.shape
+    rec = {
+        "plus": np.empty((count, d)), "minus": np.empty((count, d)),
+        "jump": np.empty(count), "residual": np.empty(count),
+        "bivalent": np.zeros(count, dtype=bool), "plus_members": [], "minus_members": [],
+    }
+    order = np.argsort(own, kind="stable")
+    own_sorted = own[order]
+    other = other[order]
+    mass = coupling.mass[order]
+    bounds = np.searchsorted(own_sorted, np.arange(count + 1))
+    for a in range(count):
+        lo, hi = bounds[a], bounds[a + 1]
+        if lo == hi:
+            raise ExtractionError(f"{what} atom {a} carries no coupling mass")
+        idx = other[lo:hi]
+        x = points[a]
+        tp, tm, plus_cl, minus_cl, is_bi = _merge_images(
+            x, opposite[idx], mass[lo:hi], tols[a], what, a
+        )
+        rec["plus"][a] = tp
+        rec["minus"][a] = tm
+        rec["jump"][a] = float((tp - tm) @ x)
+        rec["residual"][a] = float(np.linalg.norm(tp - tm - rec["jump"][a] * x))
+        rec["bivalent"][a] = is_bi
+        rec["plus_members"].append(idx[plus_cl])
+        rec["minus_members"].append(idx[minus_cl])
+    rec["points"] = points.copy()
+    return rec
 
 
 def _pairwise_linkage(points, tol):
@@ -124,23 +217,43 @@ def _pairwise_linkage(points, tol):
     return list(groups.values())
 
 
+def _groups(labels):
+    """Clusters as lists of member rows, in label order."""
+    return [np.flatnonzero(labels == c).tolist() for c in range(labels.max() + 1)]
+
+
 class TestSingleLinkage:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_pairwise_reference(self, rng, n):
         # tol on a pair distance or one ulp either side of it, so pairs sit
-        # right at the threshold; clusters are small spread-out patches
-        for _ in range(300):
-            k = int(rng.integers(1, 20))
-            centres = g.random_sphere_points(n, 3, rng)
-            points = centres[rng.integers(0, 3, size=k)] + 0.05 * rng.normal(size=(k, n + 1))
-            points /= np.linalg.norm(points, axis=1, keepdims=True)
-            dists = [np.linalg.norm(p - q) for i, p in enumerate(points) for q in points[i + 1:]]
-            tol = float(rng.choice(dists)) if dists else 0.1
-            tol = float(np.nextafter(tol, rng.choice([-np.inf, tol, np.inf])))
-            assert mp._single_linkage_clusters(points, tol) == _pairwise_linkage(points, tol)
+        # right at the threshold; clusters are small spread-out patches. The
+        # atoms go in together, so each atom's labels must also follow the
+        # previous atom's.
+        for _ in range(30):
+            atoms, tols = [], []
+            for _ in range(10):
+                k = int(rng.integers(1, 20))
+                centres = g.random_sphere_points(n, 3, rng)
+                points = centres[rng.integers(0, 3, size=k)] + 0.05 * rng.normal(size=(k, n + 1))
+                points /= np.linalg.norm(points, axis=1, keepdims=True)
+                dists = [np.linalg.norm(p - q)
+                         for i, p in enumerate(points) for q in points[i + 1:]]
+                tol = float(rng.choice(dists)) if dists else 0.1
+                atoms.append(points)
+                tols.append(float(np.nextafter(tol, rng.choice([-np.inf, tol, np.inf]))))
+            sizes = np.array([len(p) for p in atoms])
+            labels = mp._linkage_labels(np.concatenate(atoms), sizes, np.array(tols))
+            start = 0
+            for points, tol, size in zip(atoms, tols, sizes):
+                own = labels[start:start + size]
+                assert own.min() == (labels[:start].max() + 1 if start else 0)
+                assert _groups(own - own.min()) == _pairwise_linkage(points, tol)
+                assert _single_linkage_clusters(points, tol) == _pairwise_linkage(points, tol)
+                start += size
 
     def test_single_point(self):
-        assert mp._single_linkage_clusters(np.array([NORTH]), 0.1) == [[0]]
+        labels = mp._linkage_labels(np.array([NORTH]), np.array([1]), np.array([0.1]))
+        assert _groups(labels) == [[0]]
 
 
 class TestClassify:
@@ -294,43 +407,12 @@ class TestSolvedInstanceInvariants:
 def _former_loops(coupling, mu, nu, merge_tol, zero_tol):
     """Reference: the per-side loops extract_multimap, classify_regions and
     invert_maps ran before they shared one routine, as plain dicts."""
-
-    def side(points, opposite, own, other, tols, what):
-        count, d = points.shape
-        rec = {
-            "plus": np.empty((count, d)), "minus": np.empty((count, d)),
-            "jump": np.empty(count), "residual": np.empty(count),
-            "bivalent": np.zeros(count, dtype=bool), "plus_members": [], "minus_members": [],
-        }
-        order = np.argsort(own, kind="stable")
-        own_sorted = own[order]
-        other = other[order]
-        mass = coupling.mass[order]
-        bounds = np.searchsorted(own_sorted, np.arange(count + 1))
-        for a in range(count):
-            lo, hi = bounds[a], bounds[a + 1]
-            assert lo < hi
-            idx = other[lo:hi]
-            x = points[a]
-            tp, tm, plus_cl, minus_cl, is_bi = mp._merge_images(
-                x, opposite[idx], mass[lo:hi], tols[a], what, a
-            )
-            rec["plus"][a] = tp
-            rec["minus"][a] = tm
-            rec["jump"][a] = float((tp - tm) @ x)
-            rec["residual"][a] = float(np.linalg.norm(tp - tm - rec["jump"][a] * x))
-            rec["bivalent"][a] = is_bi
-            rec["plus_members"].append(idx[plus_cl])
-            rec["minus_members"].append(idx[minus_cl])
-        rec["points"] = points.copy()
-        return rec
-
-    src = side(mu.points, nu.points, coupling.rows, coupling.cols,
-               mp._weight_scaled_tols(merge_tol, mu.weights, nu.weights), "source")
+    src = _former_side(coupling, mu.points, nu.points, coupling.rows, coupling.cols,
+                       mp._weight_scaled_tols(merge_tol, mu.weights, nu.weights), "source")
     src["region"], anomalies = _former_source_regions(src, zero_tol)
     mu_weights = np.bincount(coupling.rows, weights=coupling.mass, minlength=mu.count)
-    tgt = side(nu.points, src["points"], coupling.cols, coupling.rows,
-               mp._weight_scaled_tols(merge_tol, nu.weights, mu_weights), "target")
+    tgt = _former_side(coupling, nu.points, src["points"], coupling.cols, coupling.rows,
+                       mp._weight_scaled_tols(merge_tol, nu.weights, mu_weights), "target")
     tgt["region"] = _former_target_regions(tgt, zero_tol)
     return src, anomalies, tgt
 
@@ -392,25 +474,100 @@ def _instance(kind, n, count):
     return coupling, mu, nu, 2.0 * mesh.spacing, mesh.spacing
 
 
+def _assert_bitwise(rec, ref, names=("plus", "minus", "jump", "residual", "bivalent")):
+    for name in names:
+        got = getattr(rec, name)
+        assert got.dtype == ref[name].dtype and got.tobytes() == ref[name].tobytes()
+    for name in ("plus_members", "minus_members"):
+        got = getattr(rec, name)
+        assert len(got) == len(ref[name])
+        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                   for a, b in zip(got, ref[name]))
+
+
+def _assert_both_bitwise(coupling, mu, nu, merge_tol, zero_tol):
+    mm = mp.classify_regions(mp.extract_multimap(coupling, mu, nu, merge_tol), zero_tol)
+    inv = mp.invert_maps(mm, coupling, nu)
+    src, anomalies, tgt = _former_loops(coupling, mu, nu, merge_tol, zero_tol)
+    for rec, ref in ((mm, src), (inv, tgt)):
+        _assert_bitwise(rec, ref, ("points", "plus", "minus", "jump", "residual", "bivalent",
+                                   "region"))
+    assert mm.anomalies == anomalies
+
+
+# Source atoms at the north pole. Atom 0 splits to mirror images; atom 1 is
+# the case under test; atom 2 has three image clusters, so an error at atom 1
+# must win over it, as it did in the loop. Targets: the split pair, three
+# images on the equator, and the two poles.
+_TARGETS = [[0.6, 0.0, 0.8], [0.6, 0.0, -0.8], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+            [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]
+_CASES = {
+    # (atom 1's targets, their masses, merge radius)
+    "three_clusters": ([2, 3, 4], [0.1, 0.1, 0.1], 0.05),
+    "zero_weight": ([0, 1], [0.0, 0.0], 0.05),
+    "collapsed": ([5, 6], [0.1, 0.1], 3.0),
+    "no_images": ([], [], 0.05),
+}
+
+
 class TestFormerLoops:
     @pytest.mark.parametrize("kind, n, count", [
         ("exact", 1, 150), ("exact", 2, 220), ("exact", 3, 200), ("entropic", 1, 150),
         ("entropic", 2, 200), ("entropic", 3, 300), ("uneven", 2, 120),
     ])
     def test_bitwise_equal(self, kind, n, count):
-        coupling, mu, nu, merge_tol, zero_tol = _instance(kind, n, count)
-        mm = mp.classify_regions(mp.extract_multimap(coupling, mu, nu, merge_tol), zero_tol)
-        inv = mp.invert_maps(mm, coupling, nu)
-        src, anomalies, tgt = _former_loops(coupling, mu, nu, merge_tol, zero_tol)
-        for rec, ref in ((mm, src), (inv, tgt)):
-            for name in ("points", "plus", "minus", "jump", "residual", "bivalent", "region"):
-                got = getattr(rec, name)
-                assert got.dtype == ref[name].dtype and got.tobytes() == ref[name].tobytes()
-            for name in ("plus_members", "minus_members"):
-                got = getattr(rec, name)
-                assert len(got) == len(ref[name])
-                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref[name]))
-        assert mm.anomalies == anomalies
+        _assert_both_bitwise(*_instance(kind, n, count))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 200])
+    @pytest.mark.parametrize("kind, n, count", [("entropic", 2, 200), ("uneven", 2, 120)])
+    def test_atoms_split_across_chunks(self, monkeypatch, chunk, kind, n, count):
+        monkeypatch.setattr(mp, "PAIR_CHUNK", chunk)
+        _assert_both_bitwise(*_instance(kind, n, count))
+
+    @pytest.mark.parametrize("chunk", [1, 2**16])
+    @pytest.mark.parametrize("case", sorted(_CASES))
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_degenerate_atoms(self, monkeypatch, case, chunk):
+        monkeypatch.setattr(mp, "PAIR_CHUNK", chunk)
+        targets, masses, merge_tol = _CASES[case]
+        # the zero-weight case passes, so the loop must finish: no atom 2
+        last = [] if case == "zero_weight" else [2, 3, 4]
+        rows = [0, 0] + [1] * len(targets) + [2] * len(last)
+        mass = np.array([0.2, 0.2] + masses + [0.1] * len(last))
+        coupling = so.Coupling(np.array(rows), np.array([0, 1] + targets + last), mass, 0.0)
+        mu = make_measure([NORTH] * (rows[-1] + 1))
+        nu = make_measure(_TARGETS)
+        tols = mp._weight_scaled_tols(merge_tol, mu.weights, nu.weights)
+        if not last:
+            ref = _former_side(coupling, mu.points, nu.points, coupling.rows, coupling.cols,
+                               tols, "source")
+            mm = mp.extract_multimap(coupling, mu, nu, merge_tol)
+            assert np.isnan(mm.plus[1]).all() and mm.bivalent[1]
+            _assert_bitwise(mm, ref)
+            return
+        with pytest.raises(ExtractionError) as former:
+            _former_side(coupling, mu.points, nu.points, coupling.rows, coupling.cols,
+                         tols, "source")
+        with pytest.raises(ExtractionError) as new:
+            mp.extract_multimap(coupling, mu, nu, merge_tol)
+        assert str(new.value) == str(former.value)
+        assert ("atom 1 " in str(new.value)) == (case != "collapsed")
+
+    def test_entropic_extraction_memory(self):
+        # reg 0.1 keeps about 100 images per atom here: listing every atom's
+        # image pairs at once peaks near 122 MiB, chunks of PAIR_CHUNK pairs
+        # near 5 MiB
+        mesh = me.quasi_uniform_mesh(2, 300, 0)
+        mu = me.sample_density(pipe.builtin_density("cap:0.98", 2), mesh)
+        nu = me.uniform_measure(mesh)
+        coupling = pipe.extraction_support(so.solve_entropic(mu, nu, reg=0.1)[0], "entropic")
+        tracemalloc.start()
+        try:
+            mp.extract_multimap(coupling, mu, nu, 2.0 * mesh.spacing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_region_rule_at_band_edges(self):
         # x . plus exactly at +-zero_tol, inside and outside the band, and NaN,

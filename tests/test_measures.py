@@ -36,6 +36,13 @@ class TestMesh:
         assert mesh.cell_areas.sum() == pytest.approx(me.sphere_area(3), rel=1e-9)
         assert np.all(mesh.cell_areas > 0)
 
+    @pytest.mark.parametrize("field", ["points", "cell_areas"])
+    def test_nan_rejected(self, field):
+        mesh = me.quasi_uniform_mesh(2, 50, 0)
+        getattr(mesh, field)[3] = np.nan
+        with pytest.raises(DomainError):
+            mesh.validate()
+
     def test_determinism(self):
         a = me.quasi_uniform_mesh(2, 60, 7)
         b = me.quasi_uniform_mesh(2, 60, 7)

@@ -182,6 +182,36 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "bivalent constants" in out
 
+    def test_extract_rewrites_every_map_artifact(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        cli.main(["solve", "--mesh", "200", "--mu", "cap:0.98", "--out", str(run)])
+        names = ("multimap.json", "inverse.json", "regions.json")
+        written = {name: (run / name).read_bytes() for name in names}
+        for name in names:
+            (run / name).write_text("{}")
+        assert cli.main(["extract", "--run", str(run)]) == 0
+        assert {name: (run / name).read_bytes() for name in names} == written
+
+    def test_diagnose_agrees_with_run(self, tmp_path, capsys):
+        # diagnose fits at the run's scale window; at a window of its own it
+        # printed an interior-S1 exponent of 0.6344 here against 0.8846
+        run = tmp_path / "run"
+        cli.main(["solve", "--mesh", "220", "--seed", "1", "--mu", "cap:0.98", "--out", str(run)])
+        capsys.readouterr()
+        assert cli.main(["diagnose", "--run", str(run)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        fits = json.loads((run / "holder_reports.json").read_text())
+        assert set(fits) == {"outer_on_S1_interior", "outer_on_S2", "inner_on_S2"}
+        for name, rep in fits.items():
+            assert (f"{name}: alpha={rep['alpha_hat']:.4f} (C={rep['C_hat']:.3f}, "
+                    f"pairs={rep['pair_count']})") in out
+        saved = json.loads((run / "constants.json").read_text())
+        constants = saved["constants"]
+        assert (f"bivalent constants: k={constants['k_U']:.4f} C+={constants['C_plus']:.4f} "
+                f"C-(statement)={constants['C_minus_statement']:.4f} "
+                f"C-(proof)={constants['C_minus_proof']:.4f} "
+                f"bound ratio={saved['inner_bound_ratio']:.4f}") in out
+
     def test_diagnose_with_too_little_data(self, tmp_path, capsys):
         run = str(tmp_path / "tiny")
         assert cli.main(["solve", "--n", "2", "--mesh", "10", "--seed", "0",
