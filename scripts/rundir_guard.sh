@@ -8,9 +8,10 @@
 # directory (mktemp, so under $TMPDIR) that is removed on exit. Every
 # instance runs as `sphere-ot solve ... --out run` inside a directory of its
 # own, so config.json records the same output_dir on both sides. After each
-# solve, `sphere-ot extract --run run` rewrites the map artifacts in place, so
-# the comparison covers what extract writes as well. The stdout and exit code
-# of both commands are kept next to each run directory and compared too.
+# solve, the re-analysis commands run on the run directory: `extract` rewrites
+# the map artifacts in place, `diagnose` prints its fits and constants, and
+# `report` writes report.json into it. The stdout and exit code of every
+# command are kept next to each run directory and compared too.
 # Ends with `diff -r` and exits non-zero on any difference.
 set -euo pipefail
 
@@ -38,23 +39,25 @@ instances=(
     "exact-cap-s3-300|--n 3 --mesh 300 --mu cap:0.98"
 )
 
+step() {  # $1: source tree, $2: instance directory, $3: file prefix, then the command
+    local tree=$1 dir=$2 prefix=$3 code=0
+    shift 3
+    (cd "$dir" && PYTHONPATH="$tree/src" python3 -m sphere_ot.cli "$@" \
+        >"${prefix}stdout.txt") || code=$?
+    echo "$code" >"$dir/${prefix}exit_code"
+    echo "  ${dir##*/}: $1 exit $code"
+}
+
 solve_all() {  # $1: source tree, $2: output root
-    local entry name dir code
+    local entry dir command
     for entry in "${instances[@]}"; do
-        name=${entry%%|*}
-        dir="$2/$name"
+        dir="$2/${entry%%|*}"
         mkdir -p "$dir"
-        code=0
         # shellcheck disable=SC2086  # the arguments are meant to split
-        (cd "$dir" && PYTHONPATH="$1/src" python3 -m sphere_ot.cli solve ${entry#*|} \
-            --out run >stdout.txt) || code=$?
-        echo "$code" >"$dir/exit_code"
-        echo "  $name: exit $code"
-        code=0
-        (cd "$dir" && PYTHONPATH="$1/src" python3 -m sphere_ot.cli extract --run run \
-            >extract_stdout.txt) || code=$?
-        echo "$code" >"$dir/extract_exit_code"
-        echo "  $name: extract exit $code"
+        step "$1" "$dir" "" solve ${entry#*|} --out run
+        for command in extract diagnose report; do
+            step "$1" "$dir" "${command}_" "$command" --run run
+        done
     done
 }
 

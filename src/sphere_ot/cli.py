@@ -95,32 +95,43 @@ def _cmd_solve(args) -> int:
     return result.exit_code
 
 
+def _run_entries(path: Path, *keys) -> list:
+    """The entries under keys of a run directory's JSON file; OSError naming
+    the file when it is not JSON or lacks one of them."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+            return [data[key] for key in keys]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise OSError(f"{path}: malformed run file: {exc!r}") from None
+
+
 def _load_run(run_dir: Path):
-    """A solved run's summary, its measures and the support its maps were read from."""
+    """A solved run's measures, the support its maps were read from, and the
+    scales it recorded in summary.json: (coupling, mu, nu, merge_tol,
+    zero_tol, mesh_spacing)."""
     if not run_dir.is_dir():
         raise OSError(f"run directory {run_dir} does not exist")
     mu = measures_mod.load_measure(run_dir / "mu.json")
     nu = measures_mod.load_measure(run_dir / "nu.json")
     coupling = solver_mod.load_coupling_csv(run_dir / "coupling.csv", mu, nu)
-    with open(run_dir / "config.json") as fh:
-        coupling = pipe.extraction_support(coupling, json.load(fh)["solver"])
-    with open(run_dir / "summary.json") as fh:
-        return json.load(fh), coupling, mu, nu
+    [solver] = _run_entries(run_dir / "config.json", "solver")
+    scales = _run_entries(run_dir / "summary.json", "merge_tol", "zero_tol", "mesh_spacing")
+    return (pipe.extraction_support(coupling, solver), mu, nu, *scales)
 
 
 def _cmd_extract(args) -> int:
     run_dir = Path(args.run)
-    summary, coupling, mu, nu = _load_run(run_dir)
-    mm = pipe.map_stage(coupling, mu, nu, summary["merge_tol"], summary["zero_tol"], run_dir)[0]
+    coupling, mu, nu, merge_tol, zero_tol, _ = _load_run(run_dir)
+    mm = pipe.map_stage(coupling, mu, nu, merge_tol, zero_tol, run_dir)[0]
     print(f"regions: {mm.region_counts()} anomalies: {len(mm.anomalies)}")
     return pipe.EXIT_OK
 
 
 def _cmd_diagnose(args) -> int:
-    summary, coupling, mu, nu = _load_run(Path(args.run))
-    mm = maps_mod.extract_multimap(coupling, mu, nu, summary["merge_tol"])
-    mm = maps_mod.classify_regions(mm, summary["zero_tol"])
-    window = reg_mod.scale_window(summary["mesh_spacing"])
+    coupling, mu, nu, merge_tol, zero_tol, spacing = _load_run(Path(args.run))
+    mm = maps_mod.extract_multimap(coupling, mu, nu, merge_tol, zero_tol)
+    window = reg_mod.scale_window(spacing)
     fits, skipped = pipe._holder_reports(mm, window)
     for name, rep in fits.items():
         print(f"{name}: alpha={rep.alpha_hat:.4f} (C={rep.C_hat:.3f}, pairs={rep.pair_count})")

@@ -56,8 +56,6 @@ class MultiMap:
     region: np.ndarray              # (N,) a label of the side, "" before classification
     plus_members: list = field(default_factory=list)
     minus_members: list = field(default_factory=list)
-    merge_tol: float = np.nan
-    zero_tol: float = np.nan
     anomalies: list = field(default_factory=list)
 
     @property
@@ -124,7 +122,7 @@ def _linkage_labels(images: np.ndarray, sizes: np.ndarray, tols: np.ndarray) -> 
     return connected_components(graph, directed=False)[1]
 
 
-def _two_images(side, n, coupling, points, opposite, tols, merge_tol) -> MultiMap:
+def _two_images(side, n, coupling, points, opposite, tols) -> MultiMap:
     """Merge every atom's images into its outer and inner image, unlabelled.
 
     The support is sorted by this side's index; atom a merges the opposite
@@ -187,7 +185,7 @@ def _two_images(side, n, coupling, points, opposite, tols, merge_tol) -> MultiMa
         a = b
     return MultiMap(
         side, n, points.copy(), plus, minus, jump, residual, bivalent,
-        np.full(count, "", dtype="<U2"), plus_members, minus_members, merge_tol,
+        np.full(count, "", dtype="<U2"), plus_members, minus_members,
     )
 
 
@@ -197,7 +195,6 @@ def _label_regions(mm: MultiMap, zero_tol: float) -> np.ndarray:
     Bivalent atoms get the side's label 2; univalent atoms whose outer image
     is aligned beyond zero_tol get label 1; the rest form the band, label 0.
     """
-    mm.zero_tol = zero_tol
     dot_plus = np.einsum("ij,ij->i", mm.points, mm.plus)
     label = np.where(mm.bivalent, 2, np.where(dot_plus > zero_tol, 1, 0))
     mm.region = np.array(_REGIONS[mm.side])[label]
@@ -205,9 +202,11 @@ def _label_regions(mm: MultiMap, zero_tol: float) -> np.ndarray:
 
 
 def extract_multimap(
-    coupling: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure, merge_tol: float
+    coupling: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure, merge_tol: float,
+    zero_tol: float,
 ) -> MultiMap:
-    """Build the per-source two-image map t_plus, t_minus from the coupling support.
+    """The per-source two-image map t_plus, t_minus of the coupling support,
+    labelled S0 / S1 / S2 by classify_regions at zero_tol.
 
     Each source's merge radius is merge_tol * sqrt(weight ratio against
     the median target weight), so that heavy atoms' locally spread images
@@ -215,7 +214,8 @@ def extract_multimap(
     merge_tol unchanged.
     """
     tols = _weight_scaled_tols(merge_tol, mu.weights, nu.weights)
-    return _two_images("source", mu.n, coupling, mu.points, nu.points, tols, merge_tol)
+    return classify_regions(_two_images("source", mu.n, coupling, mu.points, nu.points, tols),
+                            zero_tol)
 
 
 def classify_regions(mm: MultiMap, zero_tol: float) -> MultiMap:
@@ -241,21 +241,21 @@ def classify_regions(mm: MultiMap, zero_tol: float) -> MultiMap:
     return mm
 
 
-def invert_maps(mm: MultiMap, coupling: Coupling, nu: DiscreteMeasure) -> MultiMap:
+def invert_maps(
+    coupling: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure, merge_tol: float,
+    zero_tol: float,
+) -> MultiMap:
     """Per-target inverse pair s_plus, s_minus by the same extraction, roles swapped.
 
     s_plus maximizes y . x over the merged source clusters feeding the
     target, s_minus minimizes it, and omega = (s_plus - s_minus) . y.
     Targets with two source clusters form T2; the rest split into T0 / T1
-    by the source-side rule. The tolerances are those of the classified
-    source map; merge radii scale nu's weights against the support's row
-    marginal.
+    by the source-side rule at zero_tol. Merge radii scale merge_tol by
+    nu's weights against the support's row marginal.
     """
-    if not np.isfinite(mm.merge_tol) or not np.isfinite(mm.zero_tol):
-        raise ExtractionError("merge_tol / zero_tol unavailable; classify the map first")
-    tols = _weight_scaled_tols(mm.merge_tol, nu.weights, coupling.row_marginal(mm.count))
-    inv = _two_images("target", mm.n, coupling, nu.points, mm.points, tols, mm.merge_tol)
-    _label_regions(inv, mm.zero_tol)
+    tols = _weight_scaled_tols(merge_tol, nu.weights, coupling.row_marginal(mu.count))
+    inv = _two_images("target", nu.n, coupling, nu.points, mu.points, tols)
+    _label_regions(inv, zero_tol)
     return inv
 
 

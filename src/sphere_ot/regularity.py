@@ -18,9 +18,10 @@ from scipy.spatial.distance import pdist
 
 from .errors import ConfigError, DomainError, InsufficientDataError
 from .maps import MultiMap
-from .measures import median_spacing
 
 LOW_CONFIDENCE_PAIRS = 30
+# envelope fits bin the window's pairs by distance decile
+FIT_BINS = 10
 
 
 def holder_exponent(n: int) -> float:
@@ -76,11 +77,6 @@ def scale_window(spacing: float) -> tuple:
     return (2.0 * spacing, max(0.5, 4.0 * spacing))
 
 
-def default_window(points: np.ndarray) -> tuple:
-    """The scale window at the median nearest-neighbour spacing of the points."""
-    return scale_window(median_spacing(points))
-
-
 def _pair_table(points: np.ndarray, values: np.ndarray, window: tuple):
     r = pdist(points)
     d = pdist(values)
@@ -90,11 +86,7 @@ def _pair_table(points: np.ndarray, values: np.ndarray, window: tuple):
 
 
 def holder_fit(
-    points: np.ndarray,
-    values: np.ndarray,
-    window: tuple | None = None,
-    region: str = "",
-    n_bins: int = 10,
+    points: np.ndarray, values: np.ndarray, window: tuple, region: str = ""
 ) -> HolderReport:
     """Estimate the continuity exponent of a sampled map by envelope regression.
 
@@ -108,8 +100,6 @@ def holder_fit(
     values = np.asarray(values, dtype=float)
     if len(points) < 2:
         raise InsufficientDataError("need at least two samples")
-    if window is None:
-        window = default_window(points)
     r, d = _pair_table(points, values, window)
     if len(r) < 2:
         raise InsufficientDataError(f"fewer than 2 pairs inside window {window}")
@@ -117,10 +107,10 @@ def holder_fit(
     if np.max(d) <= 0.0:
         return HolderReport(region, float("nan"), float("nan"), window, pair_count,
                             pair_count < LOW_CONFIDENCE_PAIRS, True, [])
-    edges = np.quantile(r, np.linspace(0.0, 1.0, n_bins + 1))
+    edges = np.quantile(r, np.linspace(0.0, 1.0, FIT_BINS + 1))
     fit_pts = []
-    for b in range(n_bins):
-        if b < n_bins - 1:
+    for b in range(FIT_BINS):
+        if b < FIT_BINS - 1:
             sel = (r >= edges[b]) & (r < edges[b + 1])
         else:
             sel = (r >= edges[b]) & (r <= edges[b + 1])
@@ -183,9 +173,7 @@ def exact_exponent_fixture(alpha: float, count: int, seed: int = 0):
     return points, values
 
 
-def region_constants(
-    mm: MultiMap, region_idx: np.ndarray, window: tuple | None = None
-) -> RegionConstants:
+def region_constants(mm: MultiMap, region_idx: np.ndarray, window: tuple) -> RegionConstants:
     """Alignment margin and envelope constants on a bivalent atom subset."""
     idx = np.asarray(region_idx, dtype=int)
     if len(idx) == 0:
@@ -197,8 +185,6 @@ def region_constants(
         raise DomainError("inner images must be negatively aligned on the subset")
     k = float(margins.min())
     alpha = holder_exponent(mm.n)
-    if window is None:
-        window = default_window(mm.points)
     c_plus = holder_constant(mm.points[idx], mm.plus[idx], alpha, window)
     return RegionConstants.from_holder(k, c_plus, alpha)
 
@@ -206,33 +192,23 @@ def region_constants(
 def t_minus_bound_check(
     mm: MultiMap,
     region_idx: np.ndarray,
-    window: tuple | None = None,
-    constants: RegionConstants | None = None,
+    window: tuple,
+    constants: RegionConstants,
     converse: bool = False,
 ) -> float:
-    """Worst ratio of inner-map displacement to its proof-level bound.
+    """Worst ratio of inner-map displacement to the proof-level bound of constants.
 
-    Ratios <= 1 confirm the inner-map continuity bound at this resolution.
-    With converse=True the roles of the two maps are swapped: the outer
-    displacement is tested against the constant derived from the inner
-    map's envelope and the positive alignment margin min(x . t_plus).
+    Ratios <= 1 confirm the inner-map continuity bound at this resolution;
+    the constants are region_constants of the subset. With converse=True
+    the outer displacement is tested instead, against constants the caller
+    derives from the inner map's envelope constant and the positive
+    alignment margin min(x . t_plus).
     """
     idx = np.asarray(region_idx, dtype=int)
     if len(idx) < 2:
         raise InsufficientDataError("need at least two atoms in the subset")
-    if window is None:
-        window = default_window(mm.points)
     alpha = holder_exponent(mm.n)
-    base, tested = (mm.plus, mm.minus) if not converse else (mm.minus, mm.plus)
-    if constants is None:
-        if converse:
-            margins = np.einsum("ij,ij->i", mm.points[idx], mm.plus[idx])
-            if np.any(margins <= 0):
-                raise DomainError("outer images must be positively aligned on the subset")
-            c_base = holder_constant(mm.points[idx], base[idx], alpha, window)
-            constants = RegionConstants.from_holder(float(margins.min()), c_base, alpha)
-        else:
-            constants = region_constants(mm, idx, window)
+    tested = mm.plus if converse else mm.minus
     r, d = _pair_table(mm.points[idx], tested[idx], window)
     if len(r) == 0:
         raise InsufficientDataError(f"no pairs inside window {window}")
@@ -395,23 +371,20 @@ def injectivity_lower_bound(
     inv: MultiMap,
     region_idx: np.ndarray,
     exponent: float,
-    window: tuple | None = None,
+    window: tuple,
 ) -> InjectivityReport:
-    """min over close pairs of |s(y1) - s(y0)| / |y1 - y0|^exponent, both maps.
+    """min over window pairs of |s(y1) - s(y0)| / |y1 - y0|^exponent, both maps.
 
     Strictly positive values certify injectivity of the inverse maps at
     this resolution; the reciprocal of the inner ratio compares against
-    the inner continuity constant. The window defaults to the region's
-    own scale window: below two mesh spacings, neighbouring targets can
-    share a discrete supplier and separations collapse to zero.
+    the inner continuity constant. Pass a window starting at two spacings
+    of the region's own atoms: below it, neighbouring targets can share a
+    discrete supplier and separations collapse to zero.
     """
     idx = np.asarray(region_idx, dtype=int)
     if len(idx) < 2:
         raise InsufficientDataError("need at least two target atoms")
-    y = inv.points[idx]
-    if window is None:
-        window = default_window(y)
-    r = pdist(y)
+    r = pdist(inv.points[idx])
     keep = r > 1e-12  # drop duplicate atoms
     keep &= (r >= window[0]) & (r <= window[1])
     if not np.any(keep):

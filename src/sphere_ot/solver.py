@@ -104,7 +104,8 @@ class Coupling:
     def col_marginal(self, n_cols: int) -> np.ndarray:
         return np.bincount(self.cols, weights=self.mass, minlength=n_cols)
 
-    def validate(self, mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = MASS_TOL) -> None:
+    def validate(self, mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = MASS_TOL) -> float:
+        """The largest marginal error; SolverError if it exceeds tol or a mass is not positive."""
         if not np.all(self.mass > 0):
             raise SolverError("coupling entries must be strictly positive")
         row_err = np.max(np.abs(self.row_marginal(mu.count) - mu.weights))
@@ -112,6 +113,7 @@ class Coupling:
         err = np.maximum(row_err, col_err)  # NaN if either is
         if not err <= tol:
             raise SolverError(f"marginal violation {err:.3e} exceeds {tol}")
+        return float(err)
 
 
 @dataclass
@@ -536,8 +538,8 @@ def solve_entropic(
     within tol after max_iter sweeps, NaN included.
     """
     _check_instance(mu, nu)
-    if reg <= 0:
-        raise ConfigError("regularization must be positive")
+    if not (0 < reg < np.inf):
+        raise ConfigError("regularization must be positive and finite")
     c = cost_matrix(mu.points, nu.points)
     a, b = mu.weights, nu.weights
     f = c.min(axis=1)
@@ -702,6 +704,8 @@ def load_coupling_csv(path, mu: DiscreteMeasure, nu: DiscreteMeasure) -> Couplin
                 rows.append(int(i))
                 cols.append(int(j))
                 mass.append(float(m))
+                if not 0 < mass[-1] < np.inf:
+                    raise ValueError(f"mass {m} is not positive and finite")
         except (StopIteration, ValueError) as exc:
             raise SolverError(f"{path}: line {reader.line_num}: {exc!r}") from None
     rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)

@@ -52,8 +52,6 @@ def bivalent_family(count=40, seed=0):
         residual=np.zeros(count),
         bivalent=np.ones(count, dtype=bool),
         region=np.full(count, "S2", dtype="<U2"),
-        merge_tol=0.05,
-        zero_tol=0.02,
         plus_members=[np.array([i]) for i in range(count)],
         minus_members=[np.array([i]) for i in range(count)],
     )
@@ -107,9 +105,8 @@ def bivalent_instance():
     mu = measures_mod.sample_density(pipe.builtin_density("cap:0.98", 2), mesh)
     nu = measures_mod.uniform_measure(mesh)
     coupling, duals = solver_mod.solve_exact(mu, nu)
-    mm = maps_mod.extract_multimap(coupling, mu, nu, 2.0 * mesh.spacing)
-    mm = maps_mod.classify_regions(mm, mesh.spacing)
-    inv = maps_mod.invert_maps(mm, coupling, nu)
+    mm = maps_mod.extract_multimap(coupling, mu, nu, 2.0 * mesh.spacing, mesh.spacing)
+    inv = maps_mod.invert_maps(coupling, mu, nu, 2.0 * mesh.spacing, mesh.spacing)
     return {
         "mesh": mesh, "mu": mu, "nu": nu,
         "coupling": coupling, "duals": duals, "mm": mm, "inv": inv,

@@ -32,9 +32,8 @@ def report(criterion, passed, detail):
 
 def extract(mesh_or_spacing, mu, nu, coupling):
     spacing = mesh_or_spacing.spacing if hasattr(mesh_or_spacing, "spacing") else mesh_or_spacing
-    mm = mp.extract_multimap(coupling, mu, nu, 2.0 * spacing)
-    mm = mp.classify_regions(mm, spacing)
-    inv = mp.invert_maps(mm, coupling, nu)
+    mm = mp.extract_multimap(coupling, mu, nu, 2.0 * spacing, spacing)
+    inv = mp.invert_maps(coupling, mu, nu, 2.0 * spacing, spacing)
     return mm, inv
 
 
@@ -230,7 +229,8 @@ def test_criterion_09_exponent_consistency(warped_2000):
     mm = warped_2000["mm"]
     dots = np.einsum("ij,ij->i", mm.points, mm.plus)
     s1 = np.nonzero((mm.region == "S1") & (np.abs(dots) >= 0.2))[0]
-    fit = rg.holder_fit(mm.points[s1], mm.plus[s1], region="S1")
+    window = rg.scale_window(me.median_spacing(mm.points[s1]))
+    fit = rg.holder_fit(mm.points[s1], mm.plus[s1], window, region="S1")
     target = 1.0 / 7.0 - 0.05
     elapsed = warped_2000["elapsed"]
     report(9, fit.alpha_hat >= target and elapsed < 300.0,
@@ -244,13 +244,15 @@ def test_criterion_10_constant_formulas(bivalent_1000):
 
     ratios = []
     family = bivalent_family(40)
-    ratios.append(rg.t_minus_bound_check(family, np.arange(40), (0.01, 0.5)))
+    consts = rg.region_constants(family, np.arange(40), (0.01, 0.5))
+    ratios.append(rg.t_minus_bound_check(family, np.arange(40), (0.01, 0.5), consts))
     mm = bivalent_1000["mm"]
     s2 = mm.indices_in("S2")
     margins = -np.einsum("ij,ij->i", mm.points[s2], mm.minus[s2])
     usable = s2[margins > 0]
-    window = rg.default_window(mm.points)
-    ratios.append(rg.t_minus_bound_check(mm, usable, window))
+    window = rg.scale_window(me.median_spacing(mm.points))
+    consts = rg.region_constants(mm, usable, window)
+    ratios.append(rg.t_minus_bound_check(mm, usable, window, consts))
     worst = max(ratios)
     report(10, formulas_ok and worst <= 1.0,
            f"constants (k=0.5, C=3) -> 15 and 25 exactly; inner-map bound ratio "

@@ -46,7 +46,7 @@ class TestSupportImages:
 class TestExtract:
     def test_split_example(self, split_instance):
         mu, nu, coupling = split_instance
-        mm = mp.extract_multimap(coupling, mu, nu, merge_tol=0.1)
+        mm = mp.extract_multimap(coupling, mu, nu, merge_tol=0.1, zero_tol=0.05)
         assert np.allclose(mm.plus[0], [0.6, 0.0, 0.8], atol=1e-12)
         assert np.allclose(mm.minus[0], [0.6, 0.0, -0.8], atol=1e-12)
         assert mm.jump[0] == pytest.approx(1.6, abs=1e-12)
@@ -57,7 +57,7 @@ class TestExtract:
         mu = make_measure([NORTH], weights=[1.0])
         nu = make_measure([NORTH], weights=[1.0])
         coupling = so.Coupling(np.array([0]), np.array([0]), np.array([1.0]), 0.0)
-        mm = mp.extract_multimap(coupling, mu, nu, merge_tol=0.1)
+        mm = mp.extract_multimap(coupling, mu, nu, merge_tol=0.1, zero_tol=0.05)
         assert np.allclose(mm.plus[0], mm.minus[0])
         assert mm.jump[0] == pytest.approx(0.0, abs=1e-15)
         assert not mm.bivalent[0]
@@ -68,7 +68,7 @@ class TestExtract:
         second /= np.linalg.norm(second)
         nu = make_measure([[0.6, 0.0, 0.8], second])
         coupling = so.Coupling(np.array([0, 0]), np.array([0, 1]), np.array([0.5, 0.5]), 0.0)
-        mm = mp.extract_multimap(coupling, mu, nu, merge_tol=1e-6)
+        mm = mp.extract_multimap(coupling, mu, nu, merge_tol=1e-6, zero_tol=0.05)
         assert not mm.bivalent[0]
 
     def test_three_clusters_rejected(self):
@@ -79,7 +79,7 @@ class TestExtract:
             np.array([0, 0, 0]), np.array([0, 1, 2]), np.array([1 / 3] * 3), 0.0
         )
         with pytest.raises(ExtractionError):
-            mp.extract_multimap(coupling, mu, nu, merge_tol=0.05)
+            mp.extract_multimap(coupling, mu, nu, merge_tol=0.05, zero_tol=0.05)
 
     def test_mass_weighted_merge_average(self):
         mu = make_measure([NORTH], weights=[1.0])
@@ -87,7 +87,7 @@ class TestExtract:
         b = np.array([0.62, 0.0, np.sqrt(1 - 0.62**2)])
         nu = make_measure([a, b], weights=[0.75, 0.25])
         coupling = so.Coupling(np.array([0, 0]), np.array([0, 1]), np.array([0.75, 0.25]), 0.0)
-        mm = mp.extract_multimap(coupling, mu, nu, merge_tol=0.5)
+        mm = mp.extract_multimap(coupling, mu, nu, merge_tol=0.5, zero_tol=0.05)
         expected = 0.75 * a + 0.25 * b
         expected /= np.linalg.norm(expected)
         assert np.allclose(mm.plus[0], expected, atol=1e-12)
@@ -97,7 +97,7 @@ class TestExtract:
         mu = make_measure([NORTH], weights=[1.0])
         nu = make_measure([a], weights=[1.0])
         coupling = so.Coupling(np.array([0]), np.array([0]), np.array([3.2e-9]), 0.0)
-        mm = mp.extract_multimap(coupling, mu, nu, merge_tol=0.1)
+        mm = mp.extract_multimap(coupling, mu, nu, merge_tol=0.1, zero_tol=0.05)
         assert np.allclose(mm.plus[0], a, rtol=0.0, atol=1e-15)
 
     def test_antipodal_cluster_collapses(self):
@@ -106,7 +106,7 @@ class TestExtract:
         nu = make_measure([NORTH, -NORTH])
         coupling = so.Coupling(np.array([0, 0]), np.array([0, 1]), np.array([0.5, 0.5]), 0.0)
         with pytest.raises(ExtractionError, match="collapsed"):
-            mp.extract_multimap(coupling, mu, nu, merge_tol=3.0)
+            mp.extract_multimap(coupling, mu, nu, merge_tol=3.0, zero_tol=0.05)
 
 
 def _single_linkage_clusters(points, tol):
@@ -261,21 +261,19 @@ class TestClassify:
         mu = make_measure([NORTH], weights=[1.0])
         nu = make_measure([[1.0, 0.0, 0.0]], weights=[1.0])
         coupling = so.Coupling(np.array([0]), np.array([0]), np.array([1.0]), 2.0)
-        mm = mp.extract_multimap(coupling, mu, nu, merge_tol=0.1)
-        mm = mp.classify_regions(mm, zero_tol=0.05)
+        mm = mp.extract_multimap(coupling, mu, nu, merge_tol=0.1, zero_tol=0.05)
         assert mm.region[0] == "S0"
 
     def test_univalent_positive(self):
         mu = make_measure([NORTH], weights=[1.0])
         nu = make_measure([NORTH], weights=[1.0])
         coupling = so.Coupling(np.array([0]), np.array([0]), np.array([1.0]), 0.0)
-        mm = mp.extract_multimap(coupling, mu, nu, merge_tol=0.1)
-        mm = mp.classify_regions(mm, zero_tol=0.05)
+        mm = mp.extract_multimap(coupling, mu, nu, merge_tol=0.1, zero_tol=0.05)
         assert mm.region[0] == "S1"
 
     def test_bivalent_split(self, split_instance):
         mu, nu, coupling = split_instance
-        mm = mp.classify_regions(mp.extract_multimap(coupling, mu, nu, 0.1), 0.05)
+        mm = mp.extract_multimap(coupling, mu, nu, 0.1, 0.05)
         assert mm.region[0] == "S2"
         assert float(mm.points[0] @ mm.plus[0]) == pytest.approx(0.8)
         assert float(mm.points[0] @ mm.minus[0]) == pytest.approx(-0.8)
@@ -286,7 +284,7 @@ class TestClassify:
         mu = make_measure([NORTH], weights=[1.0])
         nu = make_measure([[0.6, 0.0, 0.8], [-0.6, 0.0, 0.8]])
         coupling = so.Coupling(np.array([0, 0]), np.array([0, 1]), np.array([0.5, 0.5]), 0.0)
-        mm = mp.classify_regions(mp.extract_multimap(coupling, mu, nu, 0.1), 0.05)
+        mm = mp.extract_multimap(coupling, mu, nu, 0.1, 0.05)
         assert mm.region[0] == "S2"
         assert mm.anomalies and mm.anomalies[0]["kind"] == "bivalent sign structure"
 
@@ -305,8 +303,7 @@ class TestInverse:
         mu = make_measure([[0.6, 0.0, 0.8], [0.6, 0.0, -0.8]])
         nu = make_measure([NORTH], weights=[1.0])
         coupling = so.Coupling(np.array([0, 1]), np.array([0, 0]), np.array([0.5, 0.5]), 0.0)
-        mm = mp.classify_regions(mp.extract_multimap(coupling, mu, nu, 0.1), 0.05)
-        inv = mp.invert_maps(mm, coupling, nu)
+        inv = mp.invert_maps(coupling, mu, nu, 0.1, 0.05)
         assert inv.region[0] == "T2"
         assert inv.jump[0] == pytest.approx(1.6, abs=1e-12)
         assert np.allclose(inv.plus[0], [0.6, 0.0, 0.8], atol=1e-12)
@@ -318,8 +315,7 @@ class TestInverse:
         pts = g.random_sphere_points(2, 12, rng)
         mu = make_measure(pts)
         coupling, _ = so.solve_exact(mu, mu)
-        mm = mp.classify_regions(mp.extract_multimap(coupling, mu, mu, 0.1), 0.05)
-        inv = mp.invert_maps(mm, coupling, mu)
+        inv = mp.invert_maps(coupling, mu, mu, 0.1, 0.05)
         assert np.all(inv.region == "T1")
         assert np.allclose(inv.jump, 0.0, atol=1e-15)
 
@@ -340,7 +336,7 @@ class TestTargetSplit:
         pts = g.random_sphere_points(2, 8, rng)
         mu = make_measure(pts)
         coupling, _ = so.solve_exact(mu, mu)
-        mm = mp.classify_regions(mp.extract_multimap(coupling, mu, mu, 0.1), 0.05)
+        mm = mp.extract_multimap(coupling, mu, mu, 0.1, 0.05)
         nu1, nu_rest = mp.nu1_split(mm, mu)
         assert nu1.count == 8
         assert nu_rest.count == 0
@@ -348,7 +344,7 @@ class TestTargetSplit:
 
     def test_forced_split_moves_inner_atom(self, split_instance):
         mu, nu, coupling = split_instance
-        mm = mp.classify_regions(mp.extract_multimap(coupling, mu, nu, 0.1), 0.05)
+        mm = mp.extract_multimap(coupling, mu, nu, 0.1, 0.05)
         nu1, nu_rest = mp.nu1_split(mm, nu)
         assert nu_rest.count == 1
         assert np.allclose(nu_rest.points[0], [0.6, 0.0, -0.8])
@@ -486,8 +482,8 @@ def _assert_bitwise(rec, ref, names=("plus", "minus", "jump", "residual", "bival
 
 
 def _assert_both_bitwise(coupling, mu, nu, merge_tol, zero_tol):
-    mm = mp.classify_regions(mp.extract_multimap(coupling, mu, nu, merge_tol), zero_tol)
-    inv = mp.invert_maps(mm, coupling, nu)
+    mm = mp.extract_multimap(coupling, mu, nu, merge_tol, zero_tol)
+    inv = mp.invert_maps(coupling, mu, nu, merge_tol, zero_tol)
     src, anomalies, tgt = _former_loops(coupling, mu, nu, merge_tol, zero_tol)
     for rec, ref in ((mm, src), (inv, tgt)):
         _assert_bitwise(rec, ref, ("points", "plus", "minus", "jump", "residual", "bivalent",
@@ -541,7 +537,7 @@ class TestFormerLoops:
         if not last:
             ref = _former_side(coupling, mu.points, nu.points, coupling.rows, coupling.cols,
                                tols, "source")
-            mm = mp.extract_multimap(coupling, mu, nu, merge_tol)
+            mm = mp.extract_multimap(coupling, mu, nu, merge_tol, 0.05)
             assert np.isnan(mm.plus[1]).all() and mm.bivalent[1]
             _assert_bitwise(mm, ref)
             return
@@ -549,7 +545,7 @@ class TestFormerLoops:
             _former_side(coupling, mu.points, nu.points, coupling.rows, coupling.cols,
                          tols, "source")
         with pytest.raises(ExtractionError) as new:
-            mp.extract_multimap(coupling, mu, nu, merge_tol)
+            mp.extract_multimap(coupling, mu, nu, merge_tol, 0.05)
         assert str(new.value) == str(former.value)
         assert ("atom 1 " in str(new.value)) == (case != "collapsed")
 
@@ -563,7 +559,7 @@ class TestFormerLoops:
         coupling = pipe.extraction_support(so.solve_entropic(mu, nu, reg=0.1)[0], "entropic")
         tracemalloc.start()
         try:
-            mp.extract_multimap(coupling, mu, nu, 2.0 * mesh.spacing)
+            mp.extract_multimap(coupling, mu, nu, 2.0 * mesh.spacing, mesh.spacing)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

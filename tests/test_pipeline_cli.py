@@ -282,5 +282,43 @@ class TestCLI:
         assert code == 2
         assert "weights must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mass", ["-0.5", "nan"])
+    def test_coupling_mass_not_positive_is_solver_failure(self, tmp_path, capsys, mass):
+        run = tmp_path / "run"
+        assert cli.main(["solve", "--mesh", "60", "--out", str(run)]) == 0
+        written = (run / "multimap.json").read_bytes()
+        lines = (run / "coupling.csv").read_text().splitlines()
+        lines[-1] = lines[-1].rpartition(",")[0] + "," + mass
+        (run / "coupling.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["extract", "--run", str(run)]) == 3
+        assert f"coupling.csv: line {len(lines)}:" in capsys.readouterr().err
+        assert (run / "multimap.json").read_bytes() == written
+
+    @pytest.mark.parametrize("command", ["extract", "diagnose"])
+    @pytest.mark.parametrize("name, edit", [
+        ("config.json", lambda text: "{}"),
+        ("summary.json", lambda text: text[: len(text) // 2]),
+        ("summary.json", lambda text: json.dumps(
+            {k: v for k, v in json.loads(text).items() if k != "merge_tol"})),
+    ], ids=["config-without-solver", "summary-not-json", "summary-without-merge-tol"])
+    def test_malformed_run_file_is_io_failure(self, tmp_path, capsys, command, name, edit):
+        run = tmp_path / "run"
+        assert cli.main(["solve", "--mesh", "60", "--out", str(run)]) == 0
+        written = (run / "multimap.json").read_bytes()
+        (run / name).write_text(edit((run / name).read_text()))
+        capsys.readouterr()
+        assert cli.main([command, "--run", str(run)]) == 4
+        assert f"{name}: malformed run file" in capsys.readouterr().err
+        assert (run / "multimap.json").read_bytes() == written
+
+    @pytest.mark.parametrize("reg", ["nan", "inf"])
+    def test_non_finite_reg_is_config_error(self, tmp_path, capsys, reg):
+        out = tmp_path / "run"
+        assert cli.main(["solve", "--mesh", "60", "--solver", "entropic", "--reg", reg,
+                         "--out", str(out)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_missing_dir(self, tmp_path, capsys):
         assert cli.main(["report", "--run", str(tmp_path / "ghost")]) == 4

@@ -17,7 +17,7 @@ from sphere_ot.errors import ConfigError, DomainError, InsufficientDataError
 class TestHolderFit:
     def test_identity_map(self):
         mesh = me.quasi_uniform_mesh(2, 100, 0)
-        rep = rg.holder_fit(mesh.points, mesh.points)
+        rep = rg.holder_fit(mesh.points, mesh.points, rg.scale_window(mesh.spacing))
         assert rep.alpha_hat == pytest.approx(1.0, abs=0.02)
         assert rep.C_hat == pytest.approx(1.0, abs=0.05)
         assert not rep.degenerate
@@ -39,13 +39,14 @@ class TestHolderFit:
 
     def test_constant_map_degenerate(self):
         mesh = me.quasi_uniform_mesh(2, 60, 0)
-        rep = rg.holder_fit(mesh.points, np.tile(mesh.points[0], (60, 1)))
+        rep = rg.holder_fit(mesh.points, np.tile(mesh.points[0], (60, 1)),
+                            rg.scale_window(mesh.spacing))
         assert rep.degenerate
         assert math.isnan(rep.alpha_hat)
 
     def test_too_few_samples(self):
         with pytest.raises(InsufficientDataError):
-            rg.holder_fit(np.zeros((1, 3)), np.zeros((1, 3)))
+            rg.holder_fit(np.zeros((1, 3)), np.zeros((1, 3)), (0.01, 0.5))
 
     def test_empty_window(self):
         mesh = me.quasi_uniform_mesh(2, 50, 0)
@@ -113,7 +114,12 @@ class TestInnerBound:
 
     def test_converse_within_bound(self):
         mm = bivalent_family(40)
-        ratio = rg.t_minus_bound_check(mm, np.arange(40), (0.01, 0.5), converse=True)
+        # the inner map's envelope constant and the outer alignment margin
+        window, alpha = (0.01, 0.5), rg.holder_exponent(2)
+        c_minus = rg.holder_constant(mm.points, mm.minus, alpha, window)
+        k = float(np.einsum("ij,ij->i", mm.points, mm.plus).min())
+        consts = rg.RegionConstants.from_holder(k, c_minus, alpha)
+        ratio = rg.t_minus_bound_check(mm, np.arange(40), window, consts, converse=True)
         assert 0 < ratio <= 1.0
 
     def test_generous_constant_on_univalent_data(self):
@@ -328,15 +334,17 @@ class TestInjectivity:
         pts = np.array([p, p, p])
         inv = synthetic_inverse(pts, pts, pts)
         with pytest.raises(InsufficientDataError):
-            rg.injectivity_lower_bound(inv, np.arange(3), exponent=7.0)
+            rg.injectivity_lower_bound(inv, np.arange(3), exponent=7.0,
+                                       window=rg.scale_window(me.median_spacing(pts)))
 
     def test_solved_instance_certifies(self, bivalent_instance):
         inv = bivalent_instance["inv"]
         mm = bivalent_instance["mm"]
         t2 = inv.indices_in("T2")
-        rep = rg.injectivity_lower_bound(inv, t2, exponent=7.0)
+        t2_window = rg.scale_window(me.median_spacing(inv.points[t2]))
+        rep = rg.injectivity_lower_bound(inv, t2, exponent=7.0, window=t2_window)
         assert rep.s_minus_ratio > 0
-        window = rg.default_window(mm.points)
+        window = rg.scale_window(me.median_spacing(mm.points))
         s2 = mm.indices_in("S2")
         margins = -np.einsum("ij,ij->i", mm.points[s2], mm.minus[s2])
         usable = s2[margins > 0]

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -479,6 +480,11 @@ class TestEntropic:
         dense[coupling.rows, coupling.cols] = coupling.mass
         assert np.max(np.abs(dense - 0.25)) <= 0.02
 
+    @pytest.mark.parametrize("reg", [0.0, -1.0, np.nan, np.inf])
+    def test_reg_not_positive_finite_rejected(self, instance_2x2, reg):
+        with pytest.raises(ConfigError):
+            so.solve_entropic(*instance_2x2, reg=reg)
+
     def test_mass_mismatch_rejected(self, instance_2x2):
         mu, nu = instance_2x2
         bad = make_measure(nu.points, weights=[0.5, 0.6])
@@ -780,6 +786,15 @@ class TestIO:
         path = tmp_path / "coupling.csv"
         path.write_text(f"i,j,mass\n0,0,0.5\n{line}\n")
         with pytest.raises(SolverError, match="index outside"):
+            so.load_coupling_csv(path, mu, nu)
+
+    @pytest.mark.parametrize("mass", ["-0.5", "0", "nan", "inf"])
+    def test_coupling_csv_mass_not_positive(self, tmp_path, instance_2x2, mass):
+        mu, nu = instance_2x2
+        path = tmp_path / "coupling.csv"
+        path.write_text(f"i,j,mass\n0,0,0.5\n1,1,{mass}\n")
+        message = f"coupling.csv: line 3: ValueError('mass {mass} is not positive and finite')"
+        with pytest.raises(SolverError, match=re.escape(message)):
             so.load_coupling_csv(path, mu, nu)
 
     def test_duals_json(self, tmp_path, instance_2x2):
