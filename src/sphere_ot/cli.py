@@ -5,7 +5,7 @@ Exit codes: 0 success, 1 configuration error, 2 invariant violation,
 """
 
 import argparse
-import json
+import math
 import sys
 from pathlib import Path
 
@@ -95,15 +95,23 @@ def _cmd_solve(args) -> int:
     return result.exit_code
 
 
-def _run_entries(path: Path, *keys) -> list:
+def _run_entries(path: Path, valid, *keys) -> list:
     """The entries under keys of a run directory's JSON file; OSError naming
-    the file when it is not JSON or lacks one of them."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-            return [data[key] for key in keys]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise OSError(f"{path}: malformed run file: {exc!r}") from None
+    the file when it is not JSON, lacks one of them or one fails valid."""
+    data = pipe.read_run_json(path)
+    try:
+        values = [data[key] for key in keys]
+    except (KeyError, TypeError) as exc:
+        raise OSError(f"{path}: malformed run file: {exc!r}") from None
+    for key, value in zip(keys, values):
+        if not valid(value):
+            raise OSError(f"{path}: malformed run file: {key} is {value!r}")
+    return values
+
+
+def _is_scale(value) -> bool:
+    """A finite positive number; bool, though an int, is none."""
+    return type(value) in (int, float) and 0 < value < math.inf
 
 
 def _load_run(run_dir: Path):
@@ -115,8 +123,10 @@ def _load_run(run_dir: Path):
     mu = measures_mod.load_measure(run_dir / "mu.json")
     nu = measures_mod.load_measure(run_dir / "nu.json")
     coupling = solver_mod.load_coupling_csv(run_dir / "coupling.csv", mu, nu)
-    [solver] = _run_entries(run_dir / "config.json", "solver")
-    scales = _run_entries(run_dir / "summary.json", "merge_tol", "zero_tol", "mesh_spacing")
+    [solver] = _run_entries(run_dir / "config.json", lambda v: v in ("exact", "entropic"),
+                            "solver")
+    scales = _run_entries(run_dir / "summary.json", _is_scale,
+                          "merge_tol", "zero_tol", "mesh_spacing")
     return (pipe.extraction_support(coupling, solver), mu, nu, *scales)
 
 

@@ -4,8 +4,8 @@ A run writes every artifact into one output directory: the two measures,
 the coupling and dual potentials, the extracted map pair with region
 labels, inverse maps, regularity reports, structural-condition reports,
 and a pass/fail check table. All artifacts are byte-stable for a fixed
-seed. Exit codes: 0 success, 1 configuration, 2 invariant violation,
-3 solver failure, 4 I/O failure.
+seed on one machine and BLAS thread count. Exit codes: 0 success,
+1 configuration, 2 invariant violation, 3 solver failure, 4 I/O failure.
 """
 
 import dataclasses
@@ -131,12 +131,28 @@ def _json_dump(obj, path: Path) -> None:
         json.dump(obj, fh, sort_keys=True, indent=1)
 
 
+def read_run_json(path: Path):
+    """A run directory's JSON file; OSError naming the file when it is not JSON."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise OSError(f"{path}: malformed run file: {exc!r}") from None
+
+
 def extraction_support(coupling, solver: str):
-    """The coupling that map extraction reads: exact plans as they are,
-    entropic plans truncated at ENTROPIC_SUPPORT_TOL."""
+    """The coupling that map extraction and the cyclic check read: exact plans
+    as they are; entropic plans without the entries below ENTROPIC_SUPPORT_TOL
+    times the largest mass in their row. A cut plan keeps the uncut
+    total_cost and no longer satisfies the marginals."""
     if solver == "exact":
         return coupling
-    return solver_mod.truncate_support(coupling, ENTROPIC_SUPPORT_TOL)
+    row_max = np.zeros(int(coupling.rows.max()) + 1 if coupling.size else 0)
+    np.maximum.at(row_max, coupling.rows, coupling.mass)
+    keep = coupling.mass >= ENTROPIC_SUPPORT_TOL * row_max[coupling.rows]
+    return solver_mod.Coupling(
+        coupling.rows[keep], coupling.cols[keep], coupling.mass[keep], coupling.total_cost
+    )
 
 
 def _holder_reports(mm, window):
@@ -226,11 +242,7 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
             "duality_gap", "primal cost meets the dual value", abs(gap) <= 1e-8, gap, 1e-8,
         ))
     extraction_input = extraction_support(coupling, config.solver)
-    # A truncated entropic support holds about a dozen entries per source:
-    # blocks of 512 entries keep each tile of the check near 0.2 MB, where
-    # the default 2048 makes 2.6 MB tiles that set the run's peak memory.
-    block = 2048 if exact else 512
-    cyc = solver_mod.cyclical_monotonicity_violation(extraction_input, mu, nu, block)
+    cyc = solver_mod.cyclical_monotonicity_violation(extraction_input, mu, nu)
     checks.append(Check(
         "cyclical_monotonicity", "no two support pairs admit an improving swap",
         cyc <= 1e-9, cyc, 1e-9, required=exact,
@@ -459,8 +471,7 @@ def export_report(run_dir: Path, fmt: str = "json") -> Path:
     for name in ("summary", "checks", "regions", "holder_reports", "constants", "mtw_report"):
         path = run_dir / f"{name}.json"
         if path.exists():
-            with open(path) as fh:
-                payload[name] = json.load(fh)
+            payload[name] = read_run_json(path)
     if fmt == "json":
         out = run_dir / "report.json"
         _json_dump(payload, out)

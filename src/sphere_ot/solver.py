@@ -69,7 +69,7 @@ FULL_PAIRS = 40_000  # assignment instances of at most this many pairs price eve
 LP_FULL_PAIRS = 3_600  # LP instances of at most this many pairs price every pair
 COARSEN = 4  # atoms per coarse centre in the multiscale warm start
 NEIGHBOURS = 10  # smallest reduced costs per row and per column in the first candidate set
-BLOCK = 256  # rows or columns per block when selecting or pricing pairs
+BLOCK = 256  # rows, columns or support entries per block when selecting, pricing or checking
 SCALING_BOUND = 1e50  # Sinkhorn scalings above this are absorbed into the potentials
 PRICE_TOL = 1e-10  # certified once no pair has reduced cost below -PRICE_TOL
 ROUND_CAP = 2  # most negatively priced pairs per row and per column added in one round
@@ -144,11 +144,12 @@ def _check_instance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
         )
 
 
-def _coupling_from_dense(plan: np.ndarray, c: np.ndarray) -> Coupling:
-    rows, cols = np.nonzero(plan > SUPPORT_EPS)
-    mass = plan[rows, cols]
-    cost = float(np.sum(mass * c[rows, cols]))
-    return Coupling(rows, cols, mass, cost)
+def _coupling(rows, cols, mass, c) -> Coupling:
+    """The plan's entries of mass above SUPPORT_EPS, costed under c."""
+    keep = mass > SUPPORT_EPS
+    if not keep.all():  # no copies when nothing is dropped
+        rows, cols, mass = rows[keep], cols[keep], mass[keep]
+    return Coupling(rows, cols, mass, float(np.sum(mass * c[rows, cols])))
 
 
 def _north_west_corner(a: np.ndarray, b: np.ndarray):
@@ -340,10 +341,7 @@ def _solve_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, c: np.ndarray):
     rows, cols, mass, psi, phi = _column_generation(
         c, mu.weights, nu.weights, mu.points, nu.points
     )
-    keep = mass > SUPPORT_EPS
-    rows, cols, mass = rows[keep], cols[keep], mass[keep]
-    cost = float(np.sum(mass * c[rows, cols]))
-    return Coupling(rows, cols, mass, cost), DualPotentials(psi, phi)
+    return _coupling(rows, cols, mass, c), DualPotentials(psi, phi)
 
 
 def _subsample(points: np.ndarray) -> np.ndarray:
@@ -440,10 +438,8 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure):
     if equal_weights:
         assign, duals = _assignment(c, mu.points, nu.points)
         if duals is not None:
-            r = np.arange(mu.count)
             mass = np.full(mu.count, mu.weights[0])
-            cost = float(np.sum(mass * c[r, assign]))
-            return Coupling(r, assign, mass, cost), DualPotentials(*duals)
+            return _coupling(np.arange(mu.count), assign, mass, c), DualPotentials(*duals)
         warnings.warn(
             f"assignment duals did not settle within {mu.count + 1} sweeps of a pass; "
             "solving the transport LP instead",
@@ -577,32 +573,13 @@ def solve_entropic(
     kernel *= u[:, None]
     kernel *= v[None, :]
     plan = _round_to_marginals(kernel, a, b)
-    return _coupling_from_dense(plan, c), DualPotentials(f + reg * np.log(u), g + reg * np.log(v))
-
-
-def truncate_support(coupling: Coupling, rel_tol: float) -> Coupling:
-    """Drop entries below rel_tol times the largest mass in their row.
-
-    Used to sharpen the support of regularized plans before geometric
-    extraction; the result is for support analysis only and no longer
-    satisfies the marginals exactly.
-    """
-    n_rows = int(coupling.rows.max()) + 1 if coupling.size else 0
-    row_max = np.zeros(n_rows)
-    np.maximum.at(row_max, coupling.rows, coupling.mass)
-    keep = coupling.mass >= rel_tol * row_max[coupling.rows]
-    return Coupling(
-        coupling.rows[keep], coupling.cols[keep], coupling.mass[keep], coupling.total_cost
-    )
-
-
-def total_cost_of(coupling: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    c = pair_costs(mu.points, nu.points, coupling.rows, coupling.cols)
-    return float(np.sum(coupling.mass * c))
+    rows, cols = np.nonzero(plan > SUPPORT_EPS)  # so no index arrays for the whole plan
+    coupling = _coupling(rows, cols, plan[rows, cols], c)
+    return coupling, DualPotentials(f + reg * np.log(u), g + reg * np.log(v))
 
 
 def cyclical_monotonicity_violation(
-    coupling: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure, block: int = 2048
+    coupling: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure
 ) -> float:
     """Largest positive gain from swapping the targets of two support pairs.
 
@@ -610,27 +587,26 @@ def cyclical_monotonicity_violation(
     improving two-cycle, the optimality fingerprint of the plan.
     Equals twice the negative part of the worst support monotonicity dot,
     computed in the separable form of support_monotonicity_min: O(n s)
-    work and O(block n) memory for n sources and s support entries.
+    work and O(s + BLOCK^2) memory for n sources and s support entries.
     """
-    return max(0.0, -2.0 * support_monotonicity_min(coupling, mu, nu, block))
+    return max(0.0, -2.0 * support_monotonicity_min(coupling, mu, nu))
 
 
-def support_monotonicity_min(
-    coupling: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure, block: int = 2048
-) -> float:
+def support_monotonicity_min(coupling: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """min over support pairs of (x_i - x_k) . (y_j - y_l); >= 0 at optimality.
 
     Separable form: the term for pairs (i, j) and (k, l) is
     D[i, k] + D[k, i] with D[i, k] = min over j in supp(i) of
     x_i . y_j - x_k . y_j, so the minimum over all pairs is the minimum of
     D + D^T. The sources, sorted by row, are cut into chunks of about
-    `block` support entries (a source is never split). For each pair of
+    BLOCK support entries (a source is never split). For each pair of
     chunks A <= B, D[A, B] and the transpose of D[B, A] are built in the
     same sources-of-A by sources-of-B layout, each by one matmul and one
     minimum.reduceat over the entries of each source, so no transpose is
     taken. That is O(n s) work for n sources and s entries in place of
-    O(s^2), and O(block n) working memory: no n x n, s x n or s x s array.
-    Returns inf for an empty coupling.
+    O(s^2), in tiles of about BLOCK x BLOCK while no source holds more
+    than BLOCK entries: no n x n, s x n or s x s array. Returns inf for an
+    empty coupling.
     """
     s = coupling.size
     if s == 0:
@@ -642,7 +618,7 @@ def support_monotonicity_min(
     first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])  # each source's first entry
     xs = mu.points[rows[first]]
     bounds = np.append(first, s)
-    edges = np.unique(np.append(np.searchsorted(first, np.arange(0, s, block)), len(first)))
+    edges = np.unique(np.append(np.searchsorted(first, np.arange(0, s, BLOCK)), len(first)))
     chunks = [
         (own[bounds[a]:bounds[b]], ys[bounds[a]:bounds[b]], first[a:b] - bounds[a], xs[a:b])
         for a, b in zip(edges[:-1], edges[1:])
@@ -712,9 +688,9 @@ def load_coupling_csv(path, mu: DiscreteMeasure, nu: DiscreteMeasure) -> Couplin
     for side, idx, count in (("source", rows, mu.count), ("target", cols, nu.count)):
         if idx.size and (idx.min() < 0 or idx.max() >= count):
             raise SolverError(f"{path}: {side} index outside [0, {count})")
-    coupling = Coupling(rows, cols, np.array(mass), 0.0)
-    coupling.total_cost = total_cost_of(coupling, mu, nu)
-    return coupling
+    mass = np.array(mass)
+    cost = float(np.sum(mass * pair_costs(mu.points, nu.points, rows, cols)))
+    return Coupling(rows, cols, mass, cost)
 
 
 def save_duals_json(duals: DualPotentials, total_cost: float, path) -> None:

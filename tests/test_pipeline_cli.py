@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from sphere_ot import cli
@@ -61,6 +62,16 @@ class TestRunPipeline:
         result = pipe.run_pipeline(config, "uniform", "uniform")
         assert result.exit_code == pipe.EXIT_INVARIANT
         assert "duality_gap" in result.summary["checks_failed"]
+
+    def test_extraction_support(self):
+        coupling = solver_mod.Coupling(
+            np.array([0, 0, 1]), np.array([0, 1, 1]), np.array([1.0, 1e-9, 0.5]), 0.7
+        )
+        assert pipe.extraction_support(coupling, "exact") is coupling
+        out = pipe.extraction_support(coupling, "entropic")
+        assert set(zip(out.rows.tolist(), out.cols.tolist())) == {(0, 0), (1, 1)}
+        assert out.mass.tolist() == [1.0, 0.5]
+        assert out.total_cost == 0.7  # the uncut plan's cost
 
     def test_config_validation(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -311,6 +322,36 @@ class TestCLI:
         assert cli.main([command, "--run", str(run)]) == 4
         assert f"{name}: malformed run file" in capsys.readouterr().err
         assert (run / "multimap.json").read_bytes() == written
+
+    @pytest.mark.parametrize("command, name, key, value", [
+        ("extract", "summary.json", "merge_tol", None),
+        ("diagnose", "summary.json", "mesh_spacing", "0.3"),
+        ("extract", "summary.json", "zero_tol", True),
+        ("extract", "summary.json", "merge_tol", -0.1),
+        ("diagnose", "summary.json", "zero_tol", float("inf")),
+        ("extract", "config.json", "solver", "bogus"),
+    ])
+    def test_bad_run_value_is_io_failure(self, tmp_path, capsys, command, name, key, value):
+        run = tmp_path / "run"
+        assert cli.main(["solve", "--mesh", "60", "--out", str(run)]) == 0
+        written = (run / "multimap.json").read_bytes()
+        data = json.loads((run / name).read_text())
+        data[key] = value
+        (run / name).write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli.main([command, "--run", str(run)]) == 4
+        assert f"{name}: malformed run file: {key} is {value!r}" in capsys.readouterr().err
+        assert (run / "multimap.json").read_bytes() == written
+
+    @pytest.mark.parametrize("name", ["summary.json", "checks.json"])
+    def test_report_malformed_run_file_is_io_failure(self, tmp_path, capsys, name):
+        run = tmp_path / "run"
+        assert cli.main(["solve", "--mesh", "60", "--out", str(run)]) == 0
+        (run / name).write_text('{"a":')
+        capsys.readouterr()
+        assert cli.main(["report", "--run", str(run)]) == 4
+        assert f"{name}: malformed run file" in capsys.readouterr().err
+        assert not (run / "report.json").exists()
 
     @pytest.mark.parametrize("reg", ["nan", "inf"])
     def test_non_finite_reg_is_config_error(self, tmp_path, capsys, reg):

@@ -12,7 +12,7 @@ from sphere_ot import geometry as g
 from sphere_ot import measures as me
 from sphere_ot import solver as so
 from sphere_ot.errors import ConfigError, ConvergenceError, SolverError, SolverFallbackWarning
-from sphere_ot.pipeline import ENTROPIC_SUPPORT_TOL, resolve_measure
+from sphere_ot.pipeline import extraction_support, resolve_measure
 
 
 @pytest.fixture
@@ -561,7 +561,8 @@ def _log_domain_sinkhorn(mu, nu, reg, max_iter=20_000, tol=1e-8, lse=_logsumexp)
     assert row_violation(f, h) <= tol, "reference did not converge"
     plan = np.exp((f[:, None] + h[None, :] - c) / reg)
     plan = so._round_to_marginals(plan, mu.weights, nu.weights)
-    return so._coupling_from_dense(plan, c), so.DualPotentials(f, h), it + 1
+    rows, cols = np.nonzero(plan)
+    return so._coupling(rows, cols, plan[rows, cols], c), so.DualPotentials(f, h), it + 1
 
 
 def _far_target_instance(n, seed):
@@ -602,7 +603,7 @@ class TestStabilisedScaling:
         # may only carry mass of that order.
         only_one = (dense[0] > 0) != (dense[1] > 0)
         assert np.all(dense.max(axis=0)[only_one] < 1e-14)
-        got_t, want_t = (so.truncate_support(cp, ENTROPIC_SUPPORT_TOL) for cp in (got, want))
+        got_t, want_t = (extraction_support(cp, "entropic") for cp in (got, want))
         assert np.array_equal(got_t.rows, want_t.rows)
         assert np.array_equal(got_t.cols, want_t.cols)
         return len(builds)
@@ -650,18 +651,20 @@ class TestMonotonicity:
         coupling, _ = so.solve_exact(mu, nu)
         assert so.cyclical_monotonicity_violation(coupling, mu, nu) == pytest.approx(0.0, abs=1e-12)
 
-    def test_crossed_plan_violation(self, instance_2x2):
+    def test_crossed_plan_violation(self, instance_2x2, monkeypatch):
         mu, nu = instance_2x2
         crossed = so.Coupling(np.array([0, 1]), np.array([1, 0]), np.array([0.5, 0.5]), 0.8)
-        for block in (1, 3, 2048):
-            violation = so.cyclical_monotonicity_violation(crossed, mu, nu, block)
+        for block in (1, 3, 256):
+            monkeypatch.setattr(so, "BLOCK", block)
+            violation = so.cyclical_monotonicity_violation(crossed, mu, nu)
             assert violation == pytest.approx(0.8, abs=1e-12)
 
-    def test_single_pair_trivial(self, instance_2x2):
+    def test_single_pair_trivial(self, instance_2x2, monkeypatch):
         mu, nu = instance_2x2
         single = so.Coupling(np.array([0]), np.array([0]), np.array([1.0]), 0.4)
-        for block in (1, 3, 2048):
-            assert so.cyclical_monotonicity_violation(single, mu, nu, block) == 0.0
+        for block in (1, 3, 256):
+            monkeypatch.setattr(so, "BLOCK", block)
+            assert so.cyclical_monotonicity_violation(single, mu, nu) == 0.0
 
     def test_empty_coupling(self, instance_2x2):
         mu, nu = instance_2x2
@@ -671,8 +674,8 @@ class TestMonotonicity:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("block", ["1", "3", "above s"])
-    def test_matches_pairwise_reference(self, rng, n, block):
-        # shuffled supports with up to 12 entries per source, so blocks of
+    def test_matches_pairwise_reference(self, rng, n, block, monkeypatch):
+        # shuffled supports with up to 12 entries per source, so chunks of
         # 1 and 3 entries end inside a source's support
         for _ in range(25):
             n_src, n_tgt = rng.integers(1, 13, size=2)
@@ -681,8 +684,8 @@ class TestMonotonicity:
             s = int(rng.integers(1, n_src * n_tgt + 1))
             pairs = rng.permutation(rng.choice(n_src * n_tgt, size=s, replace=False))
             coupling = so.Coupling(pairs // n_tgt, pairs % n_tgt, np.full(s, 1.0 / s), 0.0)
-            size = s + 1 if block == "above s" else int(block)
-            got = so.support_monotonicity_min(coupling, mu, nu, size)
+            monkeypatch.setattr(so, "BLOCK", s + 1 if block == "above s" else int(block))
+            got = so.support_monotonicity_min(coupling, mu, nu)
             assert got == pytest.approx(_monotonicity_brute(coupling, mu, nu), abs=1e-12)
 
     def test_support_monotonicity_identity(self, rng):
@@ -690,6 +693,20 @@ class TestMonotonicity:
         mu = make_measure(pts)
         coupling, _ = so.solve_exact(mu, mu)
         assert so.support_monotonicity_min(coupling, mu, mu) >= -1e-12
+
+    def test_memory_one_entry_per_source(self, rng):
+        # a permutation of 4000 sources: chunks of 2048 entries made tiles of
+        # 2048 x 2048 and a peak of 64 MiB, chunks of BLOCK about 1.5 MiB
+        mu = make_measure(g.random_sphere_points(2, 4000, rng))
+        nu = make_measure(g.random_sphere_points(2, 4000, rng))
+        coupling = so.Coupling(np.arange(4000), rng.permutation(4000), np.full(4000, 1 / 4000), 0.0)
+        tracemalloc.start()
+        try:
+            so.cyclical_monotonicity_violation(coupling, mu, nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestLogSumExp:
@@ -808,11 +825,3 @@ class TestIO:
             data = json.load(fh)
         assert data["total_cost"] == pytest.approx(0.4)
         assert len(data["psi"]) == 2 and len(data["phi"]) == 2
-
-    def test_truncate_support(self):
-        coupling = so.Coupling(
-            np.array([0, 0, 1]), np.array([0, 1, 1]), np.array([1.0, 1e-9, 0.5]), 0.0
-        )
-        out = so.truncate_support(coupling, 1e-6)
-        assert out.size == 2
-        assert set(zip(out.rows.tolist(), out.cols.tolist())) == {(0, 0), (1, 1)}
