@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--n", type=int, default=2)
     m.add_argument("--samples", type=int, default=200)
     m.add_argument("--seed", type=int, default=0)
-    m.add_argument("--step", type=float, default=1e-3)
+    m.add_argument("--step", type=float, default=1e-3, help="cross-curvature stencil step only")
     m.add_argument("--out", default="mtw", help="output directory")
 
     r = sub.add_parser("report", help="aggregate run artifacts into one report")

@@ -33,10 +33,10 @@ def normalize(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def check_unit(p: np.ndarray, tol: float = UNIT_TOL) -> np.ndarray:
-    """Validate that p is a unit vector; returns p as a float array."""
+def check_unit(p: np.ndarray) -> np.ndarray:
+    """Validate that p is a unit vector to within UNIT_TOL; returns p as a float array."""
     p = np.asarray(p, dtype=float)
-    if abs(np.linalg.norm(p) - 1.0) > tol:
+    if abs(np.linalg.norm(p) - 1.0) > UNIT_TOL:
         raise DomainError(f"point is not on the unit sphere: |p| = {np.linalg.norm(p)!r}")
     return p
 
@@ -112,10 +112,14 @@ def cost_extrinsic(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def cost_matrix(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Pairwise squared chordal distances, shape (len(xs), len(ys))."""
+    """Pairwise squared chordal distances, shape (len(xs), len(ys)): the bits of
+    sq_x + sq_y - 2 xs @ ys.T, with each row finished in place (no second n x m array)."""
     sq_x = np.einsum("ij,ij->i", xs, xs)
     sq_y = np.einsum("ij,ij->i", ys, ys)
-    c = sq_x[:, None] + sq_y[None, :] - 2.0 * (xs @ ys.T)
+    c = xs @ ys.T
+    c *= 2.0
+    for i, row in enumerate(c):
+        np.subtract(sq_x[i] + sq_y, row, out=row)
     np.maximum(c, 0.0, out=c)
     return c
 

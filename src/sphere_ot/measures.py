@@ -152,12 +152,12 @@ class DiscreteMeasure:
         """Discrete density against the surface measure: weight / cell area."""
         return self.weights / self.cell_areas
 
-    def validate(self, require_unit_mass: bool = True) -> None:
+    def validate(self) -> None:
         if not np.all(np.isfinite(self.weights) & (self.weights >= 0)):
             raise DomainError("weights must be finite and nonnegative")
         if not np.all(np.isfinite(self.cell_areas) & (self.cell_areas > 0)):
             raise DomainError("cell areas must be finite and positive")
-        if require_unit_mass and not abs(self.mass - 1.0) <= 1e-10:
+        if not abs(self.mass - 1.0) <= 1e-10:
             raise DomainError(f"total mass is {self.mass}, expected 1")
 
     def restrict(self, indices: np.ndarray) -> "DiscreteMeasure":

@@ -40,9 +40,6 @@ class ConditionReport:
     worst_pair: tuple | None = None
     samples: list = field(default_factory=list)
 
-    def passed(self, tolerance: float = 0.0) -> bool:
-        return self.min_margin > -tolerance
-
 
 def cost_gradient_image(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Negative cost gradient at x in the chart at x: exactly twice the
@@ -77,21 +74,16 @@ def twist_margin(x: np.ndarray, ys: np.ndarray) -> ConditionReport:
     return ConditionReport("twist", len(ys), ratio, (tuple(ys[a]), tuple(ys[b])))
 
 
-def nondegeneracy_profile(
-    x: np.ndarray,
-    angles,
-    h: float = 1e-3,
-    direction: np.ndarray | None = None,
-) -> list:
+def nondegeneracy_profile(x: np.ndarray, angles, h: float = 1e-3) -> list:
     """|det| of the mixed derivative matrix at increasing separation angles.
 
-    Returns (alignment, |det|) pairs for targets along one great circle
-    from x; the determinant magnitude is 2^n at coincidence and decays to
-    zero as the alignment drops toward the boundary.
+    Returns (alignment, |det|) pairs for targets along the great circle
+    from x in the direction tangent_frame(x)[0]; the determinant magnitude
+    is 2^n at coincidence and decays to zero as the alignment drops toward
+    the boundary.
     """
     x = check_unit(x)
-    if direction is None:
-        direction = tangent_frame(x)[0]
+    direction = tangent_frame(x)[0]
     out = []
     for ang in angles:
         if not 0.0 <= ang < math.pi / 2.0:
@@ -153,7 +145,6 @@ def cross_curvature(
     p: np.ndarray,
     pbar: np.ndarray,
     h: float = 1e-3,
-    require_null: bool = True,
 ) -> float:
     """Mixed fourth difference -d^2/ds^2 d^2/dt^2 c(x(s), y(t)) at (x, y).
 
@@ -161,7 +152,8 @@ def cross_curvature(
     chart at y (the curve whose cost gradient at y is affine), and y along
     the straight line in the chart at x; both second derivatives are
     centred differences with step h. Positive on null pairs of tangent
-    directions throughout the interior of the positive-alignment region.
+    directions throughout the interior of the positive-alignment region;
+    a pair whose mixed pairing exceeds NULL_TOL raises NullityError.
     """
     x = check_unit(x)
     y = check_unit(y)
@@ -173,7 +165,7 @@ def cross_curvature(
         return 0.0
     if abs(float(p @ x)) > 1e-8 or abs(float(pbar @ y)) > 1e-8:
         raise DomainError("directions must be tangent at their base points")
-    if require_null and abs(mixed_bilinear(x, y, p, pbar)) > NULL_TOL:
+    if abs(mixed_bilinear(x, y, p, pbar)) > NULL_TOL:
         raise NullityError(
             f"direction pair has mixed pairing {mixed_bilinear(x, y, p, pbar):.2e}"
         )
@@ -223,11 +215,11 @@ def biconvexity_witness(
 def cross_curvature_suite(
     n: int,
     samples: int = 100,
-    min_alignment: float = 0.3,
     h: float = 1e-3,
     seed: int = 0,
 ) -> ConditionReport:
-    """Positivity sweep of the cross-curvature over random null pairs."""
+    """Positivity sweep of the cross-curvature over random null pairs, at
+    alignments x . y drawn uniformly from [0.3, 1)."""
     if n < 2:
         raise ConfigError("the cross-curvature sweep requires sphere dimension >= 2")
     rng = np.random.default_rng(seed)
@@ -241,7 +233,7 @@ def cross_curvature_suite(
         frame = tangent_frame(x)
         d = frame.T @ rng.normal(size=n)
         d /= np.linalg.norm(d)
-        dot = rng.uniform(min_alignment, 1.0 - 1e-6)
+        dot = rng.uniform(0.3, 1.0 - 1e-6)
         ang = math.acos(dot)
         y = math.cos(ang) * x + math.sin(ang) * d
         for p, pbar in random_null_pairs(x, y, 1, rng):

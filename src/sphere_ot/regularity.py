@@ -148,31 +148,6 @@ def holder_constant(
     return float(np.max(d / r**alpha))
 
 
-def exact_exponent_fixture(alpha: float, count: int, seed: int = 0):
-    """Synthetic samples whose displacements obey |df| = |dx|^alpha exactly.
-
-    Sample positions sit on a line, and values are the classical-MDS
-    embedding of the alpha-snowflake metric |t_i - t_j|^alpha, which is of
-    negative type for alpha <= 1, so every pairwise displacement matches
-    the prescribed power law to machine precision. Oracle data for
-    exponent-recovery tests.
-    """
-    if not 0 < alpha <= 1:
-        raise ConfigError("exact power-law embeddings exist for 0 < alpha <= 1")
-    rng = np.random.default_rng(seed)
-    t = np.sort(rng.random(count))
-    points = np.zeros((count, 3))
-    points[:, 0] = t
-    dmat = np.abs(t[:, None] - t[None, :]) ** alpha
-    sq = dmat**2
-    j = np.eye(count) - np.ones((count, count)) / count
-    gram = -0.5 * j @ sq @ j
-    w, v = np.linalg.eigh(gram)
-    keep = w > 1e-12 * w.max()
-    values = v[:, keep] * np.sqrt(w[keep])
-    return points, values
-
-
 def region_constants(mm: MultiMap, region_idx: np.ndarray, window: tuple) -> RegionConstants:
     """Alignment margin and envelope constants on a bivalent atom subset."""
     idx = np.asarray(region_idx, dtype=int)
@@ -216,14 +191,13 @@ def t_minus_bound_check(
     return float(np.max(d / bound))
 
 
-def segment_normal_check(
-    mm: MultiMap, i0: int, i1: int, k_u: float, samples: int = 100
-):
+def segment_normal_check(mm: MultiMap, i0: int, i1: int, k_u: float):
     """Alignment of both sources with the inward normal along the inner segment.
 
-    Samples the segment between the two inner images; at each sample u the
-    inward direction is -u/|u|, and the check passes when both sources'
-    projections onto it stay above k_u / 2 (up to roundoff).
+    Samples the segment between the two inner images at 100 even steps,
+    ends included; at each sample u the inward direction is -u/|u|, and the
+    check passes when both sources' projections onto it stay above k_u / 2
+    (up to roundoff).
     """
     z0 = mm.minus[i0]
     z1 = mm.minus[i1]
@@ -232,7 +206,7 @@ def segment_normal_check(
     s_star = 0.0 if dd == 0.0 else float(np.clip(-(z0 @ diff) / dd, 0.0, 1.0))
     if np.linalg.norm(z0 + s_star * diff) < 1e-9:
         raise DomainError("segment between inner images passes through the origin")
-    ts = np.linspace(0.0, 1.0, samples)
+    ts = np.linspace(0.0, 1.0, 100)
     seg = (1.0 - ts)[:, None] * z0[None, :] + ts[:, None] * z1[None, :]
     norms = np.linalg.norm(seg, axis=1)
     grads = -seg / norms[:, None]
@@ -242,31 +216,13 @@ def segment_normal_check(
     return min_proj, min_proj > k_u / 2.0 - 1e-9
 
 
-def vector_lemma_margin(u: np.ndarray, v: np.ndarray):
+def vector_lemma_margin(us: np.ndarray, vs: np.ndarray):
     """Excess angle over a right angle and slack in |u + v| >= |u| cos(excess).
 
-    Returns (alpha, margin) with alpha = max(0, angle(u, v) - pi/2); the
-    margin is nonnegative up to roundoff whenever alpha < pi/2.
+    Works over the rows u, v of us, vs and returns (alphas, margins), with
+    alpha = max(0, angle(u, v) - pi/2), and 0 where v is zero; each margin
+    is nonnegative up to roundoff whenever alpha < pi/2.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nu_ = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu_ == 0.0:
-        raise DomainError("u must be nonzero")
-    if nv == 0.0:
-        return 0.0, 0.0
-    cosang = float(np.clip(u @ v / (nu_ * nv), -1.0, 1.0))
-    angle = math.acos(cosang)
-    alpha = max(0.0, angle - math.pi / 2.0)
-    if alpha >= math.pi / 2.0:
-        raise DomainError("antiparallel pair: excess angle reaches a right angle")
-    margin = float(np.linalg.norm(u + v)) - nu_ * math.cos(alpha)
-    return alpha, margin
-
-
-def vector_lemma_margin_batch(us: np.ndarray, vs: np.ndarray):
-    """Vectorized vector_lemma_margin over rows; returns (alphas, margins)."""
     us = np.asarray(us, dtype=float)
     vs = np.asarray(vs, dtype=float)
     nu_ = np.linalg.norm(us, axis=1)

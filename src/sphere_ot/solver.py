@@ -41,14 +41,10 @@ absorbed into the potentials before the kernel is rebuilt. Its plan is
 rounded onto the marginals as in Altschuler, Weed and Rigollet (2017,
 Algorithm 2).
 
-Dual potentials are returned in the cost form psi_i + phi_j <= c(x_i, y_j);
-the correlation-form convex potential used for subdifferential queries
-is derived from them via c(x, y) = 2 - 2 x.y, giving
-psi_corr(x) = max_j (x.y_j + phi_j / 2) = 1 - psi_i / 2 at source atoms.
+Dual potentials are returned in the cost form psi_i + phi_j <= c(x_i, y_j).
 """
 
 import csv
-import itertools
 import json
 import warnings
 from dataclasses import dataclass
@@ -63,7 +59,7 @@ from .errors import ConfigError, ConvergenceError, SolverError, SolverFallbackWa
 from .geometry import cost_matrix, pair_costs
 from .measures import DiscreteMeasure
 
-MASS_TOL = 1e-8
+MASS_TOL = 1e-8  # marginal tolerance of instances and plans; the entropic solve stops at it
 SUPPORT_EPS = 1e-15
 FULL_PAIRS = 40_000  # assignment instances of at most this many pairs price every pair
 LP_FULL_PAIRS = 3_600  # LP instances of at most this many pairs price every pair
@@ -71,6 +67,7 @@ COARSEN = 4  # atoms per coarse centre in the multiscale warm start
 NEIGHBOURS = 10  # smallest reduced costs per row and per column in the first candidate set
 BLOCK = 256  # rows, columns or support entries per block when selecting, pricing or checking
 SCALING_BOUND = 1e50  # Sinkhorn scalings above this are absorbed into the potentials
+MAX_SWEEPS = 20_000  # Sinkhorn sweeps before the entropic solve gives up
 PRICE_TOL = 1e-10  # certified once no pair has reduced cost below -PRICE_TOL
 ROUND_CAP = 2  # most negatively priced pairs per row and per column added in one round
 # HiGHS's default 1e-7 tolerances can leave a candidate pair priced at
@@ -449,24 +446,6 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure):
     return _solve_lp(mu, nu, c)
 
 
-def brute_force_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
-    """Exact optimum by enumerating all permutations (equal weights, N <= 8)."""
-    n = mu.count
-    if nu.count != n or n > 8:
-        raise ConfigError("oracle requires equal atom counts with N <= 8")
-    if not (
-        np.allclose(mu.weights, 1.0 / n, rtol=0, atol=1e-12)
-        and np.allclose(nu.weights, 1.0 / n, rtol=0, atol=1e-12)
-    ):
-        raise ConfigError("oracle requires equal weights 1/N on both sides")
-    c = cost_matrix(mu.points, nu.points)
-    perms = np.array(list(itertools.permutations(range(n))))
-    costs = c[np.arange(n)[None, :], perms].sum(axis=1) / n
-    best = perms[np.argmin(costs)]
-    mass = np.full(n, 1.0 / n)
-    return Coupling(np.arange(n), best, mass, float(costs.min()))
-
-
 def _round_to_marginals(plan: np.ndarray, mu_w: np.ndarray, nu_w: np.ndarray) -> np.ndarray:
     """Rescale rows and columns, then add a rank-one correction, so the
     plan satisfies both marginals exactly: Algorithm 2 of Altschuler, Weed
@@ -502,13 +481,7 @@ def _scaling(kernel: np.ndarray, other: np.ndarray, weights: np.ndarray):
     return scaling, bool(scaling.max() <= SCALING_BOUND)
 
 
-def solve_entropic(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    reg: float,
-    max_iter: int = 20_000,
-    tol: float = 1e-8,
-):
+def solve_entropic(mu: DiscreteMeasure, nu: DiscreteMeasure, reg: float):
     """Entropic-regularized transport by stabilised matrix scaling.
 
     The absorption scheme of Schmitzer ("Stabilized sparse scaling
@@ -531,7 +504,7 @@ def solve_entropic(
     The returned plan is rounded to satisfy both marginals exactly, so its
     linear cost is always >= the exact optimum; it converges to it as
     reg -> 0. Raises ConvergenceError if the row marginal violation is not
-    within tol after max_iter sweeps, NaN included.
+    within MASS_TOL after MAX_SWEEPS sweeps, NaN included.
     """
     _check_instance(mu, nu)
     if not (0 < reg < np.inf):
@@ -547,7 +520,7 @@ def solve_entropic(
         return np.max(np.abs(u * (kernel @ v) - a))
 
     violation = np.inf
-    for it in range(max_iter):
+    for it in range(MAX_SWEEPS):
         u, ok = _scaling(kernel, v, a)
         if not ok:
             g += reg * np.log(v)
@@ -560,15 +533,15 @@ def solve_entropic(
             g = (c - f[:, None]).min(axis=0)
             kernel = _kernel(f, g, c, reg)
             u, v = np.ones(mu.count), b / kernel.sum(axis=0)
-        if it % 10 == 9 or it == max_iter - 1:
+        if it % 10 == 9 or it == MAX_SWEEPS - 1:
             violation = row_violation()
-            if violation <= tol:
+            if violation <= MASS_TOL:
                 break
     else:
         violation = row_violation()
-    if not violation <= tol:
+    if not violation <= MASS_TOL:
         raise ConvergenceError(
-            f"marginal violation {violation:.3e} > {tol} after {max_iter} iterations"
+            f"marginal violation {violation:.3e} > {MASS_TOL} after {MAX_SWEEPS} iterations"
         )
     kernel *= u[:, None]
     kernel *= v[None, :]
@@ -642,23 +615,6 @@ def _min_per_source(own: np.ndarray, cross: np.ndarray, starts: np.ndarray, axis
     if len(starts) == cross.shape[axis]:
         return cross
     return np.minimum.reduceat(cross, starts, axis=axis)
-
-
-def brenier_potential(
-    duals: DualPotentials, nu: DiscreteMeasure, x: np.ndarray, tie_tol: float = 1e-8
-):
-    """Correlation-form convex potential and its discrete subdifferential at x.
-
-    Returns (value, argmax indices): value = max_j (x . y_j - phi_corr_j)
-    with the correlation-form dual phi_corr_j = -phi_j / 2 (from
-    c = 2 - 2 x.y), and every j within tie_tol of the maximum. For sources
-    of a solved instance the argmax set contains all targets carrying
-    coupling mass, and the value equals 1 - psi_i / 2 there.
-    """
-    scores = nu.points @ np.asarray(x, dtype=float) + duals.phi / 2.0
-    value = float(scores.max())
-    argmax = np.nonzero(scores >= value - tie_tol)[0]
-    return value, argmax
 
 
 def save_coupling_csv(coupling: Coupling, path) -> None:

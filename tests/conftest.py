@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from sphere_ot import maps as maps_mod
 from sphere_ot import measures as measures_mod
 from sphere_ot import pipeline as pipe
 from sphere_ot import solver as solver_mod
+from sphere_ot.errors import ConfigError
+from sphere_ot.geometry import cost_matrix
 
 
 @pytest.fixture
@@ -21,6 +25,64 @@ def make_measure(points, weights=None):
     return measures_mod.DiscreteMeasure(
         points.shape[1] - 1, points, np.asarray(weights, dtype=float), np.ones(count)
     )
+
+
+def brute_force_oracle(mu, nu):
+    """Exact optimum by enumerating all permutations (equal weights, N <= 8)."""
+    n = mu.count
+    if nu.count != n or n > 8:
+        raise ConfigError("oracle requires equal atom counts with N <= 8")
+    if not (
+        np.allclose(mu.weights, 1.0 / n, rtol=0, atol=1e-12)
+        and np.allclose(nu.weights, 1.0 / n, rtol=0, atol=1e-12)
+    ):
+        raise ConfigError("oracle requires equal weights 1/N on both sides")
+    c = cost_matrix(mu.points, nu.points)
+    perms = np.array(list(itertools.permutations(range(n))))
+    costs = c[np.arange(n)[None, :], perms].sum(axis=1) / n
+    best = perms[np.argmin(costs)]
+    mass = np.full(n, 1.0 / n)
+    return solver_mod.Coupling(np.arange(n), best, mass, float(costs.min()))
+
+
+def brenier_potential(duals, nu, x, tie_tol=1e-8):
+    """Correlation-form convex potential and its discrete subdifferential at x.
+
+    Returns (value, argmax indices): value = max_j (x . y_j - phi_corr_j)
+    with the correlation-form dual phi_corr_j = -phi_j / 2 (from
+    c = 2 - 2 x.y), and every j within tie_tol of the maximum. For sources
+    of a solved instance the argmax set contains all targets carrying
+    coupling mass, and the value equals 1 - psi_i / 2 there.
+    """
+    scores = nu.points @ np.asarray(x, dtype=float) + duals.phi / 2.0
+    value = float(scores.max())
+    argmax = np.nonzero(scores >= value - tie_tol)[0]
+    return value, argmax
+
+
+def exact_exponent_fixture(alpha, count, seed=0):
+    """Synthetic samples whose displacements obey |df| = |dx|^alpha exactly.
+
+    Sample positions sit on a line, and values are the classical-MDS
+    embedding of the alpha-snowflake metric |t_i - t_j|^alpha, which is of
+    negative type for alpha <= 1, so every pairwise displacement matches
+    the prescribed power law to machine precision. Oracle data for
+    exponent-recovery tests.
+    """
+    if not 0 < alpha <= 1:
+        raise ConfigError("exact power-law embeddings exist for 0 < alpha <= 1")
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.random(count))
+    points = np.zeros((count, 3))
+    points[:, 0] = t
+    dmat = np.abs(t[:, None] - t[None, :]) ** alpha
+    sq = dmat**2
+    j = np.eye(count) - np.ones((count, count)) / count
+    gram = -0.5 * j @ sq @ j
+    w, v = np.linalg.eigh(gram)
+    keep = w > 1e-12 * w.max()
+    values = v[:, keep] * np.sqrt(w[keep])
+    return points, values
 
 
 def bivalent_family(count=40, seed=0):

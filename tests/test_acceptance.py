@@ -11,7 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import bivalent_family, make_measure, random_suitable_pair
+from conftest import (
+    bivalent_family, brute_force_oracle, exact_exponent_fixture, make_measure, random_suitable_pair,
+)
 from sphere_ot import geometry as g
 from sphere_ot import maps as mp
 from sphere_ot import measures as me
@@ -118,7 +120,7 @@ def test_criterion_01_oracle_equivalence(rng):
         mu = make_measure(g.random_sphere_points(2, n_atoms, rng))
         nu = make_measure(g.random_sphere_points(2, n_atoms, rng))
         exact_cost = so.solve_exact(mu, nu)[0].total_cost
-        oracle_cost = so.brute_force_oracle(mu, nu).total_cost
+        oracle_cost = brute_force_oracle(mu, nu).total_cost
         worst = max(worst, abs(exact_cost - oracle_cost))
     elapsed = time.monotonic() - t0
     report(1, worst <= TOL_COST and elapsed < 10.0,
@@ -203,7 +205,7 @@ def test_criterion_07_vector_margin_suite(rng):
         us = rng.normal(size=(100_000, dim))
         vs = rng.normal(size=(100_000, dim))
         keep = np.linalg.norm(us, axis=1) > 1e-9
-        _, margins = rg.vector_lemma_margin_batch(us[keep], vs[keep])
+        _, margins = rg.vector_lemma_margin(us[keep], vs[keep])
         worst = min(worst, float(margins.min()))
     report(7, worst >= -1e-12,
            f"min excess-angle margin {worst:.2e} >= -1e-12 over 3x100000 random pairs")
@@ -314,7 +316,7 @@ def test_criterion_12_synthetic_exponents():
 
     worst = 0.0
     for alpha in (0.25, 0.5, 1.0):
-        points, values = rg.exact_exponent_fixture(alpha, 80, seed=7)
+        points, values = exact_exponent_fixture(alpha, 80, seed=7)
         r = pdist(points)
         window = (float(np.quantile(r, 0.05)), float(np.quantile(r, 0.95)))
         fit = rg.holder_fit(points, values, window=window)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,26 @@ class TestCost:
         for i in range(5):
             for j in range(7):
                 assert c[i, j] == pytest.approx(g.cost_extrinsic(xs[i], ys[j]), abs=1e-12)
+
+    def test_cost_matrix_bits_without_second_matrix(self, rng):
+        # reference: the whole-matrix expression, whose peak is twice the result
+        shapes = [(2, 3000, 3000), (1, 300, 300), (3, 700, 500), (2, 500, 7), (2, 7, 500), (2, 1, 1)]
+        for n, rows, cols in shapes:
+            xs = g.random_sphere_points(n, rows, rng)
+            ys = g.random_sphere_points(n, cols, rng)
+            sq_x = np.einsum("ij,ij->i", xs, xs)
+            sq_y = np.einsum("ij,ij->i", ys, ys)
+            want = sq_x[:, None] + sq_y[None, :] - 2.0 * (xs @ ys.T)
+            np.maximum(want, 0.0, out=want)
+            tracemalloc.start()
+            try:
+                got = g.cost_matrix(xs, ys)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got.tobytes() == want.tobytes(), (n, rows, cols)
+            if rows * cols >= 10**5:  # the norms and one row are small beside the result
+                assert peak <= 1.1 * got.nbytes, (n, rows, cols, peak)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_pair_costs_match_cost_matrix(self, rng, n):

@@ -71,7 +71,7 @@ class TestCrossCurvature:
     def test_zero_direction(self, rng):
         x, y = _aligned_pair(rng, 0.5)
         pbar = _tangent(y, rng)
-        assert mtw.cross_curvature(x, y, np.zeros(3), pbar, require_null=False) == 0.0
+        assert mtw.cross_curvature(x, y, np.zeros(3), pbar) == 0.0
 
     def test_known_law_on_null_pairs(self, rng):
         # the mixed fourth difference equals 2 / (x . y) on null pairs
@@ -114,12 +114,12 @@ class TestCrossCurvature:
     def test_boundary_rejected(self, rng):
         x, y = _aligned_pair(rng, 0.05)
         with pytest.raises(DomainError):
-            mtw.cross_curvature(x, y, _tangent(x, rng), _tangent(y, rng), require_null=False)
+            mtw.cross_curvature(x, y, _tangent(x, rng), _tangent(y, rng))
 
     def test_non_tangent_rejected(self, rng):
         x, y = _aligned_pair(rng, 0.5)
         with pytest.raises(DomainError):
-            mtw.cross_curvature(x, y, x, _tangent(y, rng), require_null=False)
+            mtw.cross_curvature(x, y, x, _tangent(y, rng))
 
     def test_dimension_three(self, rng):
         x = g.random_sphere_points(3, 1, rng)[0]

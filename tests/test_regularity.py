@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
-from conftest import bivalent_family
+from conftest import bivalent_family, exact_exponent_fixture
 from sphere_ot import maps as mp
 from sphere_ot import measures as me
 from sphere_ot import regularity as rg
-from sphere_ot import solver as so
 from sphere_ot.errors import ConfigError, DomainError, InsufficientDataError
 
 
@@ -24,7 +23,7 @@ class TestHolderFit:
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
     def test_exact_exponent_recovery(self, alpha):
-        points, values = rg.exact_exponent_fixture(alpha, 80, seed=3)
+        points, values = exact_exponent_fixture(alpha, 80, seed=3)
         r = pdist(points)
         window = (float(np.quantile(r, 0.05)), float(np.quantile(r, 0.95)))
         rep = rg.holder_fit(points, values, window=window)
@@ -32,7 +31,7 @@ class TestHolderFit:
         assert rep.C_hat == pytest.approx(1.0, abs=0.05)
 
     def test_fixture_is_exact(self):
-        points, values = rg.exact_exponent_fixture(0.5, 60, seed=1)
+        points, values = exact_exponent_fixture(0.5, 60, seed=1)
         r = pdist(points)
         d = pdist(values)
         assert np.max(np.abs(d - r**0.5)) <= 1e-10
@@ -54,13 +53,13 @@ class TestHolderFit:
             rg.holder_fit(mesh.points, mesh.points, window=(1e-9, 2e-9))
 
     def test_low_confidence_flag(self):
-        points, values = rg.exact_exponent_fixture(1.0, 6, seed=0)
+        points, values = exact_exponent_fixture(1.0, 6, seed=0)
         rep = rg.holder_fit(points, values, window=(1e-6, 2.0))
         assert rep.pair_count < 30
         assert rep.low_confidence
 
     def test_holder_constant_on_fixture(self):
-        points, values = rg.exact_exponent_fixture(0.5, 40, seed=2)
+        points, values = exact_exponent_fixture(0.5, 40, seed=2)
         r = pdist(points)
         window = (float(r.min()), float(r.max()))
         c = rg.holder_constant(points, values, 0.5, window)
@@ -68,7 +67,7 @@ class TestHolderFit:
 
     def test_bad_alpha_fixture(self):
         with pytest.raises(ConfigError):
-            rg.exact_exponent_fixture(1.5, 10)
+            exact_exponent_fixture(1.5, 10)
 
 
 class TestRegionConstants:
@@ -161,30 +160,51 @@ class TestSegmentNormal:
             rg.segment_normal_check(mm, 0, 1, k_u=0.5)
 
 
+def _scalar_vector_lemma_margin(u, v):
+    """Reference: the excess angle and margin of one pair, in scalar math."""
+    nu_ = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu_ == 0.0:
+        raise DomainError("u must be nonzero")
+    if nv == 0.0:
+        return 0.0, 0.0
+    cosang = float(np.clip(u @ v / (nu_ * nv), -1.0, 1.0))
+    angle = math.acos(cosang)
+    alpha = max(0.0, angle - math.pi / 2.0)
+    if alpha >= math.pi / 2.0:
+        raise DomainError("antiparallel pair: excess angle reaches a right angle")
+    margin = float(np.linalg.norm(u + v)) - nu_ * math.cos(alpha)
+    return alpha, margin
+
+
+def _margin_of_pair(u, v):
+    """vector_lemma_margin on the one-row arrays of u and v, as scalars."""
+    alphas, margins = rg.vector_lemma_margin(np.array([u], dtype=float), np.array([v], dtype=float))
+    return float(alphas[0]), float(margins[0])
+
+
 class TestVectorLemma:
     def test_right_angle(self):
-        alpha, margin = rg.vector_lemma_margin(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        alpha, margin = _margin_of_pair([1.0, 0.0], [0.0, 1.0])
         assert alpha == 0.0
         assert margin == pytest.approx(math.sqrt(2) - 1, abs=1e-12)
 
     def test_obtuse_pair(self):
-        alpha, margin = rg.vector_lemma_margin(
-            np.array([1.0, 0.0]), np.array([-math.sqrt(0.5), math.sqrt(0.5)])
-        )
+        alpha, margin = _margin_of_pair([1.0, 0.0], [-math.sqrt(0.5), math.sqrt(0.5)])
         assert alpha == pytest.approx(math.pi / 4, abs=1e-12)
         assert margin == pytest.approx(0.0583, abs=1e-3)
 
     def test_zero_v(self):
-        alpha, margin = rg.vector_lemma_margin(np.array([2.0, 0.0]), np.zeros(2))
+        alpha, margin = _margin_of_pair([2.0, 0.0], [0.0, 0.0])
         assert alpha == 0.0 and margin == 0.0
 
     def test_zero_u_rejected(self):
         with pytest.raises(DomainError):
-            rg.vector_lemma_margin(np.zeros(2), np.array([1.0, 0.0]))
+            _margin_of_pair([0.0, 0.0], [1.0, 0.0])
 
     def test_antiparallel_rejected(self):
         with pytest.raises(DomainError):
-            rg.vector_lemma_margin(np.array([1.0, 0.0]), np.array([-2.0, 0.0]))
+            _margin_of_pair([1.0, 0.0], [-2.0, 0.0])
 
     @given(
         st.integers(2, 4),
@@ -198,7 +218,7 @@ class TestVectorLemma:
         if np.linalg.norm(u) < 1e-6:
             return
         try:
-            _, margin = rg.vector_lemma_margin(u, v)
+            _, margin = _margin_of_pair(u, v)
         except DomainError:
             return
         assert margin >= -1e-12
@@ -206,9 +226,9 @@ class TestVectorLemma:
     def test_batch_matches_scalar(self, rng):
         us = rng.normal(size=(50, 3))
         vs = rng.normal(size=(50, 3))
-        alphas, margins = rg.vector_lemma_margin_batch(us, vs)
+        alphas, margins = rg.vector_lemma_margin(us, vs)
         for k in range(50):
-            a, m = rg.vector_lemma_margin(us[k], vs[k])
+            a, m = _scalar_vector_lemma_margin(us[k], vs[k])
             assert alphas[k] == pytest.approx(a, abs=1e-12)
             assert margins[k] == pytest.approx(m, abs=1e-12)
 

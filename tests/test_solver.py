@@ -7,7 +7,7 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.special import logsumexp
 
-from conftest import images_of, make_measure
+from conftest import brenier_potential, brute_force_oracle, images_of, make_measure
 from sphere_ot import geometry as g
 from sphere_ot import measures as me
 from sphere_ot import solver as so
@@ -436,13 +436,13 @@ class TestWarmRounds:
 
 class TestOracle:
     def test_2x2(self, instance_2x2):
-        coupling = so.brute_force_oracle(*instance_2x2)
+        coupling = brute_force_oracle(*instance_2x2)
         assert coupling.total_cost == pytest.approx(0.4, abs=1e-12)
 
     def test_single_atom(self):
         mu = make_measure([[0.0, 0.0, 1.0]], weights=[1.0])
         nu = make_measure([[1.0, 0.0, 0.0]], weights=[1.0])
-        coupling = so.brute_force_oracle(mu, nu)
+        coupling = brute_force_oracle(mu, nu)
         assert coupling.size == 1
         assert coupling.total_cost == pytest.approx(2.0, abs=1e-12)
 
@@ -451,17 +451,17 @@ class TestOracle:
             mu = make_measure(g.random_sphere_points(2, n_atoms, rng))
             nu = make_measure(g.random_sphere_points(2, n_atoms, rng))
             a = so.solve_exact(mu, nu)[0]
-            b = so.brute_force_oracle(mu, nu)
+            b = brute_force_oracle(mu, nu)
             assert abs(a.total_cost - b.total_cost) <= 1e-9
 
     def test_preconditions(self, rng):
         big = make_measure(g.random_sphere_points(2, 9, rng))
         with pytest.raises(ConfigError):
-            so.brute_force_oracle(big, big)
+            brute_force_oracle(big, big)
         mu = make_measure(g.random_sphere_points(2, 3, rng), weights=[0.5, 0.25, 0.25])
         nu = make_measure(g.random_sphere_points(2, 3, rng))
         with pytest.raises(ConfigError):
-            so.brute_force_oracle(mu, nu)
+            brute_force_oracle(mu, nu)
 
 
 class TestEntropic:
@@ -505,13 +505,14 @@ class TestEntropic:
         assert all(a >= b - 1e-12 for a, b in zip(costs, costs[1:]))
         assert all(c >= exact_cost - 1e-12 for c in costs)
 
-    def test_convergence_error(self, rng):
+    def test_convergence_error(self, rng, monkeypatch):
         w1 = rng.random(20) + 0.3
         w2 = rng.random(20) + 0.3
         mu = make_measure(g.random_sphere_points(2, 20, rng), weights=w1 / w1.sum())
         nu = make_measure(g.random_sphere_points(2, 20, rng), weights=w2 / w2.sum())
+        monkeypatch.setattr(so, "MAX_SWEEPS", 3)
         with pytest.raises(ConvergenceError):
-            so.solve_entropic(mu, nu, reg=0.05, max_iter=3, tol=1e-13)
+            so.solve_entropic(mu, nu, reg=0.05)
 
     def test_non_finite_violation_raises(self, rng, monkeypatch):
         # a NaN cost entry makes the kernel, and so the violation, NaN
@@ -524,8 +525,9 @@ class TestEntropic:
             return c
 
         monkeypatch.setattr(so, "cost_matrix", poisoned)
+        monkeypatch.setattr(so, "MAX_SWEEPS", 30)
         with pytest.raises(ConvergenceError, match="nan"):
-            so.solve_entropic(mu, nu, reg=0.05, max_iter=30)
+            so.solve_entropic(mu, nu, reg=0.05)
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -736,7 +738,7 @@ class TestBrenierPotential:
         nu = make_measure([[0.6, 0.0, 0.8]], weights=[1.0])
         duals = so.DualPotentials(np.zeros(1), np.zeros(1))
         x = np.array([0.0, 0.0, 1.0])
-        value, argmax = so.brenier_potential(duals, nu, x)
+        value, argmax = brenier_potential(duals, nu, x)
         assert value == pytest.approx(0.8, abs=1e-12)
         assert list(argmax) == [0]
 
@@ -744,7 +746,7 @@ class TestBrenierPotential:
         nu = make_measure([[1.0, 0.0], [0.0, 1.0]])
         duals = so.DualPotentials(np.zeros(2), np.zeros(2))
         x = np.array([np.sqrt(0.5), np.sqrt(0.5)])
-        value, argmax = so.brenier_potential(duals, nu, x)
+        value, argmax = brenier_potential(duals, nu, x)
         assert value == pytest.approx(np.sqrt(0.5), abs=1e-12)
         assert set(argmax) == {0, 1}
 
@@ -754,7 +756,7 @@ class TestBrenierPotential:
         nu = make_measure(g.random_sphere_points(2, 12, rng))
         coupling, duals = so.solve_exact(mu, nu)
         for i in range(12):
-            value, argmax = so.brenier_potential(duals, nu, mu.points[i])
+            value, argmax = brenier_potential(duals, nu, mu.points[i])
             cols, _ = images_of(coupling, i)
             assert set(cols.tolist()).issubset(set(argmax.tolist()))
             assert value == pytest.approx(1.0 - duals.psi[i] / 2.0, abs=1e-9)
