@@ -24,7 +24,9 @@ assignment path is used instead, built on the same two ideas. Every
 COARSEN-th atom of each side in k-d tree order forms a coarse instance
 that is solved first; its target duals, carried up by two c-transforms,
 make linear_sum_assignment run on reduced costs, with the same optimum
-in far fewer augmenting-path steps. The duals come from Jacobi
+in far fewer augmenting-path steps. The reduced costs are formed in place
+in the cost matrix, which is then rebuilt for the sweeps below, so the
+path holds one n x n array at a time. The duals come from Jacobi
 Bellman-Ford sweeps from zero on the column reassignment graph, run over
 a short candidate list and widened by pricing every pair. Each sweep is
 monotone and starts above every fixed point, so any such run stops at
@@ -121,9 +123,18 @@ class DualPotentials:
     phi: np.ndarray
 
     def feasibility_gap(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-        """max_ij (psi_i + phi_j - c_ij); <= 0 for feasible duals."""
-        c = cost_matrix(mu.points, nu.points)
-        return float((self.psi[:, None] + self.phi[None, :] - c).max())
+        """max_ij (psi_i + phi_j - c_ij); <= 0 for feasible duals.
+
+        The costs are built in blocks of BLOCK rows, so no array as large as
+        the cost matrix is made; an entry may differ from the whole matrix's
+        in the last ulp.
+        """
+        gap = -np.inf
+        for lo in range(0, mu.count, BLOCK):
+            s = self.psi[lo:lo + BLOCK, None] + self.phi[None, :]
+            s -= cost_matrix(mu.points[lo:lo + BLOCK], nu.points)
+            gap = np.maximum(gap, s.max())  # NaN if any entry is
+        return float(gap)
 
     def slackness_gap(self, coupling: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
         """max |psi_i + phi_j - c_ij| over the coupling support."""
@@ -347,32 +358,37 @@ def _subsample(points: np.ndarray) -> np.ndarray:
     return cKDTree(points, leafsize=COARSEN).indices[::COARSEN]
 
 
-def _assignment(c, xs, ys):
-    """Optimal assignment of the square cost c and its duals.
+def _assignment(costs, xs, ys):
+    """Optimal assignment of the square cost matrix costs() and its duals.
 
-    Returns (assign, duals): row i goes to column assign[i], and duals is
-    (psi, phi), or None if the dual sweeps do not settle. Instances above
-    FULL_PAIRS subsample both sides, solve that equal-weight instance the
-    same way and carry its target duals up (zeros if they did not settle);
-    linear_sum_assignment then runs on the reduced costs c - psi - phi,
-    which have the same optimum but need far fewer augmenting-path steps.
-    The pairs of smallest reduced cost are the first candidate edges of the
-    dual sweeps; small instances take every pair.
+    Returns (assign, duals, c): row i goes to column assign[i], duals is
+    (psi, phi), or None if the dual sweeps do not settle, and c is the cost
+    matrix. Instances above FULL_PAIRS subsample both sides, solve that
+    equal-weight instance the same way on a block of c and carry its target
+    duals up (zeros if they did not settle). c then becomes the reduced
+    costs c - psi - phi in place, and linear_sum_assignment runs on them,
+    with the same optimum in far fewer augmenting-path steps. The costs are
+    rebuilt by a second costs() call for the dual sweeps, so no two arrays
+    as large as c are held at once. The pairs of smallest reduced cost are
+    the first candidate edges of the dual sweeps; small instances take
+    every pair.
     """
+    c = costs()
     n = len(c)
     if n * n <= FULL_PAIRS:
         _, assign = linear_sum_assignment(c)
         rows, cols = np.divmod(np.arange(n * n), n)
-        return assign, _assignment_duals(c, assign, rows, cols)
+        return assign, _assignment_duals(c, assign, rows, cols), c
     ci, cj = _subsample(xs), _subsample(ys)
-    _, coarse = _assignment(c[np.ix_(ci, cj)], xs[ci], ys[cj])
+    coarse = _assignment(lambda: c[np.ix_(ci, cj)], xs[ci], ys[cj])[1]
     phi_coarse = coarse[1] if coarse is not None else np.zeros(len(cj))
     psi, phi, rows, cols = _carry_up(c, cj, phi_coarse)
-    reduced = c - psi[:, None]
-    reduced -= phi[None, :]
-    _, assign = linear_sum_assignment(reduced)
-    del reduced
-    return assign, _assignment_duals(c, assign, rows, cols)
+    c -= psi[:, None]
+    c -= phi[None, :]
+    _, assign = linear_sum_assignment(c)
+    del c
+    c = costs()
+    return assign, _assignment_duals(c, assign, rows, cols), c
 
 
 def _assignment_duals(c, assign, rows, cols):
@@ -426,23 +442,23 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure):
     it warns with SolverFallbackWarning and solves the LP.
     """
     _check_instance(mu, nu)
-    c = cost_matrix(mu.points, nu.points)
     equal_weights = (
         mu.count == nu.count
         and np.allclose(mu.weights, mu.weights[0], rtol=0, atol=1e-12)
         and np.allclose(nu.weights, mu.weights[0], rtol=0, atol=1e-12)
     )
-    if equal_weights:
-        assign, duals = _assignment(c, mu.points, nu.points)
-        if duals is not None:
-            mass = np.full(mu.count, mu.weights[0])
-            return _coupling(np.arange(mu.count), assign, mass, c), DualPotentials(*duals)
-        warnings.warn(
-            f"assignment duals did not settle within {mu.count + 1} sweeps of a pass; "
-            "solving the transport LP instead",
-            SolverFallbackWarning,
-            stacklevel=2,
-        )
+    if not equal_weights:
+        return _solve_lp(mu, nu, cost_matrix(mu.points, nu.points))
+    assign, duals, c = _assignment(lambda: cost_matrix(mu.points, nu.points), mu.points, nu.points)
+    if duals is not None:
+        mass = np.full(mu.count, mu.weights[0])
+        return _coupling(np.arange(mu.count), assign, mass, c), DualPotentials(*duals)
+    warnings.warn(
+        f"assignment duals did not settle within {mu.count + 1} sweeps of a pass; "
+        "solving the transport LP instead",
+        SolverFallbackWarning,
+        stacklevel=2,
+    )
     return _solve_lp(mu, nu, c)
 
 

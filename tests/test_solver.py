@@ -102,6 +102,41 @@ class TestExact:
         assert coupling.total_cost == pytest.approx(expected, abs=1e-12)
 
 
+class TestFeasibilityGap:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_whole_matrix(self, rng, n):
+        mu = make_measure(g.random_sphere_points(n, 600, rng))
+        nu = make_measure(g.random_sphere_points(n, 600, rng))
+        _, duals = so.solve_exact(mu, nu)
+        c = g.cost_matrix(mu.points, nu.points)
+        whole = float((duals.psi[:, None] + duals.phi[None, :] - c).max())
+        assert abs(duals.feasibility_gap(mu, nu) - whole) <= 1e-15
+        # a shifted psi in the last row block shows in full
+        shifted = so.DualPotentials(duals.psi.copy(), duals.phi)
+        shifted.psi[-1] += 1e-6
+        assert shifted.feasibility_gap(mu, nu) >= 1e-6 - 1e-15
+
+    def test_no_array_as_large_as_c(self, rng):
+        mu = make_measure(g.random_sphere_points(2, 2000, rng))
+        nu = make_measure(g.random_sphere_points(2, 2000, rng))
+        duals = so.DualPotentials(np.zeros(2000), np.zeros(2000))
+        tracemalloc.start()
+        try:
+            gap = duals.feasibility_gap(mu, nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2000 * 2000 * 8
+        assert abs(gap + g.cost_matrix(mu.points, nu.points).min()) <= 1e-15
+
+    def test_nan_duals_give_nan(self, rng):
+        mu = make_measure(g.random_sphere_points(2, 300, rng))
+        nu = make_measure(g.random_sphere_points(2, 300, rng))
+        psi = np.zeros(300)
+        psi[-1] = np.nan
+        assert np.isnan(so.DualPotentials(psi, np.zeros(300)).feasibility_gap(mu, nu))
+
+
 def _dense_assignment_duals(c, row_to_col):
     """Reference: Jacobi Bellman-Ford over the dense column reassignment graph.
 
@@ -205,6 +240,20 @@ class TestAssignment:
         assert duals.feasibility_gap(mu, nu) <= 1e-12
         assert duals.slackness_gap(coupling, mu, nu) <= 1e-12
 
+    def test_one_cost_matrix_at_a_time(self, rng):
+        # the reduced costs are formed in the cost matrix itself: a second
+        # 3000 x 3000 array held next to it would take the peak past 2x
+        pts = g.random_sphere_points(2, 3000, rng)
+        mu, nu = make_measure(pts), make_measure(_warp(pts))
+        tracemalloc.start()
+        try:
+            coupling, _ = so.solve_exact(mu, nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(coupling.cols, np.arange(3000))
+        assert peak <= 1.6 * 3000 * 3000 * 8
+
 
 def test_unsettled_assignment_duals_fall_back_to_lp_loudly(rng, monkeypatch):
     # 300 atoms: the coarse level's duals fail too and the warm start is zero
@@ -216,6 +265,9 @@ def test_unsettled_assignment_duals_fall_back_to_lp_loudly(rng, monkeypatch):
     coupling.validate(mu, nu)
     assert duals.feasibility_gap(mu, nu) <= 1e-9
     assert duals.slackness_gap(coupling, mu, nu) <= 1e-9
+    # costed under c itself: the reduced costs would shift it by sum(psi + phi) / n
+    lp, _ = so._solve_lp(mu, nu, g.cost_matrix(mu.points, nu.points))
+    assert abs(coupling.total_cost - lp.total_cost) <= 1e-12
 
 
 def _random_instance(rng, n, n_src, n_tgt):
