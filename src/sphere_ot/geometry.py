@@ -145,22 +145,10 @@ def _check_ball(v: np.ndarray, name: str) -> np.ndarray:
     return v
 
 
-def cost_local(X: np.ndarray, Y: np.ndarray) -> float:
-    """Squared-distance cost in shared local coordinates.
-
-    Equals cost_extrinsic of the lifted points: the in-plane displacement
-    plus the height mismatch of the two half-sphere lifts.
-    """
-    X = _check_ball(X, "X")
-    Y = _check_ball(Y, "Y")
-    d = X - Y
-    hx = math.sqrt(1.0 - float(X @ X))
-    hy = math.sqrt(1.0 - float(Y @ Y))
-    return float(d @ d) + (hx - hy) ** 2
-
-
 def grad_cost_local(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Gradient of cost_local in the first argument; equals -2Y at X = 0."""
+    """Gradient in X of the squared-distance cost in shared local
+    coordinates, |X - Y|^2 + (h_X - h_Y)^2 with heights h = sqrt(1 - |.|^2)
+    of the half-sphere lifts; equals -2Y at X = 0."""
     X = _check_ball(X, "X")
     Y = _check_ball(Y, "Y")
     hx = math.sqrt(1.0 - float(X @ X))

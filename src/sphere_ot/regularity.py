@@ -191,55 +191,6 @@ def t_minus_bound_check(
     return float(np.max(d / bound))
 
 
-def segment_normal_check(mm: MultiMap, i0: int, i1: int, k_u: float):
-    """Alignment of both sources with the inward normal along the inner segment.
-
-    Samples the segment between the two inner images at 100 even steps,
-    ends included; at each sample u the inward direction is -u/|u|, and the
-    check passes when both sources' projections onto it stay above k_u / 2
-    (up to roundoff).
-    """
-    z0 = mm.minus[i0]
-    z1 = mm.minus[i1]
-    diff = z1 - z0
-    dd = float(diff @ diff)
-    s_star = 0.0 if dd == 0.0 else float(np.clip(-(z0 @ diff) / dd, 0.0, 1.0))
-    if np.linalg.norm(z0 + s_star * diff) < 1e-9:
-        raise DomainError("segment between inner images passes through the origin")
-    ts = np.linspace(0.0, 1.0, 100)
-    seg = (1.0 - ts)[:, None] * z0[None, :] + ts[:, None] * z1[None, :]
-    norms = np.linalg.norm(seg, axis=1)
-    grads = -seg / norms[:, None]
-    proj0 = grads @ mm.points[i0]
-    proj1 = grads @ mm.points[i1]
-    min_proj = float(min(proj0.min(), proj1.min()))
-    return min_proj, min_proj > k_u / 2.0 - 1e-9
-
-
-def vector_lemma_margin(us: np.ndarray, vs: np.ndarray):
-    """Excess angle over a right angle and slack in |u + v| >= |u| cos(excess).
-
-    Works over the rows u, v of us, vs and returns (alphas, margins), with
-    alpha = max(0, angle(u, v) - pi/2), and 0 where v is zero; each margin
-    is nonnegative up to roundoff whenever alpha < pi/2.
-    """
-    us = np.asarray(us, dtype=float)
-    vs = np.asarray(vs, dtype=float)
-    nu_ = np.linalg.norm(us, axis=1)
-    nv = np.linalg.norm(vs, axis=1)
-    if np.any(nu_ == 0):
-        raise DomainError("u rows must be nonzero")
-    dots = np.einsum("ij,ij->i", us, vs)
-    denom = np.where(nv > 0, nu_ * nv, 1.0)
-    cosang = np.clip(dots / denom, -1.0, 1.0)
-    angles = np.arccos(cosang)
-    alphas = np.where(nv > 0, np.maximum(0.0, angles - np.pi / 2.0), 0.0)
-    if np.any(alphas >= np.pi / 2.0):
-        raise DomainError("antiparallel pair: excess angle reaches a right angle")
-    margins = np.linalg.norm(us + vs, axis=1) - nu_ * np.cos(alphas)
-    return alphas, margins
-
-
 def monotonicity_check(inv: MultiMap, region_idx: np.ndarray) -> float:
     """min over region pairs of (s_minus(y1) - s_minus(y0)) . (y1 - y0)."""
     idx = np.asarray(region_idx, dtype=int)

@@ -26,9 +26,12 @@ that is solved first; its target duals, carried up by two c-transforms,
 make linear_sum_assignment run on reduced costs, with the same optimum
 in far fewer augmenting-path steps. The reduced costs are formed in place
 in the cost matrix, which is then rebuilt for the sweeps below, so the
-path holds one n x n array at a time. The duals come from Jacobi
-Bellman-Ford sweeps from zero on the column reassignment graph, run over
-a short candidate list and widened by pricing every pair. Each sweep is
+path holds one n x n array at a time. Instances of at most FULL_PAIRS
+pairs have no coarse level and run on the costs themselves. The duals come
+from Jacobi Bellman-Ford sweeps from zero on the column reassignment
+graph, run over the NEIGHBOURS smallest entries of each row of the matrix
+linear_sum_assignment ran on and widened by pricing: one pass over every
+row, then passes over the rows whose tail dual fell. Each sweep is
 monotone and starts above every fixed point, so any such run stops at
 the greatest fixed point at or below zero of the sweep over all pairs:
 the duals are bit for bit those of sweeps over the dense matrix. If the
@@ -63,10 +66,10 @@ from .measures import DiscreteMeasure
 
 MASS_TOL = 1e-8  # marginal tolerance of instances and plans; the entropic solve stops at it
 SUPPORT_EPS = 1e-15
-FULL_PAIRS = 40_000  # assignment instances of at most this many pairs price every pair
+FULL_PAIRS = 40_000  # assignment instances of at most this many pairs have no coarse level
 LP_FULL_PAIRS = 3_600  # LP instances of at most this many pairs price every pair
 COARSEN = 4  # atoms per coarse centre in the multiscale warm start
-NEIGHBOURS = 10  # smallest reduced costs per row and per column in the first candidate set
+NEIGHBOURS = 10  # smallest reduced costs per row, and per column on the LP path, first taken as candidates
 BLOCK = 256  # rows, columns or support entries per block when selecting, pricing or checking
 SCALING_BOUND = 1e50  # Sinkhorn scalings above this are absorbed into the potentials
 MAX_SWEEPS = 20_000  # Sinkhorn sweeps before the entropic solve gives up
@@ -180,6 +183,19 @@ def _coarsen(points: np.ndarray, weights: np.ndarray):
     return centres[keep], mass[keep]
 
 
+def _smallest_per_row(block, count, k):
+    """The k smallest entries of every row of a count-row matrix whose rows
+    lo:lo + BLOCK are block(lo), as (rows, cols)."""
+    rows, cols = [], []
+    for lo in range(0, count, BLOCK):
+        values = block(lo)
+        kk = min(k, values.shape[1])
+        best = np.argpartition(values, kk - 1, axis=1)[:, :kk]
+        rows.append(np.repeat(np.arange(lo, lo + len(best)), kk))
+        cols.append(best.ravel())
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def _smallest_reduced(c, psi, phi, k):
     """The k pairs of smallest reduced cost c - psi - phi in every row and
     in every column, as (rows, cols); a pair may appear twice.
@@ -189,32 +205,25 @@ def _smallest_reduced(c, psi, phi, k):
     pairs are those of the whole-matrix calls.
     """
     n, m = c.shape
-    rows, cols = [], []
-    kr = min(k, m)
-    for lo in range(0, n, BLOCK):
-        reduced = c[lo:lo + BLOCK] - psi[lo:lo + BLOCK, None] - phi[None, :]
-        best = np.argpartition(reduced, kr - 1, axis=1)[:, :kr]
-        rows.append(np.repeat(np.arange(lo, lo + len(best)), kr))
-        cols.append(best.ravel())
-    kc = min(k, n)
-    for lo in range(0, m, BLOCK):
+
+    def column_block(lo):
         reduced = c[:, lo:lo + BLOCK].T.copy()  # one contiguous row per column
         reduced -= psi[None, :]
         reduced -= phi[lo:lo + BLOCK, None]
-        best = np.argpartition(reduced, kc - 1, axis=1)[:, :kc]
-        rows.append(best.ravel())
-        cols.append(np.repeat(np.arange(lo, lo + len(best)), kc))
-    return np.concatenate(rows), np.concatenate(cols)
+        return reduced
+
+    rows, cols = _smallest_per_row(
+        lambda lo: c[lo:lo + BLOCK] - psi[lo:lo + BLOCK, None] - phi[None, :], n, k
+    )
+    picks, sources = _smallest_per_row(column_block, m, k)
+    return np.append(rows, sources), np.append(cols, picks)
 
 
-def _carry_up(c, cols, phi_coarse):
-    """Duals on all of c from target duals phi_coarse on the columns cols.
-
-    Two c-transforms give psi and phi, in blocks of BLOCK rows so no
-    temporary as large as c is made. Returns (psi, phi, rows, picks): the
-    pairs (rows, picks) are the NEIGHBOURS of smallest reduced cost
-    c - psi - phi in every row and in every column.
-    """
+def _c_transforms(c, cols, phi_coarse):
+    """Duals (psi, phi) on all of c from target duals phi_coarse on the
+    columns cols: psi_i = min_k c[i, cols[k]] - phi_coarse[k], then
+    phi_j = min_i c_ij - psi_i, in blocks of BLOCK rows so no temporary as
+    large as c is made."""
     n, m = c.shape
     psi = np.empty(n)
     phi = np.full(m, np.inf)
@@ -222,7 +231,7 @@ def _carry_up(c, cols, phi_coarse):
         blk = slice(lo, lo + BLOCK)
         psi[blk] = (c[blk][:, cols] - phi_coarse[None, :]).min(axis=1)
         np.minimum(phi, (c[blk] - psi[blk, None]).min(axis=0), out=phi)
-    return (psi, phi, *_smallest_reduced(c, psi, phi, NEIGHBOURS))
+    return psi, phi
 
 
 def _initial_candidates(c, a, b, xs, ys):
@@ -238,7 +247,7 @@ def _initial_candidates(c, a, b, xs, ys):
     ci, ca = _coarsen(xs, a)
     cj, cb = _coarsen(ys, b)
     *_, phi_coarse = _column_generation(c[np.ix_(ci, cj)], ca, cb, xs[ci], ys[cj])
-    _, _, rows, cols = _carry_up(c, cj, phi_coarse)
+    rows, cols = _smallest_reduced(c, *_c_transforms(c, cj, phi_coarse), NEIGHBOURS)
     corner_rows, corner_cols = _north_west_corner(a, b)
     return np.divmod(np.unique(np.r_[rows * m + cols, corner_rows * m + corner_cols]), m)
 
@@ -365,29 +374,29 @@ def _assignment(costs, xs, ys):
     (psi, phi), or None if the dual sweeps do not settle, and c is the cost
     matrix. Instances above FULL_PAIRS subsample both sides, solve that
     equal-weight instance the same way on a block of c and carry its target
-    duals up (zeros if they did not settle). c then becomes the reduced
-    costs c - psi - phi in place, and linear_sum_assignment runs on them,
-    with the same optimum in far fewer augmenting-path steps. The costs are
-    rebuilt by a second costs() call for the dual sweeps, so no two arrays
-    as large as c are held at once. The pairs of smallest reduced cost are
-    the first candidate edges of the dual sweeps; small instances take
-    every pair.
+    duals up by two c-transforms (zeros if they did not settle). c then
+    becomes the reduced costs c - psi - phi in place, and
+    linear_sum_assignment runs on them, with the same optimum in far fewer
+    augmenting-path steps; smaller instances run it on c itself. The
+    NEIGHBOURS smallest entries of every row of the matrix it ran on are the
+    first candidate edges of the dual sweeps. Reduced costs are then
+    replaced by a second costs() call, so no two arrays as large as c are
+    held at once.
     """
     c = costs()
     n = len(c)
-    if n * n <= FULL_PAIRS:
-        _, assign = linear_sum_assignment(c)
-        rows, cols = np.divmod(np.arange(n * n), n)
-        return assign, _assignment_duals(c, assign, rows, cols), c
-    ci, cj = _subsample(xs), _subsample(ys)
-    coarse = _assignment(lambda: c[np.ix_(ci, cj)], xs[ci], ys[cj])[1]
-    phi_coarse = coarse[1] if coarse is not None else np.zeros(len(cj))
-    psi, phi, rows, cols = _carry_up(c, cj, phi_coarse)
-    c -= psi[:, None]
-    c -= phi[None, :]
+    reduced = n * n > FULL_PAIRS
+    if reduced:
+        ci, cj = _subsample(xs), _subsample(ys)
+        coarse = _assignment(lambda: c[np.ix_(ci, cj)], xs[ci], ys[cj])[1]
+        psi, phi = _c_transforms(c, cj, coarse[1] if coarse is not None else np.zeros(len(cj)))
+        c -= psi[:, None]
+        c -= phi[None, :]
     _, assign = linear_sum_assignment(c)
-    del c
-    c = costs()
+    rows, cols = _smallest_per_row(lambda lo: c[lo:lo + BLOCK], n, NEIGHBOURS)
+    if reduced:
+        del c
+        c = costs()
     return assign, _assignment_duals(c, assign, rows, cols), c
 
 
@@ -397,18 +406,24 @@ def _assignment_duals(c, assign, rows, cols):
     Jacobi Bellman-Ford from phi = 0 on the column graph, in which pair
     (i, j) is an edge assign[i] -> j of weight c[i, j] - c[i, assign[i]].
     The sweeps run over the candidate pairs (rows, cols) and the assignment
-    until they settle. Then every pair of c is priced in row blocks by the
-    sweep's own float test; the pairs that fail join the candidates and the
-    sweeps go on from the current phi. A sweep only ever lowers phi, and
-    never below the greatest fixed point at or below 0 of the sweep over
-    all pairs, so the duals returned are that fixed point: bit for bit
-    those of sweeps over the dense matrix. A pass that does not settle
-    within n + 1 sweeps means a negative cycle, which an optimal
-    assignment does not have, and gives None.
+    until they settle. Then the pairs of c are priced by the sweep's own
+    float test; the pairs that fail join the candidates and the sweeps go on
+    from the current phi. The first pricing pass takes every row; each later
+    one takes only the rows whose tail dual phi[assign[i]] fell since they
+    were last priced. phi only falls, so a row left out prices every pair
+    to the same float as before, which was not below the old phi_j and so
+    is not below the new one: the pairs that fail are those of a pass over
+    every row. A sweep only ever lowers phi, and never below the greatest
+    fixed point at or below 0 of the sweep over all pairs, so the duals
+    returned are that fixed point: bit for bit those of sweeps over the
+    dense matrix. A pass that does not settle within n + 1 sweeps means a
+    negative cycle, which an optimal assignment does not have, and gives
+    None.
     """
     n = len(c)
     own = c[np.arange(n), assign]
     phi = np.zeros(n)
+    priced = np.full(n, np.nan)  # each row's tail dual when it was last priced
     rows, cols = np.append(rows, np.arange(n)), np.append(cols, assign)
     while True:
         keys = np.unique(cols * n + rows)  # by head column; every column heads its own loop
@@ -422,15 +437,30 @@ def _assignment_duals(c, assign, rows, cols):
             phi = new
         else:
             return None
-        failed = []  # row-major indices of the pairs that price below phi
-        for lo in range(0, n, BLOCK):
-            via = c[lo:lo + BLOCK] - own[lo:lo + BLOCK, None]
-            via += phi[assign[lo:lo + BLOCK], None]
-            failed.append(np.flatnonzero(via < phi[None, :]) + lo * n)
-        failed = np.concatenate(failed)
-        if not len(failed):
-            return own - phi[assign], phi
-        rows, cols = np.append(rows, failed // n), np.append(cols, failed % n)
+        tail = phi[assign]
+        # never empty: a pair that failed lowered phi_j, the tail dual of the row assigned to j
+        stale = np.flatnonzero(tail != priced)
+        priced = tail
+        failed_rows, failed_cols = _failing_pairs(c, own, tail, phi, stale)
+        if not len(failed_rows):
+            return own - tail, phi
+        rows, cols = np.append(rows, failed_rows), np.append(cols, failed_cols)
+
+
+def _failing_pairs(c, own, tail, phi, stale):
+    """The pairs (i, j) of the rows stale with (c_ij - own_i) + tail_i < phi_j,
+    as (rows, cols). The rows are priced in blocks of BLOCK, each a copy of
+    its rows of c changed in place."""
+    rows, cols = [], []
+    for lo in range(0, len(stale), BLOCK):
+        blk = stale[lo:lo + BLOCK]
+        via = c[blk]
+        via -= own[blk, None]
+        via += tail[blk, None]
+        at, j = np.divmod(np.flatnonzero(via < phi), len(phi))
+        rows.append(blk[at])
+        cols.append(j)
+    return np.concatenate(rows), np.concatenate(cols)
 
 
 def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure):

@@ -7,7 +7,7 @@ from sphere_ot import maps as maps_mod
 from sphere_ot import measures as measures_mod
 from sphere_ot import pipeline as pipe
 from sphere_ot import solver as solver_mod
-from sphere_ot.errors import ConfigError
+from sphere_ot.errors import ConfigError, DomainError
 from sphere_ot.geometry import cost_matrix
 
 
@@ -43,6 +43,30 @@ def brute_force_oracle(mu, nu):
     best = perms[np.argmin(costs)]
     mass = np.full(n, 1.0 / n)
     return solver_mod.Coupling(np.arange(n), best, mass, float(costs.min()))
+
+
+def vector_lemma_margin(us: np.ndarray, vs: np.ndarray):
+    """Excess angle over a right angle and slack in |u + v| >= |u| cos(excess).
+
+    Works over the rows u, v of us, vs and returns (alphas, margins), with
+    alpha = max(0, angle(u, v) - pi/2), and 0 where v is zero; each margin
+    is nonnegative up to roundoff whenever alpha < pi/2.
+    """
+    us = np.asarray(us, dtype=float)
+    vs = np.asarray(vs, dtype=float)
+    nu_ = np.linalg.norm(us, axis=1)
+    nv = np.linalg.norm(vs, axis=1)
+    if np.any(nu_ == 0):
+        raise DomainError("u rows must be nonzero")
+    dots = np.einsum("ij,ij->i", us, vs)
+    denom = np.where(nv > 0, nu_ * nv, 1.0)
+    cosang = np.clip(dots / denom, -1.0, 1.0)
+    angles = np.arccos(cosang)
+    alphas = np.where(nv > 0, np.maximum(0.0, angles - np.pi / 2.0), 0.0)
+    if np.any(alphas >= np.pi / 2.0):
+        raise DomainError("antiparallel pair: excess angle reaches a right angle")
+    margins = np.linalg.norm(us + vs, axis=1) - nu_ * np.cos(alphas)
+    return alphas, margins
 
 
 def brenier_potential(duals, nu, x, tie_tol=1e-8):

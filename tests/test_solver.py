@@ -240,6 +240,33 @@ class TestAssignment:
         assert duals.feasibility_gap(mu, nu) <= 1e-12
         assert duals.slackness_gap(coupling, mu, nu) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_any_candidate_set_gives_dense_duals(self, rng, monkeypatch, n):
+        # from the assignment alone the first pricing pass finds failing
+        # pairs, so later passes re-price only the rows whose tail dual fell
+        priced = []
+        real = so._failing_pairs
+
+        def spy(c, own, tail, phi, stale):
+            priced.append(len(stale))
+            return real(c, own, tail, phi, stale)
+
+        monkeypatch.setattr(so, "_failing_pairs", spy)
+        count = 60
+        c = g.cost_matrix(g.random_sphere_points(n, count, rng), g.random_sphere_points(n, count, rng))
+        _, assign = linear_sum_assignment(c)
+        psi, phi = _dense_assignment_duals(c, assign)
+        every = np.divmod(np.arange(count * count), count)
+        nearest = so._smallest_per_row(lambda lo: c[lo:lo + so.BLOCK], count, so.NEIGHBOURS)
+        alone = (np.empty(0, dtype=int), np.empty(0, dtype=int))
+        for rows, cols in (every, nearest, alone):
+            priced.clear()
+            got_psi, got_phi = so._assignment_duals(c, assign, rows, cols)
+            assert got_psi.tobytes() == psi.tobytes()
+            assert got_phi.tobytes() == phi.tobytes()
+            assert priced[0] == count
+        assert len(priced) >= 2 and max(priced[1:]) < count
+
     def test_one_cost_matrix_at_a_time(self, rng):
         # the reduced costs are formed in the cost matrix itself: a second
         # 3000 x 3000 array held next to it would take the peak past 2x
@@ -317,7 +344,8 @@ class TestColumnGeneration:
                           g.random_sphere_points(2, n_tgt, rng))
         cols = np.arange(0, n_tgt, 4)
         phi_coarse = rng.normal(scale=0.1, size=len(cols))
-        psi, phi, rows, picks = so._carry_up(c, cols, phi_coarse)
+        psi, phi = so._c_transforms(c, cols, phi_coarse)
+        rows, picks = so._smallest_reduced(c, psi, phi, so.NEIGHBOURS)
         want_psi = (c[:, cols] - phi_coarse[None, :]).min(axis=1)
         want_phi = (c - want_psi[:, None]).min(axis=0)
         assert psi.tobytes() == want_psi.tobytes() and phi.tobytes() == want_phi.tobytes()
