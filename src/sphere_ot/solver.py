@@ -8,12 +8,17 @@ candidates until none is left, at which point the duals are feasible on
 the whole matrix and the plan is optimal by certificate. This is the
 shortlist idea of Gottschlich and Schuhmacher ("The shortlist method for
 fast computation of the earth mover's distance and finding optimal
-solutions to transportation problems", 2014). Large instances start
-from the duals of a coarsened instance solved the same way, following
-Schmitzer ("A sparse multiscale algorithm for dense optimal transport",
-2016). Only the first LP of a level is solved cold; each later round
-adds at most ROUND_CAP priced pairs per row and per column to one HiGHS
-model and restarts dual simplex from the previous basis. That model is
+solutions to transportation problems", 2014). Large instances first solve
+the instance coarsened on both sides the same way, following Schmitzer
+("A sparse multiscale algorithm for dense optimal transport", 2016). The
+first candidates of the fine level are the children of the coarse plan's
+support, every fine pair whose atoms belong to a coarse pair of positive
+mass (Schmitzer's shielding neighbourhoods), together with the pairs of
+smallest reduced cost under the coarse duals carried up, and the
+north-west corner. Only the first LP of a level is solved cold; each
+later round adds at most ROUND_CAP priced pairs per row and per column to
+one HiGHS model and restarts dual simplex from the previous basis, or
+from scratch if that run stops short of optimal. That model is
 scipy's bundled HiGHS object, scipy.optimize._highspy._core._Highs, a
 private binding: pyproject.toml pins scipy to the series it was tested
 with, and there is no fallback. The LP duals are shifted so that
@@ -175,12 +180,22 @@ def _north_west_corner(a: np.ndarray, b: np.ndarray):
 
 def _coarsen(points: np.ndarray, weights: np.ndarray):
     """Every COARSEN-th atom as a centre, carrying the mass of the atoms
-    nearest to it; centres left without mass are dropped."""
+    nearest to it; centres left without mass are dropped.
+
+    Returns (centres, mass, owner): owner[i] is the position among the kept
+    centres of the centre atom i went to. The massless atoms of a dropped
+    centre go to their nearest kept centre, so bincount(owner, weights) is
+    mass.
+    """
     centres = np.arange(0, len(points), COARSEN)
     _, owner = cKDTree(points[centres]).query(points)
     mass = np.bincount(owner, weights=weights, minlength=len(centres))
     keep = mass > 0
-    return centres[keep], mass[keep]
+    lost = ~keep[owner]
+    owner = (np.cumsum(keep) - 1)[owner]
+    if lost.any():
+        owner[lost] = cKDTree(points[centres[keep]]).query(points[lost])[1]
+    return centres[keep], mass[keep], owner
 
 
 def _smallest_per_row(block, count, k):
@@ -238,18 +253,33 @@ def _initial_candidates(c, a, b, xs, ys):
     """The first candidate pairs as (rows, cols), sorted row-major.
 
     Small instances take every pair. Larger ones solve the instance
-    coarsened on both sides, carry its target duals up by two c-transforms
-    and keep the pairs of smallest reduced cost and the north-west corner.
+    coarsened on both sides and keep three sets of pairs:
+    - the children of the coarse plan's support: every pair (i, j) whose
+      owners form a coarse pair of positive mass. These are the shielding
+      neighbourhoods of Schmitzer ("A sparse multiscale algorithm for dense
+      optimal transport", 2016); the coarse pairs of zero mass are left
+      out, as their children would cover all of c;
+    - the NEIGHBOURS pairs of smallest reduced cost of every row and
+      column, under the coarse target duals carried up by two c-transforms;
+    - the north-west corner.
     """
     n, m = c.shape
     if n * m <= LP_FULL_PAIRS:
         return np.divmod(np.arange(n * m), m)
-    ci, ca = _coarsen(xs, a)
-    cj, cb = _coarsen(ys, b)
-    *_, phi_coarse = _column_generation(c[np.ix_(ci, cj)], ca, cb, xs[ci], ys[cj])
+    ci, ca, src_owner = _coarsen(xs, a)
+    cj, cb, tgt_owner = _coarsen(ys, b)
+    crows, ccols, cmass, _, phi_coarse = _column_generation(
+        c[np.ix_(ci, cj)], ca, cb, xs[ci], ys[cj]
+    )
+    positive = cmass > 0
+    support = sparse.csr_matrix(
+        (np.ones(positive.sum()), (crows[positive], ccols[positive])), shape=(len(ci), len(cj))
+    )
+    child_rows, child_cols = support[src_owner][:, tgt_owner].nonzero()
     rows, cols = _smallest_reduced(c, *_c_transforms(c, cj, phi_coarse), NEIGHBOURS)
     corner_rows, corner_cols = _north_west_corner(a, b)
-    return np.divmod(np.unique(np.r_[rows * m + cols, corner_rows * m + corner_cols]), m)
+    keys = np.r_[child_rows * m + child_cols, rows * m + cols, corner_rows * m + corner_cols]
+    return np.divmod(np.unique(keys), m)
 
 
 def _column_generation(c, a, b, xs, ys):
@@ -332,11 +362,18 @@ def _warm_model(costs, rows, cons, b_eq, basic):
 
 
 def _warm_round(model, costs, rows, cons):
-    """Append the pairs to the model and re-solve from its basis.
-    Returns (mass of every column, row duals)."""
+    """Append the pairs to the model and re-solve from its basis; a run that
+    does not end optimal is repeated once from scratch, and SolverError is
+    raised if that one fails too. Returns (mass of every column, row duals)."""
     k = len(costs)
     model.addCols(k, costs, np.zeros(k), np.full(k, np.inf), 2 * k, *_columns(rows, cons))
     model.run()
+    if model.getModelStatus() != highs.HighsModelStatus.kOptimal:
+        # A warm run can stop short, as Unknown with a dual infeasibility
+        # above the tolerance on a primal-feasible basis; once the solver is
+        # cleared, the same model runs from scratch.
+        model.clearSolver()
+        model.run()
     status = model.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
         raise SolverError(
@@ -424,10 +461,9 @@ def _assignment_duals(c, assign, rows, cols):
     own = c[np.arange(n), assign]
     phi = np.zeros(n)
     priced = np.full(n, np.nan)  # each row's tail dual when it was last priced
-    rows, cols = np.append(rows, np.arange(n)), np.append(cols, assign)
+    keys = np.unique(np.append(cols, assign) * n + np.append(rows, np.arange(n)))
     while True:
-        keys = np.unique(cols * n + rows)  # by head column; every column heads its own loop
-        cols, rows = np.divmod(keys, n)
+        cols, rows = np.divmod(keys, n)  # by head column; every column heads its own loop
         tails, weights = assign[rows], c[rows, cols] - own[rows]
         heads = np.flatnonzero(np.r_[True, cols[1:] != cols[:-1]])
         for _ in range(n + 1):
@@ -444,7 +480,10 @@ def _assignment_duals(c, assign, rows, cols):
         failed_rows, failed_cols = _failing_pairs(c, own, tail, phi, stale)
         if not len(failed_rows):
             return own - tail, phi
-        rows, cols = np.append(rows, failed_rows), np.append(cols, failed_cols)
+        # a candidate passes the float test the settled sweep applied to it,
+        # so no failed key is already a key and the merge keeps them sorted
+        new = np.sort(failed_cols * n + failed_rows)
+        keys = np.insert(keys, np.searchsorted(keys, new), new)
 
 
 def _failing_pairs(c, own, tail, phi, stale):

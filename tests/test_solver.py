@@ -319,6 +319,11 @@ def _dense_lp_cost(mu, nu):
     return res.fun
 
 
+def _nearest(points, centres):
+    """The position of each point's nearest centre, by brute force."""
+    return np.argmin(((points[:, None, :] - centres[None, :, :]) ** 2).sum(axis=2), axis=1)
+
+
 class TestColumnGeneration:
     """Instances above so.LP_FULL_PAIRS take the multiscale warm start."""
 
@@ -357,6 +362,52 @@ class TestColumnGeneration:
         got = np.zeros(c.shape, dtype=bool)
         got[rows, picks] = True
         assert np.array_equal(got, want)
+
+    def test_first_candidates_hold_coarse_support_children(self, rng, monkeypatch):
+        # every level with a coarse one: each fine pair (i, j) whose nearest
+        # centres carry a coarse pair of positive mass is a first candidate
+        levels, plans = [], {}
+        initial, generation = so._initial_candidates, so._column_generation
+
+        def initial_spy(c, a, b, xs, ys):
+            levels.append((c.shape, xs, ys, initial(c, a, b, xs, ys)))
+            return levels[-1][-1]
+
+        def generation_spy(c, *args):
+            plans[c.shape] = generation(c, *args)
+            return plans[c.shape]
+
+        monkeypatch.setattr(so, "_initial_candidates", initial_spy)
+        monkeypatch.setattr(so, "_column_generation", generation_spy)
+        so.solve_exact(*_random_instance(rng, 2, 300, 200))
+        coarse_levels = [lv for lv in levels if lv[0][0] * lv[0][1] > so.LP_FULL_PAIRS]
+        assert len(coarse_levels) == 2
+        for shape, xs, ys, first in coarse_levels:
+            src_centres, tgt_centres = xs[::so.COARSEN], ys[::so.COARSEN]
+            src_owner, tgt_owner = _nearest(xs, src_centres), _nearest(ys, tgt_centres)
+            rows, cols, mass, *_ = plans[(len(src_centres), len(tgt_centres))]
+            held = np.zeros(shape, dtype=bool)
+            held[first] = True
+            positive = mass > 0
+            assert 0 < positive.sum() < len(mass)
+            for i, j in zip(rows[positive], cols[positive]):
+                assert held[np.ix_(src_owner == i, tgt_owner == j)].all()
+
+    def test_coarsen_owner_map(self, rng):
+        points = g.random_sphere_points(2, 400, rng)
+        weights = np.where(points[:, 2] > 0.2, 0.0, rng.random(400) + 0.3)
+        centres, mass, owner = so._coarsen(points, weights)
+        assert len(centres) < len(range(0, 400, so.COARSEN))  # some centre had no mass
+        assert np.all(mass > 0)
+        assert np.array_equal(owner, _nearest(points, points[centres]))
+        assert np.array_equal(np.bincount(owner, weights=weights, minlength=len(centres)), mass)
+        # the zero-weight atoms' rows and the dropped centres' children
+        mu = make_measure(points, weights / weights.sum())
+        nu = make_measure(g.random_sphere_points(2, 150, rng))
+        coupling, duals = so.solve_exact(mu, nu)
+        assert duals.feasibility_gap(mu, nu) <= 1e-12
+        assert duals.slackness_gap(coupling, mu, nu) <= 1e-12
+        assert coupling.total_cost == pytest.approx(_dense_lp_cost(mu, nu), abs=1e-12)
 
     def test_support_in_row_major_order(self, rng):
         mu, nu = _random_instance(rng, 2, 300, 200)
@@ -513,6 +564,48 @@ class TestWarmRounds:
         monkeypatch.setattr(so, "_warm_model", capped)
         with pytest.raises(SolverError, match="warm round ended"):
             so.solve_exact(*_cap_instance(2))
+
+    @pytest.mark.parametrize("failures", [1, 2])
+    def test_warm_round_stopping_short_runs_again(self, monkeypatch, failures):
+        # the first warm run, and with two failures its re-run too, reports
+        # Unknown; a cleared model must then run again from scratch. linprog
+        # builds its models from the same class, but never adds columns.
+        cleared = []
+
+        class StoppingShort(so.highs._Highs):
+            warm_runs = 0
+
+            def addCols(self, *args):
+                self.warm = True
+                return super().addCols(*args)
+
+            def run(self):
+                StoppingShort.warm_runs += getattr(self, "warm", False)
+                return super().run()
+
+            def getModelStatus(self):
+                if getattr(self, "warm", False) and StoppingShort.warm_runs <= failures:
+                    return so.highs.HighsModelStatus.kUnknown
+                return super().getModelStatus()
+
+            def clearSolver(self):
+                cleared.append(StoppingShort.warm_runs)
+                return super().clearSolver()
+
+        monkeypatch.setattr(so.highs, "_Highs", StoppingShort)
+        mu, nu = _cap_instance(2)
+        if failures == 2:
+            with pytest.raises(SolverError, match="warm round ended"):
+                so.solve_exact(mu, nu)
+            assert cleared == [1]
+            return
+        coupling, duals = so.solve_exact(mu, nu)
+        assert cleared == [1]
+        dual = float(duals.psi @ mu.weights + duals.phi @ nu.weights)
+        assert abs(coupling.total_cost - dual) <= 1e-12
+        assert duals.feasibility_gap(mu, nu) <= 1e-12
+        assert duals.slackness_gap(coupling, mu, nu) <= 1e-12
+
 
 class TestOracle:
     def test_2x2(self, instance_2x2):
