@@ -105,6 +105,13 @@ def chart_lift(chart: Chart, coords: np.ndarray) -> np.ndarray:
     return coords @ chart.frame + math.sqrt(1.0 - sq) * chart.base
 
 
+def rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for every row, as stacked (1, d) @ (d, 1) products: the
+    bits of a vector dot and of np.linalg.norm, which einsum does not keep.
+    b may be one row, broadcast against every row of a."""
+    return (a[:, None, :] @ b[..., :, None])[:, 0, 0]
+
+
 def cost_extrinsic(x: np.ndarray, y: np.ndarray) -> float:
     """Squared chordal distance |x - y|^2 = 2 - 2 x . y, in [0, 4]."""
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)

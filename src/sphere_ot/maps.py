@@ -22,6 +22,7 @@ from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ExtractionError
+from .geometry import rowwise_dot
 from .measures import DiscreteMeasure
 from .solver import Coupling
 
@@ -102,12 +103,6 @@ def _weight_scaled_tols(merge_tol: float, weights: np.ndarray, opposite: np.ndar
 PAIR_CHUNK = 2**16
 
 
-def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[i] @ b[i] for every row, as stacked (1, d) @ (d, 1) products: the
-    bits of a vector dot and of np.linalg.norm, which einsum does not keep."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def _linkage_labels(images: np.ndarray, sizes: np.ndarray, tols: np.ndarray) -> np.ndarray:
     """Single-linkage cluster of every image: atom a owns the next sizes[a]
     rows of images, and two of them are linked when closer than tols[a].
@@ -117,7 +112,7 @@ def _linkage_labels(images: np.ndarray, sizes: np.ndarray, tols: np.ndarray) -> 
     first = np.repeat(np.arange(count), later)
     second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
     diff = images[first] - images[second]
-    close = np.sqrt(_rowwise_dot(diff, diff)) < np.repeat(tols, sizes)[first]
+    close = np.sqrt(rowwise_dot(diff, diff)) < np.repeat(tols, sizes)[first]
     graph = coo_array((np.ones(close.sum()), (first[close], second[close])), shape=(count, count))
     return connected_components(graph, directed=False)[1]
 
@@ -154,7 +149,7 @@ def _two_images(side, n, coupling, points, opposite, tols) -> MultiMap:
         # support order, as a sum over axis 0 of one cluster's rows does
         sums = np.zeros((len(owner), d + 1))
         np.add.at(sums, label, np.column_stack([opposite[idx] * mass[lo:hi, None], mass[lo:hi]]))
-        norm = np.sqrt(_rowwise_dot(sums[:, :d], sums[:, :d]))
+        norm = np.sqrt(rowwise_dot(sums[:, :d], sums[:, :d]))
         bad = (clusters == 0) | (clusters > 2)
         # collapsed relative to the cluster's mass: entropic supports keep
         # clusters far lighter than 1e-8 whose images are well defined
@@ -171,13 +166,13 @@ def _two_images(side, n, coupling, points, opposite, tols) -> MultiMap:
         # an atom's clusters: the first, and the second if it has two
         c0 = np.cumsum(clusters) - clusters
         c1 = c0 + (clusters == 2)
-        swap = ~(_rowwise_dot(x, rep[c0]) >= _rowwise_dot(x, rep[c1]))
+        swap = ~(rowwise_dot(x, rep[c0]) >= rowwise_dot(x, rep[c1]))
         outer, inner = np.where(swap, c1, c0), np.where(swap, c0, c1)
         plus[a:b], minus[a:b], bivalent[a:b] = rep[outer], rep[inner], clusters == 2
         step = rep[outer] - rep[inner]
-        jump[a:b] = _rowwise_dot(step, x)
+        jump[a:b] = rowwise_dot(step, x)
         off = step - jump[a:b, None] * x
-        residual[a:b] = np.sqrt(_rowwise_dot(off, off))
+        residual[a:b] = np.sqrt(rowwise_dot(off, off))
         by_cluster = idx[np.argsort(label, kind="stable")]
         members = np.split(by_cluster, np.cumsum(np.bincount(label))[:-1])
         plus_members += [members[c] for c in outer]

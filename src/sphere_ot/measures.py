@@ -120,6 +120,8 @@ def quasi_uniform_mesh(n: int, count: int, seed: int = 0) -> SphereMesh:
         raise ConfigError("sphere dimension must be >= 1")
     if count < n + 2:
         raise ConfigError(f"need at least {n + 2} mesh points on S^{n}, got {count}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if n == 1:
         return _circle_mesh(count, seed)
     if n == 2:

@@ -37,7 +37,6 @@ class ConditionReport:
     condition: str
     sample_count: int
     min_margin: float
-    worst_pair: tuple | None = None
     samples: list = field(default_factory=list)
 
 
@@ -67,11 +66,9 @@ def twist_margin(x: np.ndarray, ys: np.ndarray) -> ConditionReport:
     dimg = np.linalg.norm(img[:, None, :] - img[None, :, :], axis=2)
     iu = np.triu_indices(len(ys), k=1)
     worst = int(np.argmin(dpre[iu]))
-    a, b = iu[0][worst], iu[1][worst]
     if dpre[iu][worst] < 1e-15:
-        return ConditionReport("twist", len(ys), 0.0, (tuple(ys[a]), tuple(ys[b])))
-    ratio = float(dimg[iu][worst] / dpre[iu][worst])
-    return ConditionReport("twist", len(ys), ratio, (tuple(ys[a]), tuple(ys[b])))
+        return ConditionReport("twist", len(ys), 0.0)
+    return ConditionReport("twist", len(ys), float(dimg[iu][worst] / dpre[iu][worst]))
 
 
 def nondegeneracy_profile(x: np.ndarray, angles, h: float = 1e-3) -> list:
@@ -219,13 +216,12 @@ def cross_curvature_suite(
     seed: int = 0,
 ) -> ConditionReport:
     """Positivity sweep of the cross-curvature over random null pairs, at
-    alignments x . y drawn uniformly from [0.3, 1)."""
+    alignments x . y drawn uniformly from [0.3, 1). The minimum is NaN if
+    any sample is, so a NaN sample fails a positivity check."""
     if n < 2:
         raise ConfigError("the cross-curvature sweep requires sphere dimension >= 2")
     rng = np.random.default_rng(seed)
     values = []
-    worst = (None, None)
-    worst_val = np.inf
     count = 0
     while count < samples:
         x = rng.normal(size=n + 1)
@@ -239,8 +235,6 @@ def cross_curvature_suite(
         for p, pbar in random_null_pairs(x, y, 1, rng):
             val = cross_curvature(x, y, p, pbar, h=h)
             values.append((dot, val))
-            if val < worst_val:
-                worst_val = val
-                worst = (tuple(x), tuple(y))
             count += 1
-    return ConditionReport("cross-curvature", samples, float(worst_val), worst, values)
+    worst = float(np.min([v for _, v in values]))
+    return ConditionReport("cross-curvature", samples, worst, values)

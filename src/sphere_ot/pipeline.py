@@ -380,7 +380,7 @@ def _dichotomy_probes(inv, t2) -> dict:
     probes = {}
     for center in t2[: min(len(t2), 8)]:
         try:
-            probes[int(center)] = reg_mod.dichotomy_probe(inv, int(center), m=50)
+            probes[int(center)] = reg_mod.dichotomy_probe(inv, int(center))
         except SphereOTError:
             continue
     return probes
@@ -405,6 +405,14 @@ def run_mtw_suite(
     h: float = 1e-3,
 ) -> RunResult:
     """Structural-condition sweep written as a standalone report."""
+    if n < 1:
+        raise ConfigError("sphere dimension must be >= 1")
+    if samples < 1:
+        raise ConfigError("the cross-curvature sweep needs at least one sample")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if not 0.0 < h < math.inf:
+        raise ConfigError(f"the cross-curvature step must be finite and positive, got {h}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -451,7 +459,7 @@ def run_mtw_suite(
             "twist": {"ratio": twist.min_margin, "samples": twist.sample_count},
             "nondegeneracy": {"coincidence": coincidence, "profile": profile},
             "cross_curvature": None if curvature is None else {
-                "min": curvature.min_margin,
+                "min": None if math.isnan(curvature.min_margin) else curvature.min_margin,
                 "samples": [[float(a), float(v)] for a, v in curvature.samples],
             },
             "checks": [c.as_dict() for c in checks],

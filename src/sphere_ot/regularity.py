@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .errors import ConfigError, DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError
+from .geometry import rowwise_dot
 from .maps import MultiMap
 
 LOW_CONFIDENCE_PAIRS = 30
@@ -207,61 +208,50 @@ def monotonicity_check(inv: MultiMap, region_idx: np.ndarray) -> float:
 
 @dataclass
 class DichotomyReport:
-    """Near-right-angle probe around one bivalent target."""
+    """Weighted-normal angles around one bivalent target."""
 
     center: int
-    m: int
-    members: np.ndarray      # T2 indices with beta in [pi/2 - 1/m, pi/2]
     others: np.ndarray       # all probed T2 indices, aligned with betas
     betas: np.ndarray
     gamma_bound_ok: bool
-    K_m: float               # empirical worst |s_plus| / |dy| ratio over members
 
 
-def dichotomy_probe(inv: MultiMap, center: int, m: int) -> DichotomyReport:
+def dichotomy_probe(inv: MultiMap, center: int) -> DichotomyReport:
     """Angles between target offsets and weighted-normal differences at one target.
 
     For every other bivalent target y, beta(y, y1) is the angle between
-    y1 - y and omega(y1) y1 - omega(y) y. Members with beta within 1/m of
-    a right angle are returned together with the worst inverse-map
-    stretch over them, and a flag that every beta stays below (pi - gamma)/2
-    for the pair separation angle gamma.
+    y1 - y and omega(y1) y1 - omega(y) y. The flag says whether every beta
+    of a pair with both weights positive stays below (pi - gamma)/2 for the
+    pair separation angle gamma. The dot products keep the bits of scalar
+    ones and each angle is math.acos of its cosine, so the betas are those
+    of a loop over the targets; the first target, in T2 order, whose
+    weighted normal (tested first) or position coincides with the centre's
+    raises DomainError.
     """
-    if m <= 1:
-        raise ConfigError("m must exceed 1")
     t2 = inv.indices_in("T2")
     if center not in t2:
         raise DomainError("probe centre must be a bivalent target")
     others = t2[t2 != center]
     y1 = inv.points[center]
     w1 = inv.jump[center]
-    betas = np.empty(len(others))
-    bound_ok = True
-    for k, j in enumerate(others):
-        yj = inv.points[j]
-        diff = y1 - yj
-        vec = w1 * y1 - inv.jump[j] * yj
-        nv = np.linalg.norm(vec)
-        nd = np.linalg.norm(diff)
-        if nv < 1e-12:
-            raise DomainError(f"weighted normals coincide for targets {center} and {j}")
-        if nd < 1e-12:
-            raise DomainError(f"duplicate target atoms {center} and {j}")
-        beta = math.acos(float(np.clip(diff @ vec / (nd * nv), -1.0, 1.0)))
-        betas[k] = beta
-        if w1 > 0 and inv.jump[j] > 0:
-            gamma = math.acos(float(np.clip(y1 @ yj, -1.0, 1.0)))
-            if beta >= (math.pi - gamma) / 2.0 + 1e-9:
-                bound_ok = False
-    sel = (betas >= math.pi / 2.0 - 1.0 / m) & (betas <= math.pi / 2.0)
-    members = others[sel]
-    if len(members):
-        dy = np.linalg.norm(inv.points[members] - y1, axis=1)
-        ds = np.linalg.norm(inv.plus[members] - inv.plus[center], axis=1)
-        k_m = float(np.min(ds / dy))
-    else:
-        k_m = float("nan")
-    return DichotomyReport(int(center), int(m), members, others, betas, bound_ok, k_m)
+    ys, ws = inv.points[others], inv.jump[others]
+    diff = y1 - ys
+    vec = w1 * y1 - ws[:, None] * ys
+    nv = np.sqrt(rowwise_dot(vec, vec))
+    nd = np.sqrt(rowwise_dot(diff, diff))
+    bad = (nv < 1e-12) | (nd < 1e-12)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if nv[k] < 1e-12:
+            raise DomainError(f"weighted normals coincide for targets {center} and {others[k]}")
+        raise DomainError(f"duplicate target atoms {center} and {others[k]}")
+    cosines = np.clip(rowwise_dot(diff, vec) / (nd * nv), -1.0, 1.0)
+    betas = np.array([math.acos(v) for v in cosines.tolist()])
+    both = (w1 > 0) & (ws > 0)
+    separations = np.clip(rowwise_dot(ys[both], y1), -1.0, 1.0)
+    gammas = np.array([math.acos(v) for v in separations.tolist()])
+    bound_ok = not np.any(betas[both] >= (math.pi - gammas) / 2.0 + 1e-9)
+    return DichotomyReport(int(center), others, betas, bound_ok)
 
 
 @dataclass

@@ -342,16 +342,9 @@ def _warm_model(costs, rows, cons, b_eq, basic):
     model = highs._Highs()
     for option, value in {**HIGHS_OPTIONS, **WARM_OPTIONS}.items():
         model.setOptionValue(option, value)
+    model.addRows(len(b_eq), b_eq, b_eq, 0, [], [], [])
     k = len(costs)
-    lp = highs.HighsLp()
-    lp.num_col_, lp.num_row_ = k, len(b_eq)
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = costs, np.zeros(k), np.full(k, np.inf)
-    lp.row_lower_, lp.row_upper_ = b_eq, b_eq
-    matrix = lp.a_matrix_
-    matrix.format_ = highs.MatrixFormat.kColwise
-    matrix.num_col_, matrix.num_row_ = k, len(b_eq)
-    matrix.start_, matrix.index_, matrix.value_ = _columns(rows, cons)
-    model.passModel(lp)
+    model.addCols(k, costs, np.zeros(k), np.full(k, np.inf), 2 * k, *_columns(rows, cons))
     basis = highs.HighsBasis()
     basis.valid = basis.alien = True
     status = highs.HighsBasisStatus

@@ -219,7 +219,7 @@ def test_criterion_08_angle_bound(bivalent_1000, suitable_solves):
         inv = inst["inv"]
         t2 = inv.indices_in("T2")
         for center in t2:
-            rep = rg.dichotomy_probe(inv, int(center), m=50)
+            rep = rg.dichotomy_probe(inv, int(center))
             ok = ok and rep.gamma_bound_ok
             checked += len(rep.others)
     assert checked > 0

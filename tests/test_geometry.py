@@ -183,6 +183,16 @@ class TestCost:
         assert g.pair_costs(xs, ys, rows[:0], cols[:0]).shape == (0,)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_rowwise_dot_keeps_scalar_bits(rng, d):
+    a, b = rng.normal(size=(2, 200, d))
+    looped = np.array([x @ y for x, y in zip(a, b)])
+    assert g.rowwise_dot(a, b).tobytes() == looped.tobytes()
+    assert g.rowwise_dot(a, b[0]).tobytes() == np.array([x @ b[0] for x in a]).tobytes()
+    norms = np.array([np.linalg.norm(x) for x in a])
+    assert np.sqrt(g.rowwise_dot(a, a)).tobytes() == norms.tobytes()
+
+
 class TestGradient:
     def test_value_at_origin_is_minus_2y(self):
         grad = g.grad_cost_local(np.zeros(2), np.array([0.3, 0.4]))

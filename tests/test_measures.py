@@ -30,6 +30,11 @@ class TestMesh:
         with pytest.raises(ConfigError):
             me.quasi_uniform_mesh(0, 10, 0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_negative_seed_rejected(self, n):
+        with pytest.raises(ConfigError):
+            me.quasi_uniform_mesh(n, 10, -1)
+
     def test_higher_dimension_mesh(self):
         mesh = me.quasi_uniform_mesh(3, 80, 1)
         mesh.validate()

@@ -146,6 +146,30 @@ class TestMTWSuite:
         assert report["twist"]["ratio"] == pytest.approx(2.0, abs=1e-10)
         assert report["cross_curvature"]["min"] > 0
 
+    @pytest.mark.parametrize("n, samples, h", [
+        (0, 40, 1e-3), (-1, 40, 1e-3), (2, 0, 1e-3), (2, -3, 1e-3), (1, 0, 1e-3),
+        (2, 40, 0.0), (2, 40, -1e-3), (2, 40, float("nan")), (2, 40, float("inf")),
+    ])
+    def test_vacuous_sweep_rejected(self, tmp_path, n, samples, h):
+        with pytest.raises(ConfigError):
+            pipe.run_mtw_suite(n, tmp_path / "mtw", samples=samples, h=h)
+
+    def test_nan_sample_fails(self, tmp_path, monkeypatch):
+        real = pipe.mtw_mod.cross_curvature
+        calls = []
+
+        def one_nan(*args, **kwargs):
+            calls.append(None)
+            return float("nan") if len(calls) == 3 else real(*args, **kwargs)
+
+        monkeypatch.setattr(pipe.mtw_mod, "cross_curvature", one_nan)
+        result = pipe.run_mtw_suite(2, tmp_path / "mtw", samples=10, seed=0)
+        assert result.exit_code == pipe.EXIT_INVARIANT
+        [check] = [c for c in result.checks if c.name == "cross_curvature_positive"]
+        assert not check.passed
+        report = json.loads((tmp_path / "mtw" / "mtw_report.json").read_text())
+        assert report["cross_curvature"]["min"] is None
+
 
 class TestCLI:
     def test_solve_identity_exit_zero(self, tmp_path, capsys):
@@ -252,6 +276,20 @@ class TestCLI:
     def test_mtw_subcommand(self, tmp_path, capsys):
         assert cli.main(["mtw", "--n", "2", "--samples", "30",
                          "--out", str(tmp_path / "mtw")]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--seed", "-1", "--mesh", "60"],
+        ["solve", "--n", "1", "--seed", "-1", "--mesh", "60"],
+        ["gen", "--seed", "-3"],
+        ["mtw", "--seed", "-1"],
+        ["mtw", "--samples", "0"],
+        ["mtw", "--samples", "-3"],
+        ["mtw", "--step", "0"],
+        ["mtw", "--n", "0"],
+    ])
+    def test_configuration_error(self, tmp_path, capsys, argv):
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == pipe.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error:")
 
     def test_report_subcommand(self, tmp_path, capsys):
         cli.main(["solve", "--n", "2", "--mesh", "60", "--out", str(tmp_path / "run")])

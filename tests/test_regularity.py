@@ -318,7 +318,7 @@ class TestDichotomy:
 
     def test_equal_weights_zero_angle(self):
         inv = self.circle_inverse(np.array([1.5, 1.5, 1.5]))
-        rep = rg.dichotomy_probe(inv, 0, m=50)
+        rep = rg.dichotomy_probe(inv, 0)
         k = list(rep.others).index(1)
         assert rep.betas[k] == pytest.approx(0.0, abs=1e-9)
 
@@ -326,37 +326,105 @@ class TestDichotomy:
         # centre (1,0) with weight 2 against (0,1) with weight 1:
         # cos beta = 3 / sqrt(10)
         inv = self.circle_inverse(np.array([2.0, 1.0, 1.5]))
-        rep = rg.dichotomy_probe(inv, 0, m=50)
+        rep = rg.dichotomy_probe(inv, 0)
         k = list(rep.others).index(1)
         assert rep.betas[k] == pytest.approx(math.acos(3 / math.sqrt(10)), abs=1e-12)
         assert math.degrees(rep.betas[k]) == pytest.approx(18.434948, abs=1e-4)
         assert rep.gamma_bound_ok
-
-    def test_large_m_empty(self):
-        inv = self.circle_inverse(np.array([2.0, 1.0, 1.5]))
-        rep = rg.dichotomy_probe(inv, 0, m=10**9)
-        assert len(rep.members) == 0
-        assert math.isnan(rep.K_m)
 
     def test_coincident_weighted_normals_rejected(self):
         points = np.array([[1.0, 0.0], [0.0, 1.0]])
         s_plus = points.copy()
         inv = synthetic_inverse(points, s_plus, s_plus)  # omega = 0 everywhere
         with pytest.raises(DomainError):
-            rg.dichotomy_probe(inv, 0, m=50)
-
-    def test_m_validation(self, bivalent_instance):
-        inv = bivalent_instance["inv"]
-        t2 = inv.indices_in("T2")
-        with pytest.raises(ConfigError):
-            rg.dichotomy_probe(inv, int(t2[0]), m=1)
+            rg.dichotomy_probe(inv, 0)
 
     def test_angle_bound_on_solved_instance(self, bivalent_instance):
         inv = bivalent_instance["inv"]
         t2 = inv.indices_in("T2")
         for center in t2[:5]:
-            rep = rg.dichotomy_probe(inv, int(center), m=50)
+            rep = rg.dichotomy_probe(inv, int(center))
             assert rep.gamma_bound_ok
+
+    @staticmethod
+    def assert_matches_loop(inv, center):
+        others, betas, bound_ok = _looped_probe(inv, center)
+        rep = rg.dichotomy_probe(inv, center)
+        assert np.array_equal(rep.others, others)
+        assert rep.betas.tobytes() == betas.tobytes()
+        assert rep.gamma_bound_ok == bound_ok
+
+    def test_matches_loop_on_solved_instance(self, bivalent_instance):
+        inv = bivalent_instance["inv"]
+        for center in inv.indices_in("T2"):
+            self.assert_matches_loop(inv, int(center))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matches_loop_on_random_targets(self, rng, dim):
+        from sphere_ot import geometry as g
+
+        for _ in range(20):
+            count = int(rng.integers(2, 30))
+            pts = g.random_sphere_points(dim - 1, count, rng)
+            # split weights of both signs, so both sides of the gamma test run
+            s_minus = pts - rng.uniform(-0.5, 2.0, count)[:, None] * pts
+            s_minus += 0.01 * rng.normal(size=pts.shape)
+            inv = synthetic_inverse(pts, pts, s_minus)
+            for center in range(min(count, 4)):
+                self.assert_matches_loop(inv, center)
+
+    @pytest.mark.parametrize("normals_at, duplicate_at", [
+        (3, None), (None, 3), (3, 4), (4, 3), (3, 3),
+    ])
+    def test_error_matches_loop(self, rng, normals_at, duplicate_at):
+        from sphere_ot import geometry as g
+
+        pts = g.random_sphere_points(2, 6, rng)
+        omegas = rng.uniform(0.5, 1.5, 6)
+        if normals_at is not None:  # the antipode with the opposite weight
+            pts[normals_at], omegas[normals_at] = -pts[0], -omegas[0]
+        if duplicate_at is not None:
+            pts[duplicate_at], omegas[duplicate_at] = pts[0], omegas[0] + 0.25
+        if normals_at == duplicate_at:  # the centre itself, weight and all
+            omegas[normals_at] = omegas[0]
+        inv = synthetic_inverse(pts, pts, pts - omegas[:, None] * pts)
+        with pytest.raises(DomainError) as looped:
+            _looped_probe(inv, 0)
+        with pytest.raises(DomainError) as probed:
+            rg.dichotomy_probe(inv, 0)
+        assert str(probed.value) == str(looped.value)
+        first = min(k for k in (normals_at, duplicate_at) if k is not None)
+        kind = "weighted normals coincide" if first == normals_at else "duplicate target"
+        assert str(probed.value).startswith(kind)
+        assert str(probed.value).endswith(f"0 and {first}")
+
+
+def _looped_probe(inv, center):
+    """The probe as one scalar loop over the other T2 targets: the reference
+    dichotomy_probe must match bit for bit, errors included."""
+    t2 = inv.indices_in("T2")
+    others = t2[t2 != center]
+    y1 = inv.points[center]
+    w1 = inv.jump[center]
+    betas = np.empty(len(others))
+    bound_ok = True
+    for k, j in enumerate(others):
+        yj = inv.points[j]
+        diff = y1 - yj
+        vec = w1 * y1 - inv.jump[j] * yj
+        nv = np.linalg.norm(vec)
+        nd = np.linalg.norm(diff)
+        if nv < 1e-12:
+            raise DomainError(f"weighted normals coincide for targets {center} and {j}")
+        if nd < 1e-12:
+            raise DomainError(f"duplicate target atoms {center} and {j}")
+        beta = math.acos(float(np.clip(diff @ vec / (nd * nv), -1.0, 1.0)))
+        betas[k] = beta
+        if w1 > 0 and inv.jump[j] > 0:
+            gamma = math.acos(float(np.clip(y1 @ yj, -1.0, 1.0)))
+            if beta >= (math.pi - gamma) / 2.0 + 1e-9:
+                bound_ok = False
+    return others, betas, bound_ok
 
 
 class TestInjectivity:
