@@ -109,7 +109,7 @@ class Check:
             "name": self.name,
             "claim": self.claim,
             "passed": bool(self.passed),
-            "value": None if self.value is None or math.isnan(self.value) else float(self.value),
+            "value": _json_number(self.value),
             "tolerance": float(self.tolerance),
             "required": bool(self.required),
         }
@@ -124,6 +124,12 @@ class RunResult:
 
     def failed_required(self) -> list:
         return [c for c in self.checks if c.required and not c.passed]
+
+
+def _json_number(value):
+    """value as a float, or None (JSON null) for None and NaN, which strict
+    JSON has no token for."""
+    return None if value is None or math.isnan(value) else float(value)
 
 
 def _json_dump(obj, path: Path) -> None:
@@ -200,6 +206,10 @@ def map_stage(coupling, mu, nu, merge_tol: float, zero_tol: float, out: Path):
 def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
     """Execute the full pipeline and write all artifacts to the output dir."""
     config.validate()
+    # the instance first, so a configuration error leaves no run directory
+    mesh = measures_mod.quasi_uniform_mesh(config.n, config.mesh_count, config.seed)
+    mu = resolve_measure(mu_spec, mesh)
+    nu = resolve_measure(nu_spec, mesh)
     out = Path(config.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -209,9 +219,6 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
     except OSError as exc:
         raise OSError(f"output directory {out} is not writable: {exc}") from exc
 
-    mesh = measures_mod.quasi_uniform_mesh(config.n, config.mesh_count, config.seed)
-    mu = resolve_measure(mu_spec, mesh)
-    nu = resolve_measure(nu_spec, mesh)
     epsilon = measures_mod.default_epsilon(config.n)
     spacing = mesh.spacing
     merge_tol, zero_tol = 2.0 * spacing, spacing
@@ -459,8 +466,8 @@ def run_mtw_suite(
             "twist": {"ratio": twist.min_margin, "samples": twist.sample_count},
             "nondegeneracy": {"coincidence": coincidence, "profile": profile},
             "cross_curvature": None if curvature is None else {
-                "min": None if math.isnan(curvature.min_margin) else curvature.min_margin,
-                "samples": [[float(a), float(v)] for a, v in curvature.samples],
+                "min": _json_number(curvature.min_margin),
+                "samples": [[float(a), _json_number(v)] for a, v in curvature.samples],
             },
             "checks": [c.as_dict() for c in checks],
         },

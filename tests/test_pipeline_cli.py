@@ -9,6 +9,10 @@ from sphere_ot import solver as solver_mod
 from sphere_ot.errors import ConfigError
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
 class TestRunPipeline:
     def test_uniform_identity(self, tmp_path):
         config = pipe.RunConfig(n=2, mesh_count=150, seed=0, output_dir=tmp_path / "run")
@@ -167,8 +171,12 @@ class TestMTWSuite:
         assert result.exit_code == pipe.EXIT_INVARIANT
         [check] = [c for c in result.checks if c.name == "cross_curvature_positive"]
         assert not check.passed
-        report = json.loads((tmp_path / "mtw" / "mtw_report.json").read_text())
+        report = json.loads((tmp_path / "mtw" / "mtw_report.json").read_text(),
+                            parse_constant=_reject_constant)
         assert report["cross_curvature"]["min"] is None
+        assert [v is None for _, v in report["cross_curvature"]["samples"]] == [
+            i == 2 for i in range(10)
+        ]
 
 
 class TestCLI:
@@ -290,6 +298,7 @@ class TestCLI:
     def test_configuration_error(self, tmp_path, capsys, argv):
         assert cli.main(argv + ["--out", str(tmp_path / "out")]) == pipe.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("configuration error:")
+        assert not (tmp_path / "out").exists()
 
     def test_report_subcommand(self, tmp_path, capsys):
         cli.main(["solve", "--n", "2", "--mesh", "60", "--out", str(tmp_path / "run")])

@@ -350,13 +350,13 @@ class TestColumnGeneration:
         cols = np.arange(0, n_tgt, 4)
         phi_coarse = rng.normal(scale=0.1, size=len(cols))
         psi, phi = so._c_transforms(c, cols, phi_coarse)
-        rows, picks = so._smallest_reduced(c, psi, phi, so.NEIGHBOURS)
+        rows, picks = so._smallest_reduced(c, psi, phi, so.LP_NEIGHBOURS)
         want_psi = (c[:, cols] - phi_coarse[None, :]).min(axis=1)
         want_phi = (c - want_psi[:, None]).min(axis=0)
         assert psi.tobytes() == want_psi.tobytes() and phi.tobytes() == want_phi.tobytes()
         reduced = c - want_psi[:, None] - want_phi[None, :]
         want = np.zeros(c.shape, dtype=bool)
-        for axis, k in ((1, min(so.NEIGHBOURS, n_tgt)), (0, min(so.NEIGHBOURS, n_src))):
+        for axis, k in ((1, min(so.LP_NEIGHBOURS, n_tgt)), (0, min(so.LP_NEIGHBOURS, n_src))):
             best = np.argpartition(reduced, k - 1, axis=axis).take(np.arange(k), axis=axis)
             np.put_along_axis(want, best, True, axis=axis)
         got = np.zeros(c.shape, dtype=bool)
@@ -451,11 +451,12 @@ def _cap_instance(n, size=150):
 
 
 class _ColdModel:
-    """All-cold reference for the warm HiGHS model: every round re-solves
-    all of its columns from scratch with linprog."""
+    """All-cold reference for the HiGHS model of a level: every run
+    re-solves all of its columns from scratch with linprog."""
 
-    def __init__(self, costs, rows, cons, b_eq, basic):
-        self.costs, self.rows, self.cons, self.b_eq = costs, rows, cons, b_eq
+    def __init__(self, b_eq):
+        self.b_eq = b_eq
+        self.costs, self.rows, self.cons = np.empty(0), np.empty(0, int), np.empty(0, int)
 
     def round(self, costs, rows, cons):
         self.costs = np.append(self.costs, costs)
@@ -478,7 +479,7 @@ class TestWarmRounds:
     def spy(self, monkeypatch):
         """Records (pairs priced, pairs added) of every warm round."""
         rounds = []
-        priced, warm = so._priced_pairs, so._warm_round
+        priced, run = so._priced_pairs, so._lp_run
 
         def priced_spy(c, psi, phi, *candidates):
             rows, cols = priced(c, psi, phi, *candidates)
@@ -486,12 +487,13 @@ class TestWarmRounds:
                 rounds.append({"c": c, "psi": psi, "phi": phi, "picked": (rows, cols)})
             return rows, cols
 
-        def warm_spy(model, costs, rows, cons):
-            rounds[-1]["added"] = (rows, cons - len(rounds[-1]["psi"]))
-            return warm(model, costs, rows, cons)
+        def run_spy(model, costs, rows, cons, warm):
+            if warm:
+                rounds[-1]["added"] = (rows, cons - len(rounds[-1]["psi"]))
+            return run(model, costs, rows, cons, warm)
 
         monkeypatch.setattr(so, "_priced_pairs", priced_spy)
-        monkeypatch.setattr(so, "_warm_round", warm_spy)
+        monkeypatch.setattr(so, "_lp_run", run_spy)
         return rounds
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -511,8 +513,8 @@ class TestWarmRounds:
     def test_duals_match_all_cold_rounds(self, monkeypatch, n):
         mu, nu = _cap_instance(n)
         warm, warm_duals = so.solve_exact(mu, nu)
-        monkeypatch.setattr(so, "_warm_model", _ColdModel)
-        monkeypatch.setattr(so, "_warm_round", lambda model, *pairs: model.round(*pairs))
+        monkeypatch.setattr(so, "_lp_model", _ColdModel)
+        monkeypatch.setattr(so, "_lp_run", lambda model, *pairs, warm: model.round(*pairs))
         cold, cold_duals = so.solve_exact(mu, nu)
         assert warm.total_cost == pytest.approx(cold.total_cost, abs=1e-12)
         if n > 1:  # the equally spaced circle has tied optimal plans
@@ -542,45 +544,54 @@ class TestWarmRounds:
                 assert np.all(np.diff(pairs[0] * reduced.shape[1] + pairs[1]) > 0)
 
     def test_uncertified_warm_duals_raise(self, monkeypatch):
-        warm = so._warm_round
+        run = so._lp_run
 
-        def perturbed(*args):
-            mass, duals = warm(*args)
-            duals[-1] += 1e-6
+        def perturbed(*args, warm):
+            mass, duals = run(*args, warm=warm)
+            if warm:
+                duals[-1] += 1e-6
             return mass, duals
 
-        monkeypatch.setattr(so, "_warm_round", perturbed)
+        monkeypatch.setattr(so, "_lp_run", perturbed)
         with pytest.raises(SolverError, match="not certified"):
             so.solve_exact(*_cap_instance(2))
 
     def test_non_optimal_warm_round_raises(self, monkeypatch):
-        build = so._warm_model
+        # from the first warm round on, neither the dual simplex run nor its
+        # cold re-run may take a step
+        run = so._lp_run
 
-        def capped(*args):
-            model = build(*args)
-            model.setOptionValue("simplex_iteration_limit", 0)
-            return model
+        def capped(model, *pairs, warm):
+            if warm:
+                model.setOptionValue("simplex_iteration_limit", 0)
+                model.setOptionValue("ipm_iteration_limit", 0)
+            return run(model, *pairs, warm=warm)
 
-        monkeypatch.setattr(so, "_warm_model", capped)
+        monkeypatch.setattr(so, "_lp_run", capped)
         with pytest.raises(SolverError, match="warm round ended"):
             so.solve_exact(*_cap_instance(2))
 
     @pytest.mark.parametrize("failures", [1, 2])
     def test_warm_round_stopping_short_runs_again(self, monkeypatch, failures):
         # the first warm run, and with two failures its re-run too, reports
-        # Unknown; a cleared model must then run again from scratch. linprog
-        # builds its models from the same class, but never adds columns.
-        cleared = []
+        # Unknown; a cleared model must then run again cold, by interior
+        # point. A model's runs are warm once it has run and taken columns
+        # again; linprog builds its models from the same class, but never
+        # adds columns.
+        cleared, solvers = [], []
 
         class StoppingShort(so.highs._Highs):
             warm_runs = 0
 
             def addCols(self, *args):
-                self.warm = True
+                self.warm = getattr(self, "ran", False)
                 return super().addCols(*args)
 
             def run(self):
+                self.ran = True
                 StoppingShort.warm_runs += getattr(self, "warm", False)
+                if getattr(self, "warm", False):
+                    solvers.append(self.getOptionValue("solver")[1])
                 return super().run()
 
             def getModelStatus(self):
@@ -598,13 +609,97 @@ class TestWarmRounds:
             with pytest.raises(SolverError, match="warm round ended"):
                 so.solve_exact(mu, nu)
             assert cleared == [1]
+            assert solvers == ["simplex", "ipm"]
             return
         coupling, duals = so.solve_exact(mu, nu)
         assert cleared == [1]
+        assert solvers[:2] == ["simplex", "ipm"] and set(solvers[2:]) <= {"simplex"}
         dual = float(duals.psi @ mu.weights + duals.phi @ nu.weights)
         assert abs(coupling.total_cost - dual) <= 1e-12
         assert duals.feasibility_gap(mu, nu) <= 1e-12
         assert duals.slackness_gap(coupling, mu, nu) <= 1e-12
+
+    def test_dual_infeasible_crossover_runs_dual_simplex(self, monkeypatch):
+        # crossover can end Optimal on a basis whose duals break the dual
+        # feasibility tolerance; here every level's first run reports so, and
+        # dual simplex must go on from that basis
+        models = []
+
+        class DualInfeasible(so.highs._Highs):
+            def addCols(self, *args):
+                if not hasattr(self, "runs"):
+                    self.runs = []
+                    models.append(self)
+                return super().addCols(*args)
+
+            def run(self):
+                if hasattr(self, "runs"):
+                    self.runs.append(self.getOptionValue("solver")[1])
+                return super().run()
+
+            def getInfo(self):
+                info = super().getInfo()
+                if getattr(self, "runs", None) == ["ipm"]:
+                    info.dual_solution_status = int(so.highs.kSolutionStatusInfeasible)
+                return info
+
+        monkeypatch.setattr(so.highs, "_Highs", DualInfeasible)
+        mu, nu = _cap_instance(2)
+        coupling, duals = so.solve_exact(mu, nu)
+        assert models and all(model.runs[:2] == ["ipm", "simplex"] for model in models)
+        dual = float(duals.psi @ mu.weights + duals.phi @ nu.weights)
+        assert abs(coupling.total_cost - dual) <= 1e-12
+        assert duals.feasibility_gap(mu, nu) <= 1e-12
+        assert duals.slackness_gap(coupling, mu, nu) <= 1e-12
+
+
+def _full_selection(c, psi, phi):
+    """Reference for so._priced_pairs' selection: the ROUND_CAP pairs of
+    smallest reduced cost of every row and every column, the columns taken
+    from transposed copies of column slabs, kept if priced below -PRICE_TOL."""
+    n, m = c.shape
+    rows, cols = [], []
+    for lo in range(0, n, so.BLOCK):
+        reduced = c[lo:lo + so.BLOCK] - psi[lo:lo + so.BLOCK, None] - phi[None, :]
+        k = min(so.ROUND_CAP, m)
+        best = np.argpartition(reduced, k - 1, axis=1)[:, :k]
+        rows.append(np.repeat(np.arange(lo, lo + len(best)), k))
+        cols.append(best.ravel())
+    for lo in range(0, m, so.BLOCK):
+        reduced = c[:, lo:lo + so.BLOCK].T.copy()
+        reduced -= psi[None, :]
+        reduced -= phi[lo:lo + so.BLOCK, None]
+        k = min(so.ROUND_CAP, n)
+        best = np.argpartition(reduced, k - 1, axis=1)[:, :k]
+        cols.append(np.repeat(np.arange(lo, lo + len(best)), k))
+        rows.append(best.ravel())
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    keep = c[rows, cols] - psi[rows] - phi[cols] < -so.PRICE_TOL
+    return np.divmod(np.unique(rows[keep] * m + cols[keep]), m)
+
+
+class TestPricing:
+    @pytest.mark.parametrize("n, n_src, n_tgt", [
+        (1, 600, 300), (2, 600, 300), (3, 300, 600), (2, 7, 900), (2, 900, 7),
+    ])
+    def test_matches_full_selection(self, rng, n, n_src, n_tgt):
+        c = g.cost_matrix(g.random_sphere_points(n, n_src, rng),
+                          g.random_sphere_points(n, n_tgt, rng))
+        # c-transforms price no pair below 0; raising phi on some columns,
+        # some of them by about PRICE_TOL, prices some lines negative
+        psi, phi = so._c_transforms(c, np.arange(0, n_tgt, 4), rng.normal(size=-(-n_tgt // 4)))
+        none = np.empty(0, dtype=int)
+        assert all(len(p) == 0 for p in so._priced_pairs(c, psi, phi, none, none))
+        assert all(len(p) == 0 for p in _full_selection(c, psi, phi))
+        raised = np.arange(n_tgt) % 5 == 1
+        phi[raised] += np.resize([0.05, 2e-10, 0.5e-10, 1e-3], raised.sum())
+        reduced = c - psi[:, None] - phi[None, :]
+        negative_rows = (reduced < -so.PRICE_TOL).any(axis=1)
+        negative_cols = (reduced < -so.PRICE_TOL).any(axis=0)
+        assert 0 < negative_rows.sum() < n_src and 0 < negative_cols.sum() < n_tgt
+        got = so._priced_pairs(c, psi, phi, none, none)
+        want = _full_selection(c, psi, phi)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestOracle:
