@@ -120,13 +120,14 @@ def cost_extrinsic(x: np.ndarray, y: np.ndarray) -> float:
 
 def cost_matrix(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Pairwise squared chordal distances, shape (len(xs), len(ys)): the bits of
-    sq_x + sq_y - 2 xs @ ys.T, with each row finished in place (no second n x m array)."""
+    sq_x + sq_y - 2 xs @ ys.T, rows finished in place a few at a time (no second n x m array)."""
     sq_x = np.einsum("ij,ij->i", xs, xs)
     sq_y = np.einsum("ij,ij->i", ys, ys)
     c = xs @ ys.T
     c *= 2.0
-    for i, row in enumerate(c):
-        np.subtract(sq_x[i] + sq_y, row, out=row)
+    step = 1 + 8192 // (len(ys) + 1)
+    for lo in range(0, len(c), step):
+        np.subtract(sq_x[lo:lo + step, None] + sq_y, c[lo:lo + step], out=c[lo:lo + step])
     np.maximum(c, 0.0, out=c)
     return c
 

@@ -84,12 +84,15 @@ def builtin_density(spec: str, n: int):
 
 
 def resolve_measure(spec: str, mesh: measures_mod.SphereMesh) -> measures_mod.DiscreteMeasure:
-    """A measure from a density spec or a measure JSON file path."""
+    """A measure from a density spec or a measure JSON file path on the mesh's sphere."""
     if spec == "uniform" or spec.partition(":")[0] in ("cap", "band"):
         return measures_mod.sample_density(builtin_density(spec, mesh.n), mesh)
     path = Path(spec)
     if path.exists():
-        return measures_mod.load_measure(path)
+        measure = measures_mod.load_measure(path)
+        if measure.n != mesh.n:
+            raise ConfigError(f"{path}: a measure on S^{measure.n}, but the run is on S^{mesh.n}")
+        return measure
     raise ConfigError(f"measure spec {spec!r} is neither a built-in density nor a file")
 
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial import cKDTree
 
 from .errors import DomainError, InsufficientDataError
 from .geometry import rowwise_dot
@@ -78,12 +78,27 @@ def scale_window(spacing: float) -> tuple:
     return (2.0 * spacing, max(0.5, 4.0 * spacing))
 
 
-def _pair_table(points: np.ndarray, values: np.ndarray, window: tuple):
-    r = pdist(points)
-    d = pdist(values)
+def _pair_table(points: np.ndarray, window: tuple, *values: np.ndarray):
+    """Separations r of the pairs of points inside window and the displacements
+    of each values array on them: the entries of pdist the window keeps, bit for
+    bit and in order. The pairs come from a k-d tree queried a little past the
+    upper edge, as its distances round differently; no all-pairs array is made."""
     lo, hi = window
-    mask = (r >= lo) & (r <= hi)
-    return r[mask], d[mask]
+    pairs = cKDTree(points).query_pairs(hi * (1.0 + 1e-9), output_type="ndarray")
+    i, j = np.divmod(np.sort(pairs[:, 0] * len(points) + pairs[:, 1]), len(points))
+    del pairs
+    r = _distances(points, i, j)
+    keep = (r >= lo) & (r <= hi)
+    i, j = i[keep], j[keep]
+    return (r[keep], *(_distances(v, i, j) for v in values))
+
+
+def _distances(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """|points[i] - points[j]| as pdist computes it: squares summed in coordinate order."""
+    acc = np.zeros(len(i))
+    for k in range(points.shape[1]):
+        acc += (points[i, k] - points[j, k]) ** 2
+    return np.sqrt(acc, out=acc)
 
 
 def holder_fit(
@@ -101,7 +116,7 @@ def holder_fit(
     values = np.asarray(values, dtype=float)
     if len(points) < 2:
         raise InsufficientDataError("need at least two samples")
-    r, d = _pair_table(points, values, window)
+    r, d = _pair_table(points, window, values)
     if len(r) < 2:
         raise InsufficientDataError(f"fewer than 2 pairs inside window {window}")
     pair_count = int(len(r))
@@ -143,7 +158,7 @@ def holder_constant(
     points: np.ndarray, values: np.ndarray, alpha: float, window: tuple
 ) -> float:
     """Smallest constant C with displacement <= C * separation^alpha on window pairs."""
-    r, d = _pair_table(np.asarray(points, float), np.asarray(values, float), window)
+    r, d = _pair_table(np.asarray(points, float), window, np.asarray(values, float))
     if len(r) == 0:
         raise InsufficientDataError(f"no pairs inside window {window}")
     return float(np.max(d / r**alpha))
@@ -185,7 +200,7 @@ def t_minus_bound_check(
         raise InsufficientDataError("need at least two atoms in the subset")
     alpha = holder_exponent(mm.n)
     tested = mm.plus if converse else mm.minus
-    r, d = _pair_table(mm.points[idx], tested[idx], window)
+    r, d = _pair_table(mm.points[idx], window, tested[idx])
     if len(r) == 0:
         raise InsufficientDataError(f"no pairs inside window {window}")
     bound = constants.C_minus_proof * r**alpha
@@ -281,17 +296,14 @@ def injectivity_lower_bound(
     idx = np.asarray(region_idx, dtype=int)
     if len(idx) < 2:
         raise InsufficientDataError("need at least two target atoms")
-    r = pdist(inv.points[idx])
+    r, dm, dp = _pair_table(inv.points[idx], window, inv.minus[idx], inv.plus[idx])
     keep = r > 1e-12  # drop duplicate atoms
-    keep &= (r >= window[0]) & (r <= window[1])
     if not np.any(keep):
         raise InsufficientDataError("no usable target pairs after deduplication")
-    dm = pdist(inv.minus[idx])[keep]
-    dp = pdist(inv.plus[idx])[keep]
     denom = r[keep] ** exponent
     return InjectivityReport(
-        s_minus_ratio=float(np.min(dm / denom)),
-        s_plus_ratio=float(np.min(dp / denom)),
+        s_minus_ratio=float(np.min(dm[keep] / denom)),
+        s_plus_ratio=float(np.min(dp[keep] / denom)),
         exponent=float(exponent),
-        pair_count=int(keep.sum()),
+        pair_count=len(denom),
     )

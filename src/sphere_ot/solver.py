@@ -1,11 +1,11 @@
 """Discrete quadratic-cost transport between sphere measures.
 
 The exact backend is certified column generation on the transport LP:
-HiGHS solves the LP restricted to a candidate set of pairs, every pair of
-the full cost matrix is then priced with the LP duals, and pairs with
-negative reduced cost join the candidates until none is left, at which
-point the duals are feasible on the whole matrix and the plan is optimal
-by certificate. This is the shortlist idea of Gottschlich and Schuhmacher
+HiGHS solves the LP restricted to a candidate set of pairs, every pair is
+then priced with the LP duals on cost blocks built from the points, and
+pairs with negative reduced cost join the candidates until none is left,
+at which point the duals are feasible on every pair and the plan is
+optimal by certificate. This is the shortlist idea of Gottschlich and Schuhmacher
 ("The shortlist method for fast computation of the earth mover's distance
 and finding optimal solutions to transportation problems", 2014). Pricing
 takes the minimum of every row and column of reduced costs in one pass
@@ -57,7 +57,8 @@ absorbed into the potentials before the kernel is rebuilt. Its plan is
 rounded onto the marginals as in Altschuler, Weed and Rigollet (2017,
 Algorithm 2).
 
-Dual potentials are returned in the cost form psi_i + phi_j <= c(x_i, y_j).
+Dual potentials are returned in the cost form psi_i + phi_j <= c(x_i, y_j),
+and every plan is costed by geometry.pair_costs.
 """
 
 import csv
@@ -143,18 +144,10 @@ class DualPotentials:
     phi: np.ndarray
 
     def feasibility_gap(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-        """max_ij (psi_i + phi_j - c_ij); <= 0 for feasible duals.
-
-        The costs are built in blocks of BLOCK rows, so no array as large as
-        the cost matrix is made; an entry may differ from the whole matrix's
-        in the last ulp.
-        """
-        gap = -np.inf
-        for lo in range(0, mu.count, BLOCK):
-            s = self.psi[lo:lo + BLOCK, None] + self.phi[None, :]
-            s -= cost_matrix(mu.points[lo:lo + BLOCK], nu.points)
-            gap = np.maximum(gap, s.max())  # NaN if any entry is
-        return float(gap)
+        """max_ij (psi_i + phi_j - c_ij), NaN if any entry is; <= 0 for feasible
+        duals. The reduced costs are built from the points in blocks of BLOCK
+        rows, so an entry may differ from the whole matrix's in the last ulp."""
+        return float(-_line_minima(mu.points, nu.points, self.psi, self.phi)[0].min())
 
     def slackness_gap(self, coupling: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
         """max |psi_i + phi_j - c_ij| over the coupling support."""
@@ -172,12 +165,12 @@ def _check_instance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
         )
 
 
-def _coupling(rows, cols, mass, c) -> Coupling:
-    """The plan's entries of mass above SUPPORT_EPS, costed under c."""
+def _coupling(rows, cols, mass, xs, ys) -> Coupling:
+    """The plan's entries of mass above SUPPORT_EPS, costed by pair_costs."""
     keep = mass > SUPPORT_EPS
     if not keep.all():  # no copies when nothing is dropped
         rows, cols, mass = rows[keep], cols[keep], mass[keep]
-    return Coupling(rows, cols, mass, float(np.sum(mass * c[rows, cols])))
+    return Coupling(rows, cols, mass, float(np.sum(mass * pair_costs(xs, ys, rows, cols))))
 
 
 def _north_west_corner(a: np.ndarray, b: np.ndarray):
@@ -212,171 +205,161 @@ def _coarsen(points: np.ndarray, weights: np.ndarray):
 
 def _smallest_per_row(block, count, k):
     """The k smallest entries of every row of a count-row matrix whose rows
-    lo:lo + BLOCK are block(lo), as (rows, cols)."""
+    lo:lo + BLOCK are block(lo), new arrays, as (rows, cols): k argmin passes
+    set each pick to inf, so ties go to the lower column."""
     rows, cols = [], []
     for lo in range(0, count, BLOCK):
         values = block(lo)
-        kk = min(k, values.shape[1])
-        best = np.argpartition(values, kk - 1, axis=1)[:, :kk]
-        rows.append(np.repeat(np.arange(lo, lo + len(best)), kk))
-        cols.append(best.ravel())
+        at = np.arange(len(values))
+        for _ in range(min(k, values.shape[1])):
+            cols.append(values.argmin(axis=1))
+            values[at, cols[-1]] = np.inf
+            rows.append(at + lo)
+        del values  # the next block is built without this one
     return np.concatenate(rows), np.concatenate(cols)
 
 
-def _smallest_reduced(c, psi, phi, k, rows=None, cols=None):
-    """The k pairs of smallest reduced cost c - psi - phi in each row of
-    rows and each column of cols (index arrays; every row and column by
-    default), as (rows, cols); a pair may appear twice.
-
-    The lines are taken BLOCK at a time, each block a copy of its lines of
-    c reduced in place, so no temporary as large as c is made; every line
-    is reduced on its own, so the pairs are those of the whole-matrix calls.
-    """
-
-    def row_block(lo):
-        lines = rows[lo:lo + BLOCK]
-        reduced = c[lines]
-        reduced -= psi[lines, None]
-        reduced -= phi[None, :]
-        return reduced
-
-    def column_block(lo):
-        lines = cols[lo:lo + BLOCK]
-        reduced = c.T[lines]  # one contiguous row per column
-        reduced -= psi[None, :]
-        reduced -= phi[lines, None]
-        return reduced
-
-    rows = np.arange(c.shape[0]) if rows is None else rows
-    cols = np.arange(c.shape[1]) if cols is None else cols
-    at, picks = _smallest_per_row(row_block, len(rows), k)
-    at_col, sources = _smallest_per_row(column_block, len(cols), k)
-    return np.append(rows[at], sources), np.append(picks, cols[at_col])
+def _reduced(xs, ys, psi, phi, lines):
+    """c - psi - phi on the rows lines of the cost matrix of xs against ys,
+    built from the points; swapping the sides and the duals gives columns."""
+    reduced = cost_matrix(xs[lines], ys)
+    reduced -= psi[lines, None]
+    reduced -= phi[None, :]
+    return reduced
 
 
-def _negative_lines(c, psi, phi):
-    """The rows and the columns that hold a pair of reduced cost
-    c - psi - phi below -PRICE_TOL, from one pass over c in blocks of BLOCK
-    rows. Each reduced cost is the float _smallest_reduced forms."""
-    n, m = c.shape
-    row_min = np.empty(n)
-    col_min = np.full(m, np.inf)
-    for lo in range(0, n, BLOCK):
-        reduced = c[lo:lo + BLOCK] - psi[lo:lo + BLOCK, None]
-        reduced -= phi[None, :]
+def _smallest_reduced(xs, ys, psi, phi, k, rows, cols):
+    """The k pairs of smallest reduced cost c - psi - phi in each row of rows and each
+    column of cols, in blocks built by _reduced, as (rows, cols); a pair may appear twice."""
+    at, picks = _smallest_per_row(lambda lo: _reduced(xs, ys, psi, phi, rows[lo:lo + BLOCK]),
+                                  len(rows), k)
+    to, sources = _smallest_per_row(lambda lo: _reduced(ys, xs, phi, psi, cols[lo:lo + BLOCK]),
+                                    len(cols), k)
+    return np.append(rows[at], sources), np.append(picks, cols[to])
+
+
+def _line_minima(xs, ys, psi, phi):
+    """The minimum reduced cost c - psi - phi of every row and of every
+    column, from one pass over blocks of BLOCK rows built by _reduced."""
+    row_min = np.empty(len(xs))
+    col_min = np.full(len(ys), np.inf)
+    for lo in range(0, len(xs), BLOCK):
+        reduced = _reduced(xs, ys, psi, phi, slice(lo, lo + BLOCK))
         reduced.min(axis=1, out=row_min[lo:lo + BLOCK])
         np.minimum(col_min, reduced.min(axis=0), out=col_min)
-    return np.flatnonzero(row_min < -PRICE_TOL), np.flatnonzero(col_min < -PRICE_TOL)
+        del reduced  # the next block is built without this one
+    return row_min, col_min
 
 
-def _c_transforms(c, cols, phi_coarse):
-    """Duals (psi, phi) on all of c from target duals phi_coarse on the
-    columns cols: psi_i = min_k c[i, cols[k]] - phi_coarse[k], then
-    phi_j = min_i c_ij - psi_i, in blocks of BLOCK rows so no temporary as
-    large as c is made."""
-    n, m = c.shape
-    psi = np.empty(n)
-    phi = np.full(m, np.inf)
-    for lo in range(0, n, BLOCK):
-        blk = slice(lo, lo + BLOCK)
-        psi[blk] = (c[blk][:, cols] - phi_coarse[None, :]).min(axis=1)
-        np.minimum(phi, (c[blk] - psi[blk, None]).min(axis=0), out=phi)
+def _c_transforms(block, count, cols, phi_coarse):
+    """Duals (psi, phi) on all of a count-row cost matrix whose rows lo:lo + BLOCK
+    are block(lo), new arrays, from target duals phi_coarse on its columns cols:
+    psi_i = min_k c[i, cols[k]] - phi_coarse[k], then phi_j = min_i c_ij - psi_i."""
+    psi = np.empty(count)
+    phi = np.inf
+    for lo in range(0, count, BLOCK):
+        c = block(lo)
+        psi[lo:lo + BLOCK] = (c[:, cols] - phi_coarse[None, :]).min(axis=1)
+        c -= psi[lo:lo + BLOCK, None]
+        phi = np.minimum(phi, c.min(axis=0))
+        del c  # the next block is built without this one
     return psi, phi
 
 
-def _initial_candidates(c, a, b, xs, ys):
+def _initial_candidates(xs, ys, a, b):
     """The first candidate pairs of a level with a coarse level, as (rows,
     cols) sorted row-major.
 
-    The instance coarsened on both sides is solved first, and three sets of
-    pairs are kept:
+    The instance coarsened on both sides is solved first, on the centres'
+    points, and three sets of pairs are kept:
     - the children of the coarse plan's support: every pair (i, j) whose
       owners form a coarse pair of positive mass. These are the shielding
       neighbourhoods of Schmitzer ("A sparse multiscale algorithm for dense
       optimal transport", 2016); the coarse pairs of zero mass are left
-      out, as their children would cover all of c;
+      out, as their children would cover every pair;
     - the LP_NEIGHBOURS pairs of smallest reduced cost of every row and
       column, under the coarse target duals carried up by two c-transforms;
     - the north-west corner.
     """
-    n, m = c.shape
+    n, m = len(xs), len(ys)
     ci, ca, src_owner = _coarsen(xs, a)
     cj, cb, tgt_owner = _coarsen(ys, b)
-    crows, ccols, cmass, _, phi_coarse = _column_generation(
-        c[np.ix_(ci, cj)], ca, cb, xs[ci], ys[cj]
-    )
+    crows, ccols, cmass, _, phi_coarse = _column_generation(xs[ci], ys[cj], ca, cb)
     positive = cmass > 0
     support = sparse.csr_matrix(
         (np.ones(positive.sum()), (crows[positive], ccols[positive])), shape=(len(ci), len(cj))
     )
     child_rows, child_cols = support[src_owner][:, tgt_owner].nonzero()
-    rows, cols = _smallest_reduced(c, *_c_transforms(c, cj, phi_coarse), LP_NEIGHBOURS)
+    psi, phi = _c_transforms(lambda lo: cost_matrix(xs[lo:lo + BLOCK], ys), n, cj, phi_coarse)
+    rows, cols = _smallest_reduced(xs, ys, psi, phi, LP_NEIGHBOURS, np.arange(n), np.arange(m))
     corner_rows, corner_cols = _north_west_corner(a, b)
     keys = np.r_[child_rows * m + child_cols, rows * m + cols, corner_rows * m + corner_cols]
     return np.divmod(np.unique(keys), m)
 
 
-def _column_generation(c, a, b, xs, ys):
-    """Optimal plan on the candidate pairs with duals feasible on all of c.
+def _column_generation(xs, ys, a, b):
+    """Optimal plan on the candidate pairs with duals feasible on every pair.
 
-    The candidates are index arrays and pricing runs in blocks, so no
-    array as large as c is made. Instances of at most LP_FULL_PAIRS pairs
-    take every pair as a candidate in one linprog call, and so no round.
-    Larger ones solve the first restricted LP on one HiGHS model by
-    interior point with crossover; each later round adds the ROUND_CAP most
-    negatively priced pairs of every row and of every column to that model
-    and restarts dual simplex from the previous basis. Returns (rows, cols,
+    The candidates are index arrays costed by pair_costs and pricing builds
+    blocks from the points, so no array of every pair is made. Instances of
+    at most LP_FULL_PAIRS pairs take every pair in one linprog call. Larger
+    ones solve the first restricted LP on one HiGHS model by interior point
+    with crossover; each later round adds the ROUND_CAP most negatively
+    priced pairs of every row and of every column to that model and
+    restarts dual simplex from the previous basis. Returns (rows, cols,
     mass, psi, phi) with the pairs in row-major order and the duals in the
     gauge max(phi) = 0. Raises SolverError rather than return a plan whose
     duals price any pair below -PRICE_TOL.
     """
-    n, m = c.shape
+    n, m = len(xs), len(ys)
     b_eq = np.concatenate([a, b])
     if n * m <= LP_FULL_PAIRS:
         rows, cols = np.divmod(np.arange(n * m), m)
         starts, indices, values = _columns(rows, cols + n)
         a_eq = sparse.csc_matrix((values, indices, starts), shape=(n + m, len(rows)))
-        res = linprog(c.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+        res = linprog(pair_costs(xs, ys, rows, cols), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
                       method="highs-ipm", options=HIGHS_OPTIONS)
         if res.status != 0:
             raise SolverError(f"LP backend failed: {res.message}")
         mass, duals = res.x, res.eqlin.marginals
     else:
-        rows, cols = _initial_candidates(c, a, b, xs, ys)
+        rows, cols = _initial_candidates(xs, ys, a, b)
         model = _lp_model(b_eq)
-        mass, duals = _lp_run(model, c[rows, cols], rows, cols + n, warm=False)
+        mass, duals = _lp_run(model, pair_costs(xs, ys, rows, cols), rows, cols + n, warm=False)
     while True:
         psi, phi = duals[:n].copy(), duals[n:].copy()
         # with every pair a candidate, a pair priced below -PRICE_TOL raises here
-        new_rows, new_cols = _priced_pairs(c, psi, phi, rows, cols)
+        new_rows, new_cols = _priced_pairs(xs, ys, psi, phi, rows, cols)
         if not len(new_rows):
             order = np.argsort(rows * m + cols)
             top = phi.max()
             return rows[order], cols[order], mass[order], psi + top, phi - top
         rows, cols = np.append(rows, new_rows), np.append(cols, new_cols)
-        mass, duals = _lp_run(model, c[new_rows, new_cols], new_rows, new_cols + n, warm=True)
+        costs = pair_costs(xs, ys, new_rows, new_cols)
+        mass, duals = _lp_run(model, costs, new_rows, new_cols + n, warm=True)
 
 
-def _priced_pairs(c, psi, phi, rows, cols):
+def _priced_pairs(xs, ys, psi, phi, rows, cols):
     """Pairs to add in the next round, in row-major order: the ROUND_CAP
     most negatively priced pairs of every row and every column, among the
     pairs priced below -PRICE_TOL. These include each row's most negative
-    pair, so an empty result certifies that no pair of c prices below
-    -PRICE_TOL. One pass takes the minimum of every row and column; the
+    pair, so an empty result certifies that no pair of xs against ys prices
+    below -PRICE_TOL. One pass takes the minimum of every row and column; the
     pairs are then selected only on the lines whose minimum is below
     -PRICE_TOL, as no other line holds a pair that is kept. A candidate
     (rows, cols) priced so raises SolverError."""
-    if np.any(c[rows, cols] - psi[rows] - phi[cols] < -PRICE_TOL):
+    if np.any(pair_costs(xs, ys, rows, cols) - psi[rows] - phi[cols] < -PRICE_TOL):
         raise SolverError(
             "LP duals price a candidate pair below "
             f"-{PRICE_TOL:g}; the plan is not certified optimal"
         )
-    neg_rows, neg_cols = _negative_lines(c, psi, phi)
+    row_min, col_min = _line_minima(xs, ys, psi, phi)
+    neg_rows, neg_cols = np.flatnonzero(row_min < -PRICE_TOL), np.flatnonzero(col_min < -PRICE_TOL)
     if not len(neg_rows):  # then no column holds one either
         return neg_rows, neg_rows
-    rows, cols = _smallest_reduced(c, psi, phi, ROUND_CAP, neg_rows, neg_cols)
-    keep = c[rows, cols] - psi[rows] - phi[cols] < -PRICE_TOL
-    return np.divmod(np.unique(rows[keep] * c.shape[1] + cols[keep]), c.shape[1])
+    rows, cols = _smallest_reduced(xs, ys, psi, phi, ROUND_CAP, neg_rows, neg_cols)
+    keep = pair_costs(xs, ys, rows, cols) - psi[rows] - phi[cols] < -PRICE_TOL
+    return np.divmod(np.unique(rows[keep] * len(ys) + cols[keep]), len(ys))
 
 
 def _lp_model(b_eq):
@@ -453,11 +436,9 @@ def _columns(rows, cons):
     return np.arange(0, 2 * k + 1, 2, dtype=np.int32), indices, np.ones(2 * k)
 
 
-def _solve_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, c: np.ndarray):
-    rows, cols, mass, psi, phi = _column_generation(
-        c, mu.weights, nu.weights, mu.points, nu.points
-    )
-    return _coupling(rows, cols, mass, c), DualPotentials(psi, phi)
+def _solve_lp(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    rows, cols, mass, psi, phi = _column_generation(mu.points, nu.points, mu.weights, nu.weights)
+    return _coupling(rows, cols, mass, mu.points, nu.points), DualPotentials(psi, phi)
 
 
 def _subsample(points: np.ndarray) -> np.ndarray:
@@ -469,11 +450,11 @@ def _subsample(points: np.ndarray) -> np.ndarray:
 def _assignment(costs, xs, ys):
     """Optimal assignment of the square cost matrix costs() and its duals.
 
-    Returns (assign, duals, c): row i goes to column assign[i], duals is
-    (psi, phi), or None if the dual sweeps do not settle, and c is the cost
-    matrix. Instances above FULL_PAIRS subsample both sides, solve that
-    equal-weight instance the same way on a block of c and carry its target
-    duals up by two c-transforms (zeros if they did not settle). c then
+    Returns (assign, duals): row i goes to column assign[i], and duals is
+    (psi, phi), or None if the dual sweeps do not settle. Instances above
+    FULL_PAIRS subsample both sides, solve that equal-weight instance the
+    same way on a block of c and carry its target duals up by two
+    c-transforms (zeros if they did not settle). c then
     becomes the reduced costs c - psi - phi in place, and
     linear_sum_assignment runs on them, with the same optimum in far fewer
     augmenting-path steps; smaller instances run it on c itself. The
@@ -488,15 +469,16 @@ def _assignment(costs, xs, ys):
     if reduced:
         ci, cj = _subsample(xs), _subsample(ys)
         coarse = _assignment(lambda: c[np.ix_(ci, cj)], xs[ci], ys[cj])[1]
-        psi, phi = _c_transforms(c, cj, coarse[1] if coarse is not None else np.zeros(len(cj)))
+        phi_coarse = coarse[1] if coarse is not None else np.zeros(len(cj))
+        psi, phi = _c_transforms(lambda lo: c[lo:lo + BLOCK].copy(), n, cj, phi_coarse)
         c -= psi[:, None]
         c -= phi[None, :]
     _, assign = linear_sum_assignment(c)
-    rows, cols = _smallest_per_row(lambda lo: c[lo:lo + BLOCK], n, NEIGHBOURS)
+    rows, cols = _smallest_per_row(lambda lo: c[lo:lo + BLOCK].copy(), n, NEIGHBOURS)
     if reduced:
         del c
         c = costs()
-    return assign, _assignment_duals(c, assign, rows, cols), c
+    return assign, _assignment_duals(c, assign, rows, cols)
 
 
 def _assignment_duals(c, assign, rows, cols):
@@ -579,18 +561,19 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure):
         and np.allclose(nu.weights, mu.weights[0], rtol=0, atol=1e-12)
     )
     if not equal_weights:
-        return _solve_lp(mu, nu, cost_matrix(mu.points, nu.points))
-    assign, duals, c = _assignment(lambda: cost_matrix(mu.points, nu.points), mu.points, nu.points)
+        return _solve_lp(mu, nu)
+    assign, duals = _assignment(lambda: cost_matrix(mu.points, nu.points), mu.points, nu.points)
     if duals is not None:
         mass = np.full(mu.count, mu.weights[0])
-        return _coupling(np.arange(mu.count), assign, mass, c), DualPotentials(*duals)
+        coupling = _coupling(np.arange(mu.count), assign, mass, mu.points, nu.points)
+        return coupling, DualPotentials(*duals)
     warnings.warn(
         f"assignment duals did not settle within {mu.count + 1} sweeps of a pass; "
         "solving the transport LP instead",
         SolverFallbackWarning,
         stacklevel=2,
     )
-    return _solve_lp(mu, nu, c)
+    return _solve_lp(mu, nu)
 
 
 def _round_to_marginals(plan: np.ndarray, mu_w: np.ndarray, nu_w: np.ndarray) -> np.ndarray:
@@ -694,7 +677,7 @@ def solve_entropic(mu: DiscreteMeasure, nu: DiscreteMeasure, reg: float):
     kernel *= v[None, :]
     plan = _round_to_marginals(kernel, a, b)
     rows, cols = np.nonzero(plan > SUPPORT_EPS)  # so no index arrays for the whole plan
-    coupling = _coupling(rows, cols, plan[rows, cols], c)
+    coupling = _coupling(rows, cols, plan[rows, cols], mu.points, nu.points)
     return coupling, DualPotentials(f + reg * np.log(u), g + reg * np.log(v))
 
 

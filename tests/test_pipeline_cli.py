@@ -294,10 +294,20 @@ class TestCLI:
         ["mtw", "--samples", "-3"],
         ["mtw", "--step", "0"],
         ["mtw", "--n", "0"],
+        # a measure file on S^2 for a run on another sphere
+        ["solve", "--n", "1", "--mu", "S2_FILE", "--nu", "S2_FILE"],
+        ["solve", "--n", "3", "--mu", "S2_FILE", "--nu", "uniform"],
     ])
     def test_configuration_error(self, tmp_path, capsys, argv):
+        s2_file = str(tmp_path / "s2.json")
+        if "S2_FILE" in argv:
+            assert cli.main(["gen", "--n", "2", "--mesh", "60", "--out", s2_file]) == 0
+            capsys.readouterr()
+            argv = [s2_file if a == "S2_FILE" else a for a in argv]
         assert cli.main(argv + ["--out", str(tmp_path / "out")]) == pipe.EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("configuration error:")
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert s2_file in err or s2_file not in argv
         assert not (tmp_path / "out").exists()
 
     def test_report_subcommand(self, tmp_path, capsys):

@@ -427,6 +427,63 @@ def _looped_probe(inv, center):
     return others, betas, bound_ok
 
 
+def _pdist_table(points, values, window):
+    """Reference for rg._pair_table: pdist over every pair, masked to the window."""
+    r, d = pdist(points), pdist(values)
+    keep = (r >= window[0]) & (r <= window[1])
+    return r[keep], d[keep]
+
+
+class TestPairTable:
+    """The k-d tree pair table against pdist over every pair, bit for bit."""
+
+    @staticmethod
+    def _points(rng, n):
+        from sphere_ot import geometry as g
+
+        points = g.random_sphere_points(n, 400, rng)
+        points = np.vstack([points, points[::13]])  # duplicate atoms
+        return points, g.random_sphere_points(n, len(points), rng), g.random_sphere_points(
+            n, len(points), rng)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bitwise_equal_to_pdist(self, rng, n):
+        points, values, more = self._points(rng, n)
+        r = np.sort(pdist(points))
+        # windows that cut pairs, with edges on pair distances, from the
+        # duplicates' zero distance up, and one that keeps every pair
+        windows = [(0.0, r[len(r) // 50]), (r[len(r) // 20], r[len(r) // 5]),
+                   (0.1, 0.5), (r[len(r) // 2], r[len(r) // 2]), (0.0, 2.0)]
+        for window in windows:
+            want_r, want_d = _pdist_table(points, values, window)
+            got_r, got_d, got_more = rg._pair_table(points, window, values, more)
+            assert 0 < len(want_r)
+            assert got_r.tobytes() == want_r.tobytes(), window
+            assert got_d.tobytes() == want_d.tobytes(), window
+            assert got_more.tobytes() == _pdist_table(points, more, window)[1].tobytes()
+        assert 0.0 in rg._pair_table(points, windows[0])[0]
+        assert len(_pdist_table(points, values, windows[-1])[0]) == len(r)
+
+    def test_empty_and_single(self):
+        for count in (0, 1):
+            r, d = rg._pair_table(np.ones((count, 3)), (0.0, 1.0), np.ones((count, 3)))
+            assert r.shape == d.shape == (0,)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_injectivity_bitwise_equal_to_pdist(self, rng, n):
+        points, minus, plus = self._points(rng, n)
+        inv = synthetic_inverse(points, plus, minus)
+        idx = np.arange(0, len(points), 2)
+        window, exponent = (0.05, 0.6), 1.0 / (4 * n - 1)
+        rep = rg.injectivity_lower_bound(inv, idx, exponent, window)
+        r = pdist(points[idx])
+        keep = (r > 1e-12) & (r >= window[0]) & (r <= window[1])
+        denom = r[keep] ** exponent
+        assert rep.s_minus_ratio == float(np.min(pdist(minus[idx])[keep] / denom))
+        assert rep.s_plus_ratio == float(np.min(pdist(plus[idx])[keep] / denom))
+        assert rep.pair_count == keep.sum() < len(r)
+
+
 class TestInjectivity:
     def test_identity_maps(self, rng):
         from sphere_ot import geometry as g

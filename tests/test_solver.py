@@ -84,7 +84,7 @@ class TestExact:
         mu = make_measure(pts_mu)
         nu = make_measure(pts_nu)
         fast, duals = so.solve_exact(mu, nu)
-        slow, _ = so._solve_lp(mu, nu, g.cost_matrix(pts_mu, pts_nu))
+        slow, _ = so._solve_lp(mu, nu)
         assert fast.total_cost == pytest.approx(slow.total_cost, abs=1e-10)
         assert duals.feasibility_gap(mu, nu) <= 1e-12
         assert duals.slackness_gap(fast, mu, nu) <= 1e-12
@@ -257,7 +257,8 @@ class TestAssignment:
         _, assign = linear_sum_assignment(c)
         psi, phi = _dense_assignment_duals(c, assign)
         every = np.divmod(np.arange(count * count), count)
-        nearest = so._smallest_per_row(lambda lo: c[lo:lo + so.BLOCK], count, so.NEIGHBOURS)
+        nearest = so._smallest_per_row(lambda lo: c[lo:lo + so.BLOCK].copy(), count,
+                                       so.NEIGHBOURS)
         alone = (np.empty(0, dtype=int), np.empty(0, dtype=int))
         for rows, cols in (every, nearest, alone):
             priced.clear()
@@ -292,8 +293,8 @@ def test_unsettled_assignment_duals_fall_back_to_lp_loudly(rng, monkeypatch):
     coupling.validate(mu, nu)
     assert duals.feasibility_gap(mu, nu) <= 1e-9
     assert duals.slackness_gap(coupling, mu, nu) <= 1e-9
-    # costed under c itself: the reduced costs would shift it by sum(psi + phi) / n
-    lp, _ = so._solve_lp(mu, nu, g.cost_matrix(mu.points, nu.points))
+    # costed from the points: the reduced costs would shift it by sum(psi + phi) / n
+    lp, _ = so._solve_lp(mu, nu)
     assert abs(coupling.total_cost - lp.total_cost) <= 1e-12
 
 
@@ -345,20 +346,26 @@ class TestColumnGeneration:
 
     @pytest.mark.parametrize("n_src, n_tgt", [(600, 300), (7, 900), (900, 7)])
     def test_blocked_carry_up_matches_whole_matrix(self, rng, n_src, n_tgt):
-        c = g.cost_matrix(g.random_sphere_points(2, n_src, rng),
-                          g.random_sphere_points(2, n_tgt, rng))
+        xs = g.random_sphere_points(2, n_src, rng)
+        ys = g.random_sphere_points(2, n_tgt, rng)
+        c = _stacked(xs, ys)
         cols = np.arange(0, n_tgt, 4)
         phi_coarse = rng.normal(scale=0.1, size=len(cols))
-        psi, phi = so._c_transforms(c, cols, phi_coarse)
-        rows, picks = so._smallest_reduced(c, psi, phi, so.LP_NEIGHBOURS)
+        psi, phi = so._c_transforms(lambda lo: g.cost_matrix(xs[lo:lo + so.BLOCK], ys), n_src,
+                                    cols, phi_coarse)
+        rows, picks = so._smallest_reduced(xs, ys, psi, phi, so.LP_NEIGHBOURS,
+                                           np.arange(n_src), np.arange(n_tgt))
         want_psi = (c[:, cols] - phi_coarse[None, :]).min(axis=1)
         want_phi = (c - want_psi[:, None]).min(axis=0)
         assert psi.tobytes() == want_psi.tobytes() and phi.tobytes() == want_phi.tobytes()
-        reduced = c - want_psi[:, None] - want_phi[None, :]
+        # every column holds a reduced cost of exactly 0, so a row can hold
+        # ties; they go to the lower index
+        by_row = c - want_psi[:, None] - want_phi[None, :]
+        by_col = _stacked(ys, xs) - want_phi[:, None] - want_psi[None, :]
         want = np.zeros(c.shape, dtype=bool)
-        for axis, k in ((1, min(so.LP_NEIGHBOURS, n_tgt)), (0, min(so.LP_NEIGHBOURS, n_src))):
-            best = np.argpartition(reduced, k - 1, axis=axis).take(np.arange(k), axis=axis)
-            np.put_along_axis(want, best, True, axis=axis)
+        for lines, reduced in ((want, by_row), (want.T, by_col)):
+            best = np.argsort(reduced, axis=1, kind="stable")[:, :so.LP_NEIGHBOURS]
+            np.put_along_axis(lines, best, True, axis=1)
         got = np.zeros(c.shape, dtype=bool)
         got[rows, picks] = True
         assert np.array_equal(got, want)
@@ -369,13 +376,13 @@ class TestColumnGeneration:
         levels, plans = [], {}
         initial, generation = so._initial_candidates, so._column_generation
 
-        def initial_spy(c, a, b, xs, ys):
-            levels.append((c.shape, xs, ys, initial(c, a, b, xs, ys)))
+        def initial_spy(xs, ys, a, b):
+            levels.append(((len(xs), len(ys)), xs, ys, initial(xs, ys, a, b)))
             return levels[-1][-1]
 
-        def generation_spy(c, *args):
-            plans[c.shape] = generation(c, *args)
-            return plans[c.shape]
+        def generation_spy(xs, ys, *args):
+            plans[len(xs), len(ys)] = generation(xs, ys, *args)
+            return plans[len(xs), len(ys)]
 
         monkeypatch.setattr(so, "_initial_candidates", initial_spy)
         monkeypatch.setattr(so, "_column_generation", generation_spy)
@@ -416,18 +423,36 @@ class TestColumnGeneration:
         assert np.all(np.diff(keys) > 0)
 
     def test_no_array_as_large_as_c(self):
-        # a dense n x m float array next to the row-block temporaries of
-        # pricing (about c.nbytes here, 256 rows of 1000) would pass 1.5
+        # the cost blocks are built from the points, 256 rows of 1000 here;
+        # a dense n x m float array, or two blocks with an index array of
+        # each, would pass half of n * m * 8 bytes
         mesh = me.quasi_uniform_mesh(2, 1000, 1)
         mu, nu = resolve_measure("cap:0.98", mesh), resolve_measure("uniform", mesh)
-        c = g.cost_matrix(mu.points, nu.points)
         tracemalloc.start()
         try:
-            so._column_generation(c, mu.weights, nu.weights, mu.points, nu.points)
+            so._column_generation(mu.points, nu.points, mu.weights, nu.weights)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * c.nbytes
+        assert peak < 0.5 * mu.count * nu.count * 8
+
+    @pytest.mark.parametrize("n_src, n_tgt", [(1000, 1000), (6000, 7), (7, 6000)])
+    def test_cost_blocks_of_at_most_block_rows(self, rng, monkeypatch, n_src, n_tgt):
+        # every cost the LP path reads comes from the points, BLOCK rows or
+        # columns at a time
+        seen = []
+        real = so.cost_matrix
+
+        def spy(xs, ys):
+            seen.append(len(xs))
+            return real(xs, ys)
+
+        monkeypatch.setattr(so, "cost_matrix", spy)
+        mu, nu = _random_instance(rng, 2, n_src, n_tgt)
+        coupling, duals = so.solve_exact(mu, nu)
+        assert seen and max(seen) <= so.BLOCK
+        assert duals.feasibility_gap(mu, nu) <= 1e-12
+        assert duals.slackness_gap(coupling, mu, nu) <= 1e-12
 
     def test_uncertified_duals_raise(self, rng, monkeypatch):
         real = so.linprog
@@ -481,10 +506,11 @@ class TestWarmRounds:
         rounds = []
         priced, run = so._priced_pairs, so._lp_run
 
-        def priced_spy(c, psi, phi, *candidates):
-            rows, cols = priced(c, psi, phi, *candidates)
+        def priced_spy(xs, ys, psi, phi, *candidates):
+            rows, cols = priced(xs, ys, psi, phi, *candidates)
             if len(rows):
-                rounds.append({"c": c, "psi": psi, "phi": phi, "picked": (rows, cols)})
+                rounds.append({"xs": xs, "ys": ys, "psi": psi, "phi": phi,
+                               "picked": (rows, cols)})
             return rows, cols
 
         def run_spy(model, costs, rows, cons, warm):
@@ -529,7 +555,7 @@ class TestWarmRounds:
         so.solve_exact(mu, nu)
         assert len(spy) >= 2
         for r in spy:
-            reduced = r["c"] - r["psi"][:, None] - r["phi"][None, :]
+            reduced = g.cost_matrix(r["xs"], r["ys"]) - r["psi"][:, None] - r["phi"][None, :]
             priced = reduced < -so.PRICE_TOL
             want = np.zeros(reduced.shape, dtype=bool)
             for axis in (0, 1):
@@ -653,28 +679,30 @@ class TestWarmRounds:
         assert duals.slackness_gap(coupling, mu, nu) <= 1e-12
 
 
-def _full_selection(c, psi, phi):
+def _stacked(xs, ys):
+    """The cost matrix of xs against ys stacked from the blocks of BLOCK rows
+    that the LP path builds from the points."""
+    blocks = range(0, len(xs), so.BLOCK)
+    return np.vstack([g.cost_matrix(xs[lo:lo + so.BLOCK], ys) for lo in blocks])
+
+
+def _full_selection(xs, ys, psi, phi):
     """Reference for so._priced_pairs' selection: the ROUND_CAP pairs of
-    smallest reduced cost of every row and every column, the columns taken
-    from transposed copies of column slabs, kept if priced below -PRICE_TOL."""
-    n, m = c.shape
+    smallest reduced cost of every row and every column, ties to the lower
+    index, on the matrices stacked from the row blocks and from the column
+    blocks, kept if priced below -PRICE_TOL under pair_costs."""
+    m = len(ys)
     rows, cols = [], []
-    for lo in range(0, n, so.BLOCK):
-        reduced = c[lo:lo + so.BLOCK] - psi[lo:lo + so.BLOCK, None] - phi[None, :]
-        k = min(so.ROUND_CAP, m)
-        best = np.argpartition(reduced, k - 1, axis=1)[:, :k]
-        rows.append(np.repeat(np.arange(lo, lo + len(best)), k))
-        cols.append(best.ravel())
-    for lo in range(0, m, so.BLOCK):
-        reduced = c[:, lo:lo + so.BLOCK].T.copy()
-        reduced -= psi[None, :]
-        reduced -= phi[lo:lo + so.BLOCK, None]
-        k = min(so.ROUND_CAP, n)
-        best = np.argpartition(reduced, k - 1, axis=1)[:, :k]
-        cols.append(np.repeat(np.arange(lo, lo + len(best)), k))
-        rows.append(best.ravel())
+    reduced = _stacked(xs, ys) - psi[:, None] - phi[None, :]
+    best = np.argsort(reduced, axis=1, kind="stable")[:, :so.ROUND_CAP]
+    rows.append(np.repeat(np.arange(len(xs)), best.shape[1]))
+    cols.append(best.ravel())
+    reduced = _stacked(ys, xs) - phi[:, None] - psi[None, :]
+    best = np.argsort(reduced, axis=1, kind="stable")[:, :so.ROUND_CAP]
+    cols.append(np.repeat(np.arange(m), best.shape[1]))
+    rows.append(best.ravel())
     rows, cols = np.concatenate(rows), np.concatenate(cols)
-    keep = c[rows, cols] - psi[rows] - phi[cols] < -so.PRICE_TOL
+    keep = g.pair_costs(xs, ys, rows, cols) - psi[rows] - phi[cols] < -so.PRICE_TOL
     return np.divmod(np.unique(rows[keep] * m + cols[keep]), m)
 
 
@@ -683,22 +711,23 @@ class TestPricing:
         (1, 600, 300), (2, 600, 300), (3, 300, 600), (2, 7, 900), (2, 900, 7),
     ])
     def test_matches_full_selection(self, rng, n, n_src, n_tgt):
-        c = g.cost_matrix(g.random_sphere_points(n, n_src, rng),
-                          g.random_sphere_points(n, n_tgt, rng))
+        xs = g.random_sphere_points(n, n_src, rng)
+        ys = g.random_sphere_points(n, n_tgt, rng)
         # c-transforms price no pair below 0; raising phi on some columns,
         # some of them by about PRICE_TOL, prices some lines negative
-        psi, phi = so._c_transforms(c, np.arange(0, n_tgt, 4), rng.normal(size=-(-n_tgt // 4)))
+        psi, phi = so._c_transforms(lambda lo: g.cost_matrix(xs[lo:lo + so.BLOCK], ys), n_src,
+                                    np.arange(0, n_tgt, 4), rng.normal(size=-(-n_tgt // 4)))
         none = np.empty(0, dtype=int)
-        assert all(len(p) == 0 for p in so._priced_pairs(c, psi, phi, none, none))
-        assert all(len(p) == 0 for p in _full_selection(c, psi, phi))
+        assert all(len(p) == 0 for p in so._priced_pairs(xs, ys, psi, phi, none, none))
+        assert all(len(p) == 0 for p in _full_selection(xs, ys, psi, phi))
         raised = np.arange(n_tgt) % 5 == 1
         phi[raised] += np.resize([0.05, 2e-10, 0.5e-10, 1e-3], raised.sum())
-        reduced = c - psi[:, None] - phi[None, :]
+        reduced = _stacked(xs, ys) - psi[:, None] - phi[None, :]
         negative_rows = (reduced < -so.PRICE_TOL).any(axis=1)
         negative_cols = (reduced < -so.PRICE_TOL).any(axis=0)
         assert 0 < negative_rows.sum() < n_src and 0 < negative_cols.sum() < n_tgt
-        got = so._priced_pairs(c, psi, phi, none, none)
-        want = _full_selection(c, psi, phi)
+        got = so._priced_pairs(xs, ys, psi, phi, none, none)
+        want = _full_selection(xs, ys, psi, phi)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
@@ -832,7 +861,8 @@ def _log_domain_sinkhorn(mu, nu, reg, max_iter=20_000, tol=1e-8, lse=_logsumexp)
     plan = np.exp((f[:, None] + h[None, :] - c) / reg)
     plan = so._round_to_marginals(plan, mu.weights, nu.weights)
     rows, cols = np.nonzero(plan)
-    return so._coupling(rows, cols, plan[rows, cols], c), so.DualPotentials(f, h), it + 1
+    coupling = so._coupling(rows, cols, plan[rows, cols], mu.points, nu.points)
+    return coupling, so.DualPotentials(f, h), it + 1
 
 
 def _far_target_instance(n, seed):
