@@ -14,7 +14,8 @@ from . import measures as measures_mod
 from . import pipeline as pipe
 from . import regularity as reg_mod
 from . import solver as solver_mod
-from .errors import ConfigError, InsufficientDataError, SolverError, SphereOTError
+from .errors import (ConfigError, DomainError, InsufficientDataError, SolverError,
+                     SphereOTError)
 
 
 def _add_mesh_args(p: argparse.ArgumentParser) -> None:
@@ -122,6 +123,9 @@ def _load_run(run_dir: Path):
         raise OSError(f"run directory {run_dir} does not exist")
     mu = measures_mod.load_measure(run_dir / "mu.json")
     nu = measures_mod.load_measure(run_dir / "nu.json")
+    if nu.n != mu.n:
+        raise DomainError(f"{run_dir / 'nu.json'}: a measure on S^{nu.n}, "
+                          f"but mu.json is on S^{mu.n}")
     coupling = solver_mod.load_coupling_csv(run_dir / "coupling.csv", mu, nu)
     [solver] = _run_entries(run_dir / "config.json", lambda v: v in ("exact", "entropic"),
                             "solver")

@@ -169,28 +169,18 @@ def geodesic_step(x: np.ndarray, direction: np.ndarray, s: float) -> np.ndarray:
     return math.cos(s) * x + math.sin(s) * direction
 
 
-def cross_derivative_frame(
-    x: np.ndarray,
-    y: np.ndarray,
-    h: float = 1e-4,
-    richardson: bool = False,
-) -> np.ndarray:
+def cross_derivative_frame(x: np.ndarray, y: np.ndarray, h: float = 1e-4) -> np.ndarray:
     """Mixed second derivatives of the cost in orthonormal tangent frames.
 
     Entry (i, j) is d^2 c / ds dt of c(x(s), y(t)) along great circles
     through x and y in the i-th / j-th frame directions, by central
     differences with step h. The matrix depends on the frames but its
-    determinant magnitude does not. With richardson=True, combines steps
-    h and h/2 to cancel the leading O(h^2) error.
+    determinant magnitude does not.
     """
     x = check_unit(x)
     y = check_unit(y)
     if float(np.dot(x, y)) <= BOUNDARY_GUARD:
         raise DomainError("cross derivative is only defined for positively aligned pairs")
-    if richardson:
-        coarse = cross_derivative_frame(x, y, h, richardson=False)
-        fine = cross_derivative_frame(x, y, h / 2.0, richardson=False)
-        return (4.0 * fine - coarse) / 3.0
     ex = tangent_frame(x)
     fy = tangent_frame(y)
     n = ex.shape[0]

@@ -203,17 +203,13 @@ def default_epsilon(n: int) -> float:
     return 0.05 / sphere_area(n)
 
 
-def check_suitable(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    epsilon: float,
-    symmetric: bool = False,
-) -> SuitabilityCertificate:
+def check_suitable(mu: DiscreteMeasure, nu: DiscreteMeasure,
+                   epsilon: float) -> SuitabilityCertificate:
     """Certify the density bounds: mu below 1/epsilon, nu above epsilon.
 
-    With symmetric=True both bounds are required of both measures. The
-    certificate reports failures instead of raising; worst_atoms records
-    the extremal atom index for each bound checked.
+    The certificate reports failures instead of raising; worst_atoms
+    records the extremal atom index for each bound checked. Both bounds on
+    both measures take a second call with the sides swapped.
     """
     if mu.n != nu.n:
         raise ConfigError("measures must live on the same sphere dimension")
@@ -227,11 +223,6 @@ def check_suitable(
     }
     upper_ok = bool(d_mu.max() <= 1.0 / epsilon)
     lower_ok = bool(d_nu.min() >= epsilon)
-    if symmetric:
-        worst["nu_max"] = int(np.argmax(d_nu))
-        worst["mu_min"] = int(np.argmin(d_mu))
-        upper_ok = upper_ok and bool(d_nu.max() <= 1.0 / epsilon)
-        lower_ok = lower_ok and bool(d_mu.min() >= epsilon)
     return SuitabilityCertificate(epsilon, upper_ok, lower_ok, worst)
 
 

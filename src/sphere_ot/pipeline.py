@@ -227,7 +227,7 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
     merge_tol, zero_tol = 2.0 * spacing, spacing
 
     checks: list[Check] = []
-    certificate = measures_mod.check_suitable(mu, nu, epsilon, symmetric=False)
+    certificate = measures_mod.check_suitable(mu, nu, epsilon)
     checks.append(Check(
         "suitability",
         "source density bounded above by 1/epsilon and target below by epsilon",

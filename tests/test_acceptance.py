@@ -76,8 +76,9 @@ def suitable_solves():
     instances = []
     for n, count in plan:
         mesh, mu, nu = random_suitable_pair(n, count, rng)
-        cert = me.check_suitable(mu, nu, 0.01 / me.sphere_area(n), symmetric=True)
-        assert cert.upper_ok and cert.lower_ok
+        eps = 0.01 / me.sphere_area(n)
+        for cert in (me.check_suitable(mu, nu, eps), me.check_suitable(nu, mu, eps)):
+            assert cert.upper_ok and cert.lower_ok
         coupling, duals = so.solve_exact(mu, nu)
         mm, inv = extract(mesh, mu, nu, coupling)
         instances.append({"n": n, "mesh": mesh, "mu": mu, "nu": nu,

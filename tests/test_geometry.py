@@ -255,10 +255,3 @@ class TestCrossDerivative:
             g.cross_derivative_frame(NORTH, -NORTH)
         with pytest.raises(DomainError):
             g.cross_derivative_frame(NORTH, np.array([1.0, 0.0, 0.0]))
-
-    def test_richardson_improves(self, rng):
-        x = g.random_sphere_points(2, 1, rng)[0]
-        plain = g.cross_derivative_frame(x, x, h=1e-2)
-        rich = g.cross_derivative_frame(x, x, h=1e-2, richardson=True)
-        target = -2.0 * np.eye(2)
-        assert np.max(np.abs(rich - target)) < np.max(np.abs(plain - target))

@@ -100,8 +100,8 @@ class TestSuitability:
         mu = me.uniform_measure(mesh)
         nu = me.uniform_measure(mesh)
         eps = 0.5 / me.sphere_area(2)
-        cert = me.check_suitable(mu, nu, eps, symmetric=True)
-        assert cert.upper_ok and cert.lower_ok
+        for cert in (me.check_suitable(mu, nu, eps), me.check_suitable(nu, mu, eps)):
+            assert cert.upper_ok and cert.lower_ok
 
     def test_zero_weight_atom_fails_lower(self):
         mesh = me.quasi_uniform_mesh(2, 100, 0)

@@ -339,6 +339,18 @@ class TestCLI:
         assert cli.main(["extract", "--run", str(run)]) == 2
         assert "mu.json: not a measure file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["extract", "diagnose"])
+    def test_measures_on_different_spheres_is_invariant_violation(self, tmp_path, capsys,
+                                                                  command):
+        run = tmp_path / "run"
+        assert cli.main(["solve", "--mesh", "60", "--out", str(run)]) == 0
+        assert cli.main(["gen", "--n", "1", "--mesh", "60", "--out", str(run / "nu.json")]) == 0
+        written = (run / "multimap.json").read_bytes()
+        capsys.readouterr()
+        assert cli.main([command, "--run", str(run)]) == 2
+        assert "nu.json: a measure on S^1, but mu.json is on S^2" in capsys.readouterr().err
+        assert (run / "multimap.json").read_bytes() == written
+
     def test_nan_weight_rejected_before_solving(self, tmp_path, capsys):
         path = tmp_path / "mu.json"
         assert cli.main(["gen", "--mesh", "60", "--out", str(path)]) == 0

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from sphere_ot import pipeline
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -17,18 +19,66 @@ def _run_script(tmp_path, monkeypatch, script, args) -> list:
     return json.loads(out.read_text())
 
 
-@pytest.mark.parametrize("script, args, keys", [
-    ("bivalent_study.py", ["--mesh", "200", "--kappas", "0.98"],
-     {"lambda_min", "worst_collinearity", "bound_ratio", "exit_code", "checks_failed"}),
-    ("holder_scaling.py", ["--sizes", "250"],
-     {"alpha_hat", "C_hat", "exit_code", "checks_failed"}),
-])
-def test_script_writes_rows(tmp_path, monkeypatch, script, args, keys):
-    rows = _run_script(tmp_path, monkeypatch, script, args)
-    assert len(rows) == 1
-    assert keys <= set(rows[0])
-    # each row's run directory is kept beside the output
+def _run_study(tmp_path, monkeypatch, grid) -> list:
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    return _run_script(tmp_path, monkeypatch, "study.py", [str(path)])
+
+
+def test_study_cap_row(tmp_path, monkeypatch):
+    rows = _run_study(tmp_path, monkeypatch, {
+        "n": 2, "meshes": [200], "seeds": [0],
+        "instances": [{"mu": "cap:0.98", "nu": "uniform"}]})
+    [row] = rows
+    assert row["instance"] == {"mu": "cap:0.98", "nu": "uniform"}
+    assert (row["mesh"], row["seed"]) == (200, 0)
+    assert 0.0 < row["lambda_min"] <= row["lambda_max"] <= 2.0
+    assert row["regions"]["S2"] > 0
+    assert row["checks"]["collinearity"] <= 0.1
+    assert row["checks"]["inner_bound"] == row["inner_bound_ratio"] <= 1.0
+    assert row["constants"]["k_U"] > 0
+    assert abs(row["checks"]["duality_gap"]) <= 1e-8
+    assert row["exit_code"] == (2 if row["checks_failed"] else 0)
     assert len(list(tmp_path.glob("rows.runs/*/checks.json"))) == 1
+
+
+def test_study_warp_row(tmp_path, monkeypatch):
+    rows = _run_study(tmp_path, monkeypatch, {
+        "n": 2, "meshes": [250], "seeds": [0], "instances": [{"warp": 0.35}]})
+    [row] = rows
+    fit = row["fits"]["outer_on_S1_interior"]
+    assert 0.0 < fit["alpha_hat"] <= 1.5 and fit["C_hat"] > 0 and fit["pair_count"] > 0
+    assert row["regions"] == {"S0": 0, "S1": 250, "S2": 0}
+    assert row["lambda_min"] is None and row["constants"] is None
+    assert (row["exit_code"], row["checks_failed"]) == (0, [])
+    assert len(list(tmp_path.glob("rows.runs/*/checks.json"))) == 1
+
+
+@pytest.mark.parametrize("grid_file", sorted((SCRIPTS / "grids").glob("*.json")),
+                         ids=lambda p: p.name)
+def test_committed_grid_instances_are_known(grid_file):
+    grid = json.loads(grid_file.read_text())
+    assert set(grid) == {"n", "meshes", "seeds", "instances"}
+    for instance in grid["instances"]:
+        if set(instance) == {"warp"}:
+            assert isinstance(instance["warp"], float)
+            continue
+        assert set(instance) == {"mu", "nu"}
+        for spec in instance.values():
+            assert Path(spec).exists() or callable(pipeline.builtin_density(spec, grid["n"]))
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda g: g.pop("meshes"), "meshes"),
+    (lambda g: g.update(seed=g.pop("seeds")), "seed"),
+    (lambda g: g.update(solver="entropic"), "solver"),
+])
+def test_study_rejects_grid_keys(tmp_path, monkeypatch, edit, key):
+    grid = {"n": 2, "meshes": [60], "seeds": [0], "instances": [{"warp": 0.35}]}
+    edit(grid)
+    with pytest.raises(SystemExit, match=f"'{key}'"):
+        _run_study(tmp_path, monkeypatch, grid)
+    assert not (tmp_path / "rows.runs").exists()
 
 
 def test_mtw_survey_writes_rows(tmp_path, monkeypatch):
