@@ -35,7 +35,7 @@ def main() -> None:
             x = geometry.random_sphere_points(args.n, 1, rng)[0]
             d = geometry.tangent_frame(x)[0]
             y = geometry.geodesic_step(x, d, math.acos(dot))
-            dets.append(abs(np.linalg.det(geometry.cross_derivative_frame(x, y, 1e-3))))
+            dets.append(abs(np.linalg.det(geometry.cross_derivative_frame(x, y))))
             p, pbar = mtw.random_null_pairs(x, y, 1, rng)[0]
             curvs.append(mtw.cross_curvature(x, y, p, pbar, h=1e-3))
         rows.append({

@@ -20,8 +20,8 @@ from .errors import (ConfigError, DomainError, InsufficientDataError, SolverErro
 
 def _add_mesh_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=2, help="sphere dimension")
-    p.add_argument("--mesh", type=int, default=200, help="atoms per mesh")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mesh", type=int, default=200, help="atoms of a built-in density's mesh")
+    p.add_argument("--seed", type=int, default=0, help="seed of a built-in density's mesh")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,6 +17,7 @@ FRAME_TOL = 1e-10
 # Pairs with alignment below this are treated as outside the positive-
 # alignment neighbourhood; avoids chart blow-up at the exact boundary.
 BOUNDARY_GUARD = 1e-10
+DERIVATIVE_STEP = 1e-3  # central-difference step of cross_derivative_frame
 
 
 def sphere_area(n: int) -> float:
@@ -169,13 +170,13 @@ def geodesic_step(x: np.ndarray, direction: np.ndarray, s: float) -> np.ndarray:
     return math.cos(s) * x + math.sin(s) * direction
 
 
-def cross_derivative_frame(x: np.ndarray, y: np.ndarray, h: float = 1e-4) -> np.ndarray:
+def cross_derivative_frame(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mixed second derivatives of the cost in orthonormal tangent frames.
 
     Entry (i, j) is d^2 c / ds dt of c(x(s), y(t)) along great circles
     through x and y in the i-th / j-th frame directions, by central
-    differences with step h. The matrix depends on the frames but its
-    determinant magnitude does not.
+    differences with step DERIVATIVE_STEP. The matrix depends on the frames
+    but its determinant magnitude does not.
     """
     x = check_unit(x)
     y = check_unit(y)
@@ -183,7 +184,7 @@ def cross_derivative_frame(x: np.ndarray, y: np.ndarray, h: float = 1e-4) -> np.
         raise DomainError("cross derivative is only defined for positively aligned pairs")
     ex = tangent_frame(x)
     fy = tangent_frame(y)
-    n = ex.shape[0]
+    n, h = ex.shape[0], DERIVATIVE_STEP
     out = np.empty((n, n))
     for i in range(n):
         xp = geodesic_step(x, ex[i], h)

@@ -61,7 +61,7 @@ def twist_margin(x: np.ndarray, ys: np.ndarray) -> ConditionReport:
         raise ConfigError("need at least two target samples")
     chart = Chart(x)
     pre = np.array([chart_project(chart, y) for y in ys])
-    img = np.array([-grad_cost_local(np.zeros(chart.n), p) for p in pre])
+    img = np.array([cost_gradient_image(x, y) for y in ys])
     dpre = np.linalg.norm(pre[:, None, :] - pre[None, :, :], axis=2)
     dimg = np.linalg.norm(img[:, None, :] - img[None, :, :], axis=2)
     iu = np.triu_indices(len(ys), k=1)
@@ -71,7 +71,7 @@ def twist_margin(x: np.ndarray, ys: np.ndarray) -> ConditionReport:
     return ConditionReport("twist", len(ys), float(dimg[iu][worst] / dpre[iu][worst]))
 
 
-def nondegeneracy_profile(x: np.ndarray, angles, h: float = 1e-3) -> list:
+def nondegeneracy_profile(x: np.ndarray, angles) -> list:
     """|det| of the mixed derivative matrix at increasing separation angles.
 
     Returns (alignment, |det|) pairs for targets along the great circle
@@ -86,12 +86,12 @@ def nondegeneracy_profile(x: np.ndarray, angles, h: float = 1e-3) -> list:
         if not 0.0 <= ang < math.pi / 2.0:
             raise DomainError("profile angles must lie in [0, pi/2)")
         y = math.cos(ang) * x + math.sin(ang) * direction
-        det = float(np.linalg.det(cross_derivative_frame(x, y, h)))
+        det = float(np.linalg.det(cross_derivative_frame(x, y)))
         out.append((float(x @ y), abs(det)))
     return out
 
 
-def mixed_bilinear(x: np.ndarray, y: np.ndarray, p: np.ndarray, pbar: np.ndarray) -> float:
+def mixed_bilinear(p: np.ndarray, pbar: np.ndarray) -> float:
     """Mixed-derivative pairing of tangent directions: exactly -2 p . pbar."""
     return -2.0 * float(np.dot(p, pbar))
 
@@ -162,10 +162,8 @@ def cross_curvature(
         return 0.0
     if abs(float(p @ x)) > 1e-8 or abs(float(pbar @ y)) > 1e-8:
         raise DomainError("directions must be tangent at their base points")
-    if abs(mixed_bilinear(x, y, p, pbar)) > NULL_TOL:
-        raise NullityError(
-            f"direction pair has mixed pairing {mixed_bilinear(x, y, p, pbar):.2e}"
-        )
+    if abs(mixed_bilinear(p, pbar)) > NULL_TOL:
+        raise NullityError(f"direction pair has mixed pairing {mixed_bilinear(p, pbar):.2e}")
     chart_x = Chart(x)
     chart_y = Chart(y)
     x0 = chart_project(chart_y, x)
@@ -202,7 +200,7 @@ def biconvexity_witness(
     witness = chart_lift(chart, combo)
     if float(witness @ x0) <= BOUNDARY_GUARD:
         raise DomainError("witness left the positive half-sphere")
-    image = -grad_cost_local(np.zeros(chart.n), chart_project(chart, witness))
+    image = cost_gradient_image(x0, witness)
     target = theta * (2.0 * cy1) + (1.0 - theta) * (2.0 * cy0)
     if np.max(np.abs(image - target)) > 1e-10:
         raise DomainError("witness image failed to match the convex combination")

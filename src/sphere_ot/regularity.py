@@ -55,7 +55,7 @@ class RegionConstants:
     exponent: float
 
     @classmethod
-    def from_holder(cls, k_U: float, C_plus: float, exponent: float = float("nan")):
+    def from_holder(cls, k_U: float, C_plus: float, exponent: float):
         """Derive both inner-map constants from the margin and outer constant."""
         if k_U <= 0:
             raise DomainError("alignment margin k must be positive")
@@ -181,26 +181,18 @@ def region_constants(mm: MultiMap, region_idx: np.ndarray, window: tuple) -> Reg
 
 
 def t_minus_bound_check(
-    mm: MultiMap,
-    region_idx: np.ndarray,
-    window: tuple,
-    constants: RegionConstants,
-    converse: bool = False,
+    mm: MultiMap, region_idx: np.ndarray, window: tuple, constants: RegionConstants
 ) -> float:
     """Worst ratio of inner-map displacement to the proof-level bound of constants.
 
     Ratios <= 1 confirm the inner-map continuity bound at this resolution;
-    the constants are region_constants of the subset. With converse=True
-    the outer displacement is tested instead, against constants the caller
-    derives from the inner map's envelope constant and the positive
-    alignment margin min(x . t_plus).
+    the constants are region_constants of the subset.
     """
     idx = np.asarray(region_idx, dtype=int)
     if len(idx) < 2:
         raise InsufficientDataError("need at least two atoms in the subset")
     alpha = holder_exponent(mm.n)
-    tested = mm.plus if converse else mm.minus
-    r, d = _pair_table(mm.points[idx], window, tested[idx])
+    r, d = _pair_table(mm.points[idx], window, mm.minus[idx])
     if len(r) == 0:
         raise InsufficientDataError(f"no pairs inside window {window}")
     bound = constants.C_minus_proof * r**alpha

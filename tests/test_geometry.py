@@ -229,7 +229,7 @@ class TestGradient:
 class TestCrossDerivative:
     def test_minus_two_identity_at_coincidence(self, rng):
         x = g.random_sphere_points(2, 1, rng)[0]
-        m = g.cross_derivative_frame(x, x, h=1e-3)
+        m = g.cross_derivative_frame(x, x)
         assert np.max(np.abs(m + 2.0 * np.eye(2))) <= 1e-4
         assert abs(abs(np.linalg.det(m)) - 4.0) <= 1e-4
 
@@ -239,7 +239,7 @@ class TestCrossDerivative:
         dets = []
         for ang in np.deg2rad([5.0, 25.0, 45.0, 65.0, 85.0]):
             y = g.geodesic_step(x, d, ang)
-            dets.append(abs(np.linalg.det(g.cross_derivative_frame(x, y, h=1e-3))))
+            dets.append(abs(np.linalg.det(g.cross_derivative_frame(x, y))))
         assert all(a > b for a, b in zip(dets, dets[1:]))
 
     def test_near_boundary_determinant_small(self):
@@ -247,7 +247,7 @@ class TestCrossDerivative:
         d = g.tangent_frame(x)[0]
         ang = math.acos(0.01)
         y = g.geodesic_step(x, d, ang)
-        det = abs(np.linalg.det(g.cross_derivative_frame(x, y, h=1e-3)))
+        det = abs(np.linalg.det(g.cross_derivative_frame(x, y)))
         assert det < 0.1 * 2**2
 
     def test_rejected_outside_neighbourhood(self):

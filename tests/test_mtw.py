@@ -49,7 +49,7 @@ class TestTwist:
 class TestNondegeneracy:
     def test_coincidence_determinant(self, rng):
         x = g.random_sphere_points(2, 1, rng)[0]
-        profile = mtw.nondegeneracy_profile(x, [0.0], h=1e-3)
+        profile = mtw.nondegeneracy_profile(x, [0.0])
         assert profile[0][1] == pytest.approx(4.0, abs=0.01)
 
     def test_profile_strictly_decreasing(self):

@@ -102,6 +102,45 @@ class TestRunPipeline:
         result = pipe.run_pipeline(config, str(path), "uniform")
         assert result.exit_code == 0
 
+    def test_file_run_ignores_mesh_and_seed(self, tmp_path):
+        # the scales come from the files' points: at mesh_count 200 the
+        # spacing was the 200-point mesh's, not the 60-atom files'
+        specs = []
+        for density in ("cap:0.98", "uniform"):
+            specs.append(str(tmp_path / f"{density}.json"))
+            assert cli.main(["gen", "--mesh", "60", "--density", density, "--out", specs[-1]]) == 0
+        runs = {"builtin": (60, 0, ("cap:0.98", "uniform"))}
+        runs.update({f"files-{count}-{seed}": (count, seed, specs)
+                     for count in (60, 200) for seed in (0, 7)})
+        written = {}
+        for tag, (count, seed, pair) in runs.items():
+            config = pipe.RunConfig(n=2, mesh_count=count, seed=seed, output_dir=tmp_path / tag)
+            pipe.run_pipeline(config, *pair)
+            written[tag] = {path.name: path.read_bytes() for path in (tmp_path / tag).iterdir()
+                            if path.name != "config.json"}
+        assert len(written["builtin"]) == 12
+        for tag, files in written.items():
+            assert files == written["builtin"], tag
+
+    def test_file_on_another_sphere(self, tmp_path):
+        from sphere_ot import measures as me
+
+        path = tmp_path / "s1.json"
+        me.save_measure(me.uniform_measure(me.quasi_uniform_mesh(1, 60, 0)), path)
+        with pytest.raises(ConfigError, match=r"a measure on S\^1, but the run is on S\^2"):
+            pipe.resolve_measure(str(path), 2)
+
+    def test_bivalent_signs_counts_sign_anomalies(self, tmp_path):
+        # this run has one univalent anomaly and no sign anomaly; the check's
+        # value counted both kinds
+        run = tmp_path / "r"
+        config = pipe.RunConfig(n=2, mesh_count=200, seed=0, output_dir=run)
+        pipe.run_pipeline(config, "uniform", "cap:0.98")
+        anomalies = json.loads((run / "regions.json").read_text())["anomalies"]
+        assert [a["kind"] for a in anomalies] == ["univalent negative alignment"]
+        checks = {c["name"]: c for c in json.loads((run / "checks.json").read_text())}
+        assert checks["bivalent_signs"]["value"] == 0.0 and checks["bivalent_signs"]["passed"]
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path):
@@ -308,6 +347,16 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert s2_file in err or s2_file not in argv
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_with_two_files(self, tmp_path, capsys):
+        # no mesh is built for two files, and the seed is still checked
+        path = str(tmp_path / "m.json")
+        assert cli.main(["gen", "--mesh", "60", "--out", path]) == 0
+        capsys.readouterr()
+        out = str(tmp_path / "out")
+        assert cli.main(["solve", "--seed", "-1", "--mu", path, "--nu", path, "--out", out]) == 1
+        assert capsys.readouterr().err == "configuration error: seed must be >= 0, got -1\n"
         assert not (tmp_path / "out").exists()
 
     def test_report_subcommand(self, tmp_path, capsys):

@@ -86,7 +86,7 @@ class TestRegionConstants:
         assert consts.k_U == pytest.approx(0.3)
 
     def test_formula_values(self):
-        consts = rg.RegionConstants.from_holder(0.5, 3.0)
+        consts = rg.RegionConstants.from_holder(0.5, 3.0, rg.holder_exponent(2))
         assert consts.C_minus_statement == 15.0
         assert consts.C_minus_proof == 25.0
 
@@ -111,16 +111,6 @@ class TestInnerBound:
         ratio = rg.t_minus_bound_check(mm, np.arange(40), window, consts)
         assert 0 < ratio <= 1.0
 
-    def test_converse_within_bound(self):
-        mm = bivalent_family(40)
-        # the inner map's envelope constant and the outer alignment margin
-        window, alpha = (0.01, 0.5), rg.holder_exponent(2)
-        c_minus = rg.holder_constant(mm.points, mm.minus, alpha, window)
-        k = float(np.einsum("ij,ij->i", mm.points, mm.plus).min())
-        consts = rg.RegionConstants.from_holder(k, c_minus, alpha)
-        ratio = rg.t_minus_bound_check(mm, np.arange(40), window, consts, converse=True)
-        assert 0 < ratio <= 1.0
-
     def test_generous_constant_on_univalent_data(self):
         # inner equals outer (continuous), tested against a generous constant
         mm = bivalent_family(30)
@@ -131,9 +121,9 @@ class TestInnerBound:
 
     def test_empty_pairs(self):
         mm = bivalent_family(5)
+        consts = rg.RegionConstants.from_holder(0.5, 3.0, rg.holder_exponent(2))
         with pytest.raises(InsufficientDataError):
-            rg.t_minus_bound_check(mm, np.arange(5), (1e-9, 2e-9),
-                                   rg.RegionConstants.from_holder(0.5, 3.0))
+            rg.t_minus_bound_check(mm, np.arange(5), (1e-9, 2e-9), consts)
 
 
 def segment_normal_check(mm, i0: int, i1: int, k_u: float):

@@ -427,7 +427,7 @@ class TestColumnGeneration:
         # a dense n x m float array, or two blocks with an index array of
         # each, would pass half of n * m * 8 bytes
         mesh = me.quasi_uniform_mesh(2, 1000, 1)
-        mu, nu = resolve_measure("cap:0.98", mesh), resolve_measure("uniform", mesh)
+        mu, nu = resolve_measure("cap:0.98", 2, mesh), resolve_measure("uniform", 2, mesh)
         tracemalloc.start()
         try:
             so._column_generation(mu.points, nu.points, mu.weights, nu.weights)
@@ -472,7 +472,7 @@ def _cap_instance(n, size=150):
     """cap:0.98 against uniform on a quasi-uniform mesh of S^n: above
     LP_FULL_PAIRS, and every level past the coarsest takes warm rounds."""
     mesh = me.quasi_uniform_mesh(n, size, 1)
-    return resolve_measure("cap:0.98", mesh), resolve_measure("uniform", mesh)
+    return resolve_measure("cap:0.98", n, mesh), resolve_measure("uniform", n, mesh)
 
 
 class _ColdModel:
@@ -932,8 +932,8 @@ class TestStabilisedScaling:
 
     def test_matches_reference_on_pipeline_mesh(self, monkeypatch):
         mesh = me.quasi_uniform_mesh(2, 80, 1)
-        mu = resolve_measure("cap:0.98", mesh)
-        nu = resolve_measure("uniform", mesh)
+        mu = resolve_measure("cap:0.98", 2, mesh)
+        nu = resolve_measure("uniform", 2, mesh)
         self._assert_equivalent(mu, nu, 0.01, monkeypatch)
 
 
@@ -1021,8 +1021,8 @@ class TestLogSumExp:
 
     def test_entropic_solve_unchanged_with_scipy(self):
         mesh = me.quasi_uniform_mesh(2, 80, 1)
-        mu = resolve_measure("cap:0.98", mesh)
-        nu = resolve_measure("uniform", mesh)
+        mu = resolve_measure("cap:0.98", 2, mesh)
+        nu = resolve_measure("uniform", 2, mesh)
         ours = _log_domain_sinkhorn(mu, nu, reg=0.01)
         reference = _log_domain_sinkhorn(mu, nu, 0.01, lse=lambda a, axis: logsumexp(a, axis=axis))
         assert ours[2] == reference[2]
