@@ -37,7 +37,7 @@ def main() -> None:
             y = geometry.geodesic_step(x, d, math.acos(dot))
             dets.append(abs(np.linalg.det(geometry.cross_derivative_frame(x, y))))
             p, pbar = mtw.random_null_pairs(x, y, 1, rng)[0]
-            curvs.append(mtw.cross_curvature(x, y, p, pbar, h=1e-3))
+            curvs.append(mtw.cross_curvature(x, y, p, pbar))
         rows.append({
             "alignment": float(dot),
             "det_mean": float(np.mean(dets)),

@@ -55,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--n", type=int, default=2)
     m.add_argument("--samples", type=int, default=200)
     m.add_argument("--seed", type=int, default=0)
-    m.add_argument("--step", type=float, default=1e-3, help="cross-curvature stencil step only")
     m.add_argument("--out", default="mtw", help="output directory")
 
     r = sub.add_parser("report", help="aggregate run artifacts into one report")
@@ -163,8 +162,7 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_mtw(args) -> int:
-    result = pipe.run_mtw_suite(args.n, Path(args.out), samples=args.samples,
-                                seed=args.seed, h=args.step)
+    result = pipe.run_mtw_suite(args.n, Path(args.out), samples=args.samples, seed=args.seed)
     for check in result.checks:
         status = "pass" if check.passed else "FAIL"
         print(f"[{status}] {check.name}: {check.claim} (value={check.value:.3e})")

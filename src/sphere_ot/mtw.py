@@ -28,6 +28,7 @@ from .geometry import (
 )
 
 NULL_TOL = 1e-8
+CURVATURE_STEP = 1e-3  # centred-difference step of cross_curvature
 
 
 @dataclass
@@ -141,7 +142,7 @@ def cross_curvature(
     y: np.ndarray,
     p: np.ndarray,
     pbar: np.ndarray,
-    h: float = 1e-3,
+    h: float = CURVATURE_STEP,
 ) -> float:
     """Mixed fourth difference -d^2/ds^2 d^2/dt^2 c(x(s), y(t)) at (x, y).
 
@@ -207,12 +208,7 @@ def biconvexity_witness(
     return witness
 
 
-def cross_curvature_suite(
-    n: int,
-    samples: int = 100,
-    h: float = 1e-3,
-    seed: int = 0,
-) -> ConditionReport:
+def cross_curvature_suite(n: int, samples: int = 100, seed: int = 0) -> ConditionReport:
     """Positivity sweep of the cross-curvature over random null pairs, at
     alignments x . y drawn uniformly from [0.3, 1). The minimum is NaN if
     any sample is, so a NaN sample fails a positivity check."""
@@ -231,7 +227,7 @@ def cross_curvature_suite(
         ang = math.acos(dot)
         y = math.cos(ang) * x + math.sin(ang) * d
         for p, pbar in random_null_pairs(x, y, 1, rng):
-            val = cross_curvature(x, y, p, pbar, h=h)
+            val = cross_curvature(x, y, p, pbar)
             values.append((dot, val))
             count += 1
     worst = float(np.min([v for _, v in values]))

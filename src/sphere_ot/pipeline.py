@@ -91,7 +91,9 @@ def is_builtin(spec: str) -> bool:
 
 
 def resolve_measure(spec: str, n: int, mesh=None) -> measures_mod.DiscreteMeasure:
-    """A measure on S^n: a built-in density spec sampled on mesh, or a measure JSON file."""
+    """A measure on S^n: a built-in density spec sampled on mesh, or a measure
+    JSON file with no atom of zero weight (extraction finds no coupling mass
+    at such an atom, so its run would fail after the whole solve)."""
     if is_builtin(spec):
         return measures_mod.sample_density(builtin_density(spec, n), mesh)
     path = Path(spec)
@@ -99,6 +101,9 @@ def resolve_measure(spec: str, n: int, mesh=None) -> measures_mod.DiscreteMeasur
         measure = measures_mod.load_measure(path)
         if measure.n != n:
             raise ConfigError(f"{path}: a measure on S^{measure.n}, but the run is on S^{n}")
+        zero = np.flatnonzero(measure.weights == 0)
+        if len(zero):
+            raise ConfigError(f"{path}: atom {zero[0]} has zero weight")
         return measure
     raise ConfigError(f"measure spec {spec!r} is neither a built-in density nor a file")
 
@@ -349,7 +354,7 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
     solver_mod.save_coupling_csv(coupling, out / "coupling.csv")
     solver_mod.save_duals_json(duals, coupling.total_cost, out / "duals.json")
     _json_dump(
-        {name: _holder_as_dict(rep) for name, rep in holder.items()},
+        {name: dataclasses.asdict(rep) for name, rep in holder.items()},
         out / "holder_reports.json",
     )
     _json_dump(
@@ -380,13 +385,6 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
     return RunResult(EXIT_INVARIANT if failed else EXIT_OK, checks, summary, out)
 
 
-def _holder_as_dict(rep) -> dict:
-    d = dataclasses.asdict(rep)
-    d["scale_window"] = list(rep.scale_window)
-    d["fit_points"] = [[float(a), float(b)] for a, b in rep.fit_points]
-    return d
-
-
 def _inverse_records(inv) -> dict:
     return {"n": inv.n, "atoms": maps_mod.atom_records(inv)}
 
@@ -414,13 +412,7 @@ def _write_beta_csv(probes: dict, path: Path) -> None:
                 writer.writerow([center, int(j), repr(float(beta))])
 
 
-def run_mtw_suite(
-    n: int,
-    out_dir: Path,
-    samples: int = 200,
-    seed: int = 0,
-    h: float = 1e-3,
-) -> RunResult:
+def run_mtw_suite(n: int, out_dir: Path, samples: int = 200, seed: int = 0) -> RunResult:
     """Structural-condition sweep written as a standalone report."""
     if n < 1:
         raise ConfigError("sphere dimension must be >= 1")
@@ -428,8 +420,6 @@ def run_mtw_suite(
         raise ConfigError("the cross-curvature sweep needs at least one sample")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    if not 0.0 < h < math.inf:
-        raise ConfigError(f"the cross-curvature step must be finite and positive, got {h}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -444,9 +434,7 @@ def run_mtw_suite(
     profile = mtw_mod.nondegeneracy_profile(x, np.deg2rad([10, 30, 50, 70, 85]))
     coincidence = abs(float(np.linalg.det(mtw_mod.cross_derivative_frame(x, x))))
     # null direction pairs only exist from dimension 2 on
-    curvature = (
-        mtw_mod.cross_curvature_suite(n, samples=samples, seed=seed, h=h) if n >= 2 else None
-    )
+    curvature = mtw_mod.cross_curvature_suite(n, samples=samples, seed=seed) if n >= 2 else None
     y0 = mtw_mod.chart_lift(chart, 0.6 * np.eye(n)[0])
     y1 = mtw_mod.chart_lift(chart, -0.5 * np.eye(n)[min(1, n - 1)])
     witness_ok = True

@@ -19,14 +19,14 @@ support, every fine pair whose atoms belong to a coarse pair of positive
 mass (Schmitzer's shielding neighbourhoods), together with the
 LP_NEIGHBOURS pairs of smallest reduced cost per row and per column under
 the coarse duals carried up, and the north-west corner. Each such level
-runs one HiGHS model: its first run is interior point with crossover,
-presolve off (finished by dual simplex if the crossover basis breaks the
-dual feasibility tolerance), and each later round adds at most ROUND_CAP priced pairs
-per row and per column to the model and restarts dual simplex from the
-previous basis, or runs cold again if that run stops short of optimal.
-That model is scipy's bundled HiGHS object,
-scipy.optimize._highspy._core._Highs, a private binding: pyproject.toml
-pins scipy to the series it was tested with, and there is no fallback.
+runs one HiGHS model, presolve off; each later round adds at most
+ROUND_CAP priced pairs per row and per column to it. Every round climbs
+one ladder until a run ends solved: dual simplex from the previous basis
+(later rounds only), interior point with crossover on a cleared model,
+then dual simplex from where that run stopped. That model is scipy's
+bundled HiGHS object, scipy.optimize._highspy._core._Highs, a private
+binding: pyproject.toml pins scipy to the series it was tested with, and
+there is no fallback.
 The LP duals are shifted so that max(phi) = 0, the gauge of the
 assignment path.
 
@@ -94,11 +94,11 @@ HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": PRICE_TOL,
     "dual_feasibility_tolerance": PRICE_TOL,
 }
-# The HiGHS model of a level, presolve off. Its first run is interior point
-# with crossover (solver "ipm"); each warm round is serial dual simplex
-# (strategy 1) from the previous basis. From the same basis, primal simplex
-# took 3 to 9 times as long on the first warm round of cap:0.98 at meshes
-# 2000 and 4000, in about as many pivots.
+# The HiGHS model of a level, presolve off. Its interior point runs (solver
+# "ipm") end in crossover; its simplex runs are serial dual simplex
+# (strategy 1). From the same basis, primal simplex took 3 to 9 times as
+# long on the first warm round of cap:0.98 at meshes 2000 and 4000, in
+# about as many pivots.
 MODEL_OPTIONS = {
     **HIGHS_OPTIONS, "output_flag": False, "presolve": "off", "run_crossover": "on",
     "simplex_strategy": 1,
@@ -303,12 +303,11 @@ def _column_generation(xs, ys, a, b):
     The candidates are index arrays costed by pair_costs and pricing builds
     blocks from the points, so no array of every pair is made. Instances of
     at most LP_FULL_PAIRS pairs take every pair in one linprog call. Larger
-    ones solve the first restricted LP on one HiGHS model by interior point
-    with crossover; each later round adds the ROUND_CAP most negatively
-    priced pairs of every row and of every column to that model and
-    restarts dual simplex from the previous basis. Returns (rows, cols,
-    mass, psi, phi) with the pairs in row-major order and the duals in the
-    gauge max(phi) = 0. Raises SolverError rather than return a plan whose
+    ones solve the first restricted LP on one HiGHS model; each later round
+    adds the ROUND_CAP most negatively priced pairs of every row and of
+    every column to that model, and _lp_run runs each round. Returns (rows,
+    cols, mass, psi, phi) with the pairs in row-major order and the duals in
+    the gauge max(phi) = 0. Raises SolverError rather than return a plan whose
     duals price any pair below -PRICE_TOL.
     """
     n, m = len(xs), len(ys)
@@ -374,46 +373,33 @@ def _lp_model(b_eq):
 
 def _lp_run(model, costs, rows, cons, warm):
     """Append the pairs, whose constraint rows are rows and cons (the target
-    rows, offset by the source count), to the model and run it: by dual
-    simplex from the current basis for a warm round, else cold, by interior
-    point with crossover. A warm run that does not end solved is repeated
-    cold, and SolverError is raised if that run, or a level's first, does
-    not end solved either. Returns (mass of every column, row duals)."""
+    rows, offset by the source count), to the model and climb one ladder of
+    runs until a run ends solved: dual simplex from the current basis (a
+    warm round only), interior point with crossover on a cleared model, then
+    dual simplex from where that run stopped. Raises SolverError if the last
+    rung does not end solved. Returns (mass of every column, row duals).
+
+    A warm run can stop short, as Unknown with a dual infeasibility above
+    the tolerance on a primal-feasible basis; dual simplex from the slack
+    basis then took 19 272 pivots and 2.4 s at S^2 mesh 4000 seed 1, where
+    interior point on the same LP took 0.6 s. Crossover can end Optimal on a
+    basis whose duals break the dual feasibility tolerance (2.9e-10 on two
+    columns at S^1 mesh 4000 seed 3), and interior point can end Unknown
+    (S^1 mesh 1000 with a fifth of the targets at weight 0 or 1e-14); dual
+    simplex from where that run stopped mends both.
+    """
     k = len(costs)
     model.addCols(k, costs, np.zeros(k), np.full(k, np.inf), 2 * k, *_columns(rows, cons))
-    if warm:
-        _run(model, "simplex")
-        if not _solved(model):
-            # A warm run can stop short, as Unknown with a dual infeasibility
-            # above the tolerance on a primal-feasible basis. Dual simplex from
-            # the slack basis then took 19 272 pivots and 2.4 s at S^2 mesh
-            # 4000 seed 1, where the cold solve of the same LP took 0.6 s.
+    for solver in ("simplex", "ipm", "simplex")[0 if warm else 1:]:
+        if solver == "ipm":
             model.clearSolver()
-            _cold_run(model)
-    else:
-        _cold_run(model)
-    if not _solved(model):
-        status = model.modelStatusToString(model.getModelStatus())
-        raise SolverError(
-            f"LP backend failed: {'warm round' if warm else 'first LP'} ended {status}"
-        )
-    solution = model.getSolution()
-    return np.array(solution.col_value), np.array(solution.row_dual)
-
-
-def _cold_run(model):
-    """Run the model by interior point with crossover. Crossover can end
-    Optimal on a basis whose duals break the dual feasibility tolerance
-    (2.9e-10 on two columns at S^1 mesh 4000 seed 3); dual simplex from
-    that basis then mends them."""
-    _run(model, "ipm")
-    if model.getModelStatus() == highs.HighsModelStatus.kOptimal and not _solved(model):
-        _run(model, "simplex")
-
-
-def _run(model, solver):
-    model.setOptionValue("solver", solver)
-    model.run()
+        model.setOptionValue("solver", solver)
+        model.run()
+        if _solved(model):
+            solution = model.getSolution()
+            return np.array(solution.col_value), np.array(solution.row_dual)
+    status = model.modelStatusToString(model.getModelStatus())
+    raise SolverError(f"LP backend failed: {'warm round' if warm else 'first LP'} ended {status}")
 
 
 def _solved(model) -> bool:

@@ -189,13 +189,10 @@ class TestMTWSuite:
         assert report["twist"]["ratio"] == pytest.approx(2.0, abs=1e-10)
         assert report["cross_curvature"]["min"] > 0
 
-    @pytest.mark.parametrize("n, samples, h", [
-        (0, 40, 1e-3), (-1, 40, 1e-3), (2, 0, 1e-3), (2, -3, 1e-3), (1, 0, 1e-3),
-        (2, 40, 0.0), (2, 40, -1e-3), (2, 40, float("nan")), (2, 40, float("inf")),
-    ])
-    def test_vacuous_sweep_rejected(self, tmp_path, n, samples, h):
+    @pytest.mark.parametrize("n, samples", [(0, 40), (-1, 40), (2, 0), (2, -3), (1, 0)])
+    def test_vacuous_sweep_rejected(self, tmp_path, n, samples):
         with pytest.raises(ConfigError):
-            pipe.run_mtw_suite(n, tmp_path / "mtw", samples=samples, h=h)
+            pipe.run_mtw_suite(n, tmp_path / "mtw", samples=samples)
 
     def test_nan_sample_fails(self, tmp_path, monkeypatch):
         real = pipe.mtw_mod.cross_curvature
@@ -331,22 +328,32 @@ class TestCLI:
         ["mtw", "--seed", "-1"],
         ["mtw", "--samples", "0"],
         ["mtw", "--samples", "-3"],
-        ["mtw", "--step", "0"],
         ["mtw", "--n", "0"],
         # a measure file on S^2 for a run on another sphere
         ["solve", "--n", "1", "--mu", "S2_FILE", "--nu", "S2_FILE"],
         ["solve", "--n", "3", "--mu", "S2_FILE", "--nu", "uniform"],
+        # a measure file one of whose atoms weighs zero
+        ["solve", "--mu", "uniform", "--nu", "ZERO_FILE"],
     ])
     def test_configuration_error(self, tmp_path, capsys, argv):
-        s2_file = str(tmp_path / "s2.json")
+        s2_file, zero_file = str(tmp_path / "s2.json"), tmp_path / "zero.json"
         if "S2_FILE" in argv:
             assert cli.main(["gen", "--n", "2", "--mesh", "60", "--out", s2_file]) == 0
             capsys.readouterr()
             argv = [s2_file if a == "S2_FILE" else a for a in argv]
+        if "ZERO_FILE" in argv:
+            assert cli.main(["gen", "--mesh", "60", "--out", str(zero_file)]) == 0
+            capsys.readouterr()
+            data = json.loads(zero_file.read_text())
+            data["atoms"][0]["w"] += data["atoms"][2]["w"]
+            data["atoms"][2]["w"] = 0.0
+            zero_file.write_text(json.dumps(data))
+            argv = [str(zero_file) if a == "ZERO_FILE" else a for a in argv]
         assert cli.main(argv + ["--out", str(tmp_path / "out")]) == pipe.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert s2_file in err or s2_file not in argv
+        assert f"{zero_file}: atom 2 has zero weight" in err or str(zero_file) not in argv
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_with_two_files(self, tmp_path, capsys):

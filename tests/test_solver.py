@@ -583,8 +583,7 @@ class TestWarmRounds:
             so.solve_exact(*_cap_instance(2))
 
     def test_non_optimal_warm_round_raises(self, monkeypatch):
-        # from the first warm round on, neither the dual simplex run nor its
-        # cold re-run may take a step
+        # from the first warm round on, no rung of the ladder may take a step
         run = so._lp_run
 
         def capped(model, *pairs, warm):
@@ -597,13 +596,37 @@ class TestWarmRounds:
         with pytest.raises(SolverError, match="warm round ended"):
             so.solve_exact(*_cap_instance(2))
 
+    def test_non_optimal_first_lp_raises(self, monkeypatch):
+        # no run of a level's first LP may take a step; interior point, then
+        # dual simplex from where it stopped, must both be tried. linprog
+        # builds its models from the same class, but never adds columns.
+        runs = []
+
+        class Capped(so.highs._Highs):
+            def addCols(self, *args):
+                self.capped = True
+                self.setOptionValue("simplex_iteration_limit", 0)
+                self.setOptionValue("ipm_iteration_limit", 0)
+                return super().addCols(*args)
+
+            def run(self):
+                if getattr(self, "capped", False):
+                    runs.append(self.getOptionValue("solver")[1])
+                return super().run()
+
+        monkeypatch.setattr(so.highs, "_Highs", Capped)
+        with pytest.raises(SolverError, match="first LP ended"):
+            so.solve_exact(*_cap_instance(2))
+        assert runs == ["ipm", "simplex"]
+
     @pytest.mark.parametrize("failures", [1, 2])
     def test_warm_round_stopping_short_runs_again(self, monkeypatch, failures):
-        # the first warm run, and with two failures its re-run too, reports
-        # Unknown; a cleared model must then run again cold, by interior
-        # point. A model's runs are warm once it has run and taken columns
-        # again; linprog builds its models from the same class, but never
-        # adds columns.
+        # the first warm run, and with two failures the interior point run
+        # after it too, reports Unknown; the round must then climb the ladder
+        # (a cleared model by interior point, then dual simplex) to a
+        # certified plan. A model's runs are warm once it has run and taken
+        # columns again; linprog builds its models from the same class, but
+        # never adds columns.
         cleared, solvers = [], []
 
         class StoppingShort(so.highs._Highs):
@@ -631,15 +654,12 @@ class TestWarmRounds:
 
         monkeypatch.setattr(so.highs, "_Highs", StoppingShort)
         mu, nu = _cap_instance(2)
-        if failures == 2:
-            with pytest.raises(SolverError, match="warm round ended"):
-                so.solve_exact(mu, nu)
-            assert cleared == [1]
-            assert solvers == ["simplex", "ipm"]
-            return
         coupling, duals = so.solve_exact(mu, nu)
-        assert cleared == [1]
-        assert solvers[:2] == ["simplex", "ipm"] and set(solvers[2:]) <= {"simplex"}
+        # the one fine level clears its model before its first run and
+        # before the interior point run of the warm round that stopped short
+        assert cleared == [0, 1]
+        ladder = ["simplex", "ipm", "simplex"][:failures + 1]
+        assert solvers[:failures + 1] == ladder and set(solvers[failures + 1:]) <= {"simplex"}
         dual = float(duals.psi @ mu.weights + duals.phi @ nu.weights)
         assert abs(coupling.total_cost - dual) <= 1e-12
         assert duals.feasibility_gap(mu, nu) <= 1e-12
@@ -677,6 +697,23 @@ class TestWarmRounds:
         assert abs(coupling.total_cost - dual) <= 1e-12
         assert duals.feasibility_gap(mu, nu) <= 1e-12
         assert duals.slackness_gap(coupling, mu, nu) <= 1e-12
+
+
+@pytest.mark.parametrize("seed, weight", [(0, 0.0), (1, 1e-14)])
+def test_negligible_target_weights_certify(seed, weight):
+    # cap:0.98 against uniform on S^1 at mesh 1000, with a fifth of the
+    # targets at weight 0 or 1e-14: a level's first interior point run ends
+    # Unknown, and dual simplex from where it stopped must finish it
+    mesh = me.quasi_uniform_mesh(1, 1000, seed)
+    mu, nu = resolve_measure("cap:0.98", 1, mesh), resolve_measure("uniform", 1, mesh)
+    nu.weights[np.random.default_rng(seed).random(1000) < 0.2] = weight
+    nu.weights /= nu.weights.sum()
+    coupling, duals = so.solve_exact(mu, nu)
+    coupling.validate(mu, nu, tol=1e-12)
+    dual = float(duals.psi @ mu.weights + duals.phi @ nu.weights)
+    assert abs(coupling.total_cost - dual) <= 1e-12
+    assert duals.feasibility_gap(mu, nu) <= 1e-12
+    assert duals.slackness_gap(coupling, mu, nu) <= 1e-12
 
 
 def _stacked(xs, ys):
