@@ -53,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("mtw", help="structural-condition sweep for the sphere cost")
     m.add_argument("--n", type=int, default=2)
-    m.add_argument("--samples", type=int, default=200)
-    m.add_argument("--seed", type=int, default=0)
     m.add_argument("--out", default="mtw", help="output directory")
 
     r = sub.add_parser("report", help="aggregate run artifacts into one report")
@@ -90,7 +88,7 @@ def _cmd_solve(args) -> int:
           f"targets: {result.summary['target_regions']} | "
           f"cost: {result.summary['total_cost']:.6e}")
     if result.exit_code != 0:
-        failed = ", ".join(c.name for c in result.failed_required())
+        failed = ", ".join(result.summary["checks_failed"])
         print(f"invariant violations: {failed}", file=sys.stderr)
     return result.exit_code
 
@@ -162,7 +160,7 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_mtw(args) -> int:
-    result = pipe.run_mtw_suite(args.n, Path(args.out), samples=args.samples, seed=args.seed)
+    result = pipe.run_mtw_suite(args.n, Path(args.out))
     for check in result.checks:
         status = "pass" if check.passed else "FAIL"
         print(f"[{status}] {check.name}: {check.claim} (value={check.value:.3e})")

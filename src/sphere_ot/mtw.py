@@ -10,7 +10,6 @@ chart quantities; only signs and determinant magnitudes are invariant.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,22 +22,17 @@ from .geometry import (
     check_unit,
     cost_extrinsic,
     cross_derivative_frame,
+    geodesic_step,
     grad_cost_local,
+    random_sphere_points,
     tangent_frame,
 )
 
 NULL_TOL = 1e-8
 CURVATURE_STEP = 1e-3  # centred-difference step of cross_curvature
-
-
-@dataclass
-class ConditionReport:
-    """Outcome of one structural-condition sweep."""
-
-    condition: str
-    sample_count: int
-    min_margin: float
-    samples: list = field(default_factory=list)
+SWEEP_ALIGNMENTS = np.linspace(0.12, 0.98, 15)  # alignments x . y of alignment_sweep
+SWEEP_SAMPLES = 20  # source points per alignment
+SEED = 0  # seed of the structural-condition suite's draws
 
 
 def cost_gradient_image(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -48,10 +42,10 @@ def cost_gradient_image(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -grad_cost_local(np.zeros(chart.n), chart_project(chart, y))
 
 
-def twist_margin(x: np.ndarray, ys: np.ndarray) -> ConditionReport:
+def twist_margin(x: np.ndarray, ys: np.ndarray) -> float:
     """Injectivity margin of the gradient image map over target samples.
 
-    min_margin is the ratio of the smallest pairwise image distance to the
+    The margin is the ratio of the smallest pairwise image distance to the
     smallest pairwise preimage (chart coordinate) distance; the map doubles
     chart coordinates, so the ratio is 2 for distinct samples and drops to
     0 exactly on duplicates.
@@ -68,8 +62,8 @@ def twist_margin(x: np.ndarray, ys: np.ndarray) -> ConditionReport:
     iu = np.triu_indices(len(ys), k=1)
     worst = int(np.argmin(dpre[iu]))
     if dpre[iu][worst] < 1e-15:
-        return ConditionReport("twist", len(ys), 0.0)
-    return ConditionReport("twist", len(ys), float(dimg[iu][worst] / dpre[iu][worst]))
+        return 0.0
+    return float(dimg[iu][worst] / dpre[iu][worst])
 
 
 def nondegeneracy_profile(x: np.ndarray, angles) -> list:
@@ -97,11 +91,11 @@ def mixed_bilinear(p: np.ndarray, pbar: np.ndarray) -> float:
     return -2.0 * float(np.dot(p, pbar))
 
 
-def random_null_pairs(x, y, count, rng):
-    """Unit tangent pairs (p at x, pbar at y) with vanishing mixed pairing.
+def random_null_pair(x, y, rng):
+    """A unit tangent pair (p at x, pbar at y) with vanishing mixed pairing.
 
     The pairing of tangents is proportional to their ambient dot product,
-    so null partners at y are drawn from the tangent directions orthogonal
+    so the null partner at y is drawn from the tangent directions orthogonal
     to the projection of p. Requires n >= 2: on the circle the tangent
     lines are never orthogonal inside the positive-alignment region.
     """
@@ -110,8 +104,7 @@ def random_null_pairs(x, y, count, rng):
     n = fx.shape[0]
     if n < 2:
         raise ConfigError("null direction pairs require sphere dimension >= 2")
-    pairs = []
-    while len(pairs) < count:
+    while True:
         p = fx.T @ rng.normal(size=n)
         norm = np.linalg.norm(p)
         if norm < 1e-12:
@@ -126,9 +119,7 @@ def random_null_pairs(x, y, count, rng):
         norm = np.linalg.norm(c)
         if norm < 1e-12:
             continue
-        pbar = fy.T @ (c / norm)
-        pairs.append((p, pbar))
-    return pairs
+        return p, fy.T @ (c / norm)
 
 
 def _nullspace(a: np.ndarray) -> np.ndarray:
@@ -208,27 +199,31 @@ def biconvexity_witness(
     return witness
 
 
-def cross_curvature_suite(n: int, samples: int = 100, seed: int = 0) -> ConditionReport:
-    """Positivity sweep of the cross-curvature over random null pairs, at
-    alignments x . y drawn uniformly from [0.3, 1). The minimum is NaN if
-    any sample is, so a NaN sample fails a positivity check."""
-    if n < 2:
-        raise ConfigError("the cross-curvature sweep requires sphere dimension >= 2")
-    rng = np.random.default_rng(seed)
-    values = []
-    count = 0
-    while count < samples:
-        x = rng.normal(size=n + 1)
-        x /= np.linalg.norm(x)
-        frame = tangent_frame(x)
-        d = frame.T @ rng.normal(size=n)
-        d /= np.linalg.norm(d)
-        dot = rng.uniform(0.3, 1.0 - 1e-6)
-        ang = math.acos(dot)
-        y = math.cos(ang) * x + math.sin(ang) * d
-        for p, pbar in random_null_pairs(x, y, 1, rng):
-            val = cross_curvature(x, y, p, pbar)
-            values.append((dot, val))
-            count += 1
-    worst = float(np.min([v for _, v in values]))
-    return ConditionReport("cross-curvature", samples, worst, values)
+def alignment_sweep(n: int) -> list:
+    """One row per alignment of SWEEP_ALIGNMENTS, over SWEEP_SAMPLES random
+    points x on S^n, each with its target y at that alignment along
+    tangent_frame(x)[0]: the mean |det| of the mixed derivative matrix
+    against its law 2^n x.y, and the least and mean cross-curvature on one
+    random null pair per point against its law 2/(x.y). The curvature keys
+    are None on the circle, which has no null pairs; a NaN sample makes its
+    row's least and mean value NaN."""
+    rng = np.random.default_rng(SEED)
+    rows = []
+    for dot in SWEEP_ALIGNMENTS:
+        angle = math.acos(dot)
+        dets, curvs = [], []
+        for _ in range(SWEEP_SAMPLES):
+            x = random_sphere_points(n, 1, rng)[0]
+            dets.append(nondegeneracy_profile(x, [angle])[0][1])
+            if n >= 2:
+                y = geodesic_step(x, tangent_frame(x)[0], angle)
+                curvs.append(cross_curvature(x, y, *random_null_pair(x, y, rng)))
+        rows.append({
+            "alignment": float(dot),
+            "det_mean": float(np.mean(dets)),
+            "det_expected": float(2.0**n * dot),
+            "curvature_min": float(np.min(curvs)) if curvs else None,
+            "curvature_mean": float(np.mean(curvs)) if curvs else None,
+            "curvature_law": 2.0 / float(dot) if curvs else None,
+        })
+    return rows

@@ -92,8 +92,9 @@ def is_builtin(spec: str) -> bool:
 
 def resolve_measure(spec: str, n: int, mesh=None) -> measures_mod.DiscreteMeasure:
     """A measure on S^n: a built-in density spec sampled on mesh, or a measure
-    JSON file with no atom of zero weight (extraction finds no coupling mass
-    at such an atom, so its run would fail after the whole solve)."""
+    JSON file with no atom of weight at most solver.SUPPORT_EPS (the plan
+    drops such masses, so extraction would find no coupling mass at the atom
+    and the run would fail after the whole solve)."""
     if is_builtin(spec):
         return measures_mod.sample_density(builtin_density(spec, n), mesh)
     path = Path(spec)
@@ -101,9 +102,10 @@ def resolve_measure(spec: str, n: int, mesh=None) -> measures_mod.DiscreteMeasur
         measure = measures_mod.load_measure(path)
         if measure.n != n:
             raise ConfigError(f"{path}: a measure on S^{measure.n}, but the run is on S^{n}")
-        zero = np.flatnonzero(measure.weights == 0)
-        if len(zero):
-            raise ConfigError(f"{path}: atom {zero[0]} has zero weight")
+        light = np.flatnonzero(measure.weights <= solver_mod.SUPPORT_EPS)
+        if len(light):
+            raise ConfigError(f"{path}: atom {light[0]} has weight {measure.weights[light[0]]:g}, "
+                              f"not above the plan's cut {solver_mod.SUPPORT_EPS:g}")
         return measure
     raise ConfigError(f"measure spec {spec!r} is neither a built-in density nor a file")
 
@@ -136,9 +138,6 @@ class RunResult:
     checks: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     output_dir: Path | None = None
-
-    def failed_required(self) -> list:
-        return [c for c in self.checks if c.required and not c.passed]
 
 
 def _json_number(value):
@@ -412,17 +411,16 @@ def _write_beta_csv(probes: dict, path: Path) -> None:
                 writer.writerow([center, int(j), repr(float(beta))])
 
 
-def run_mtw_suite(n: int, out_dir: Path, samples: int = 200, seed: int = 0) -> RunResult:
-    """Structural-condition sweep written as a standalone report."""
+def run_mtw_suite(n: int, out_dir: Path) -> RunResult:
+    """Structural-condition suite written as a standalone report: twist,
+    coincidence and biconvexity at one random point, and the alignment
+    sweep (mtw.alignment_sweep), whose rows decide the decay and
+    cross-curvature checks."""
     if n < 1:
         raise ConfigError("sphere dimension must be >= 1")
-    if samples < 1:
-        raise ConfigError("the cross-curvature sweep needs at least one sample")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(mtw_mod.SEED)
     x = rng.normal(size=n + 1)
     x /= np.linalg.norm(x)
     chart = mtw_mod.Chart(x)
@@ -431,10 +429,8 @@ def run_mtw_suite(n: int, out_dir: Path, samples: int = 200, seed: int = 0) -> R
         for _ in range(12)
     ])
     twist = mtw_mod.twist_margin(x, ys)
-    profile = mtw_mod.nondegeneracy_profile(x, np.deg2rad([10, 30, 50, 70, 85]))
     coincidence = abs(float(np.linalg.det(mtw_mod.cross_derivative_frame(x, x))))
-    # null direction pairs only exist from dimension 2 on
-    curvature = mtw_mod.cross_curvature_suite(n, samples=samples, seed=seed) if n >= 2 else None
+    sweep = mtw_mod.alignment_sweep(n)
     y0 = mtw_mod.chart_lift(chart, 0.6 * np.eye(n)[0])
     y1 = mtw_mod.chart_lift(chart, -0.5 * np.eye(n)[min(1, n - 1)])
     witness_ok = True
@@ -443,30 +439,29 @@ def run_mtw_suite(n: int, out_dir: Path, samples: int = 200, seed: int = 0) -> R
     except SphereOTError:
         witness_ok = False
 
-    dets = [d for _, d in profile]
+    dets = [row["det_mean"] for row in sweep]
     checks = [
         Check("twist", "gradient image doubles chart separations",
-              abs(twist.min_margin - 2.0) <= 1e-10, twist.min_margin, 1e-10),
+              abs(twist - 2.0) <= 1e-10, twist, 1e-10),
         Check("nondegeneracy_coincidence", "mixed-derivative determinant is 2^n at coincidence",
               abs(coincidence - 2.0**n) <= 0.01 * 2.0**n, coincidence, 0.01 * 2.0**n),
         Check("nondegeneracy_decay", "determinant decays strictly toward the alignment boundary",
-              all(dets[i] > dets[i + 1] for i in range(len(dets) - 1)), dets[-1], 0.0),
+              all(a < b for a, b in zip(dets, dets[1:])), dets[0], 0.0),
         Check("biconvexity", "gradient image of the half-sphere is convex",
               witness_ok, 1.0 if witness_ok else 0.0, 1e-10),
     ]
+    curvature = float(np.min([row["curvature_min"] for row in sweep])) if n >= 2 else None
     if curvature is not None:
         checks.insert(3, Check(
             "cross_curvature_positive", "mixed fourth difference is positive on null pairs",
-            curvature.min_margin > 0.0, curvature.min_margin, 0.0,
+            curvature > 0.0, curvature, 0.0,
         ))
     _json_dump(
         {
-            "twist": {"ratio": twist.min_margin, "samples": twist.sample_count},
-            "nondegeneracy": {"coincidence": coincidence, "profile": profile},
-            "cross_curvature": None if curvature is None else {
-                "min": _json_number(curvature.min_margin),
-                "samples": [[float(a), _json_number(v)] for a, v in curvature.samples],
-            },
+            "twist": {"ratio": twist, "samples": len(ys)},
+            "nondegeneracy": {"coincidence": coincidence},
+            "cross_curvature": None if curvature is None else {"min": _json_number(curvature)},
+            "sweep": [{key: _json_number(v) for key, v in row.items()} for row in sweep],
             "checks": [c.as_dict() for c in checks],
         },
         out / "mtw_report.json",

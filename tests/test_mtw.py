@@ -19,9 +19,7 @@ class TestTwist:
     def test_ratio_is_two(self, rng):
         x = g.random_sphere_points(2, 1, rng)[0]
         ys = targets_around(x, [[0.3, 0.1], [-0.2, 0.5], [0.0, -0.6], [0.55, 0.0]])
-        report = mtw.twist_margin(x, ys)
-        assert report.min_margin == pytest.approx(2.0, abs=1e-10)
-        assert report.sample_count == 4
+        assert mtw.twist_margin(x, ys) == pytest.approx(2.0, abs=1e-10)
 
     def test_image_doubles_chart_coordinates(self, rng):
         x = g.random_sphere_points(2, 1, rng)[0]
@@ -33,8 +31,7 @@ class TestTwist:
 
     def test_duplicate_flagged(self):
         y = targets_around(NORTH, [[0.3, 0.0]])[0]
-        report = mtw.twist_margin(NORTH, np.array([y, y]))
-        assert report.min_margin == 0.0
+        assert mtw.twist_margin(NORTH, np.array([y, y])) == 0.0
 
     def test_single_sample_rejected(self):
         y = targets_around(NORTH, [[0.3, 0.0]])
@@ -78,7 +75,7 @@ class TestCrossCurvature:
         for _ in range(20):
             dot = rng.uniform(0.3, 0.95)
             x, y = _aligned_pair(rng, dot)
-            p, pbar = mtw.random_null_pairs(x, y, 1, rng)[0]
+            p, pbar = mtw.random_null_pair(x, y, rng)
             value = mtw.cross_curvature(x, y, p, pbar, h=1e-3)
             assert value == pytest.approx(2.0 / dot, rel=1e-3)
 
@@ -87,7 +84,7 @@ class TestCrossCurvature:
         for _ in range(100):
             dot = rng.uniform(0.3, 0.999)
             x, y = _aligned_pair(rng, dot)
-            p, pbar = mtw.random_null_pairs(x, y, 1, rng)[0]
+            p, pbar = mtw.random_null_pair(x, y, rng)
             values.append(mtw.cross_curvature(x, y, p, pbar, h=1e-3))
         assert min(values) > 0
 
@@ -95,7 +92,7 @@ class TestCrossCurvature:
         # steps stay in the truncation-dominated regime: below ~1e-3 the
         # h^-4 roundoff amplification of the fourth difference takes over
         x, y = _aligned_pair(rng, 0.6)
-        p, pbar = mtw.random_null_pairs(x, y, 1, rng)[0]
+        p, pbar = mtw.random_null_pair(x, y, rng)
         exact = 2.0 / 0.6
         err_h = abs(mtw.cross_curvature(x, y, p, pbar, h=8e-3) - exact)
         err_h2 = abs(mtw.cross_curvature(x, y, p, pbar, h=4e-3) - exact)
@@ -126,22 +123,22 @@ class TestCrossCurvature:
         d = _tangent(x, rng)
         ang = math.acos(0.5)
         y = math.cos(ang) * x + math.sin(ang) * d
-        p, pbar = mtw.random_null_pairs(x, y, 1, rng)[0]
+        p, pbar = mtw.random_null_pair(x, y, rng)
         value = mtw.cross_curvature(x, y, p, pbar, h=1e-3)
         assert value == pytest.approx(2.0 / 0.5, rel=1e-3)
 
     def test_suite_positive(self):
-        report = mtw.cross_curvature_suite(2, samples=50, seed=4)
-        assert report.min_margin > 0
-        assert report.sample_count == 50
+        rows = mtw.alignment_sweep(2)
+        assert len(rows) == len(mtw.SWEEP_ALIGNMENTS)
+        assert min(row["curvature_min"] for row in rows) > 0
 
     def test_circle_has_no_null_pairs(self, rng):
         x = g.random_sphere_points(1, 1, rng)[0]
         y = g.geodesic_step(x, g.tangent_frame(x)[0], 0.4)
         with pytest.raises(ConfigError):
-            mtw.random_null_pairs(x, y, 1, rng)
-        with pytest.raises(ConfigError):
-            mtw.cross_curvature_suite(1, samples=5)
+            mtw.random_null_pair(x, y, rng)
+        for row in mtw.alignment_sweep(1):
+            assert row["curvature_min"] is row["curvature_mean"] is row["curvature_law"] is None
 
 
 class TestBiconvexity:

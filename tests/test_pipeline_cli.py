@@ -182,17 +182,48 @@ class TestDeterminism:
 
 class TestMTWSuite:
     def test_n2_suite_passes(self, tmp_path):
-        result = pipe.run_mtw_suite(2, tmp_path / "mtw", samples=40, seed=0)
+        result = pipe.run_mtw_suite(2, tmp_path / "mtw")
         assert result.exit_code == 0
         with open(tmp_path / "mtw" / "mtw_report.json") as fh:
             report = json.load(fh)
         assert report["twist"]["ratio"] == pytest.approx(2.0, abs=1e-10)
         assert report["cross_curvature"]["min"] > 0
 
-    @pytest.mark.parametrize("n, samples", [(0, 40), (-1, 40), (2, 0), (2, -3), (1, 0)])
-    def test_vacuous_sweep_rejected(self, tmp_path, n, samples):
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sweep_rows(self, tmp_path, n):
+        assert pipe.run_mtw_suite(n, tmp_path / "mtw").exit_code == 0
+        rows = json.loads((tmp_path / "mtw" / "mtw_report.json").read_text())["sweep"]
+        assert len(rows) == 15
+        assert all(a["alignment"] < b["alignment"] for a, b in zip(rows, rows[1:]))
+        for row in rows:
+            assert set(row) == {"alignment", "det_mean", "det_expected", "curvature_min",
+                                "curvature_mean", "curvature_law"}
+            assert row["det_mean"] == pytest.approx(row["det_expected"], rel=1e-3)
+            curvature = [row[k] for k in ("curvature_min", "curvature_mean", "curvature_law")]
+            if n == 1:
+                assert curvature == [None, None, None]
+            else:
+                assert row["curvature_mean"] == pytest.approx(row["curvature_law"], rel=1e-3)
+                assert 0 < row["curvature_min"] <= row["curvature_mean"]
+
+    def test_report_of_sweep(self, tmp_path):
+        import csv as csv_mod
+
+        out = tmp_path / "mtw"
+        pipe.run_mtw_suite(2, out)
+        report = json.loads((out / "mtw_report.json").read_text())
+        payload = json.loads(pipe.export_report(out, "json").read_text())
+        assert payload == {"mtw_report": report}
+        with open(pipe.export_report(out, "csv"), newline="") as fh:
+            rows = dict(list(csv_mod.reader(fh))[1:])
+        assert float(rows["mtw_report.sweep.14.alignment"]) == 0.98
+        assert float(rows["mtw_report.sweep.0.det_mean"]) == report["sweep"][0]["det_mean"]
+        assert rows["mtw_report.checks.3.name"] == "cross_curvature_positive"
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_vacuous_sweep_rejected(self, tmp_path, n):
         with pytest.raises(ConfigError):
-            pipe.run_mtw_suite(n, tmp_path / "mtw", samples=samples)
+            pipe.run_mtw_suite(n, tmp_path / "mtw")
 
     def test_nan_sample_fails(self, tmp_path, monkeypatch):
         real = pipe.mtw_mod.cross_curvature
@@ -203,16 +234,18 @@ class TestMTWSuite:
             return float("nan") if len(calls) == 3 else real(*args, **kwargs)
 
         monkeypatch.setattr(pipe.mtw_mod, "cross_curvature", one_nan)
-        result = pipe.run_mtw_suite(2, tmp_path / "mtw", samples=10, seed=0)
+        result = pipe.run_mtw_suite(2, tmp_path / "mtw")
         assert result.exit_code == pipe.EXIT_INVARIANT
         [check] = [c for c in result.checks if c.name == "cross_curvature_positive"]
         assert not check.passed
         report = json.loads((tmp_path / "mtw" / "mtw_report.json").read_text(),
                             parse_constant=_reject_constant)
         assert report["cross_curvature"]["min"] is None
-        assert [v is None for _, v in report["cross_curvature"]["samples"]] == [
-            i == 2 for i in range(10)
+        # the third sample lies in the first row, at the least alignment
+        assert [r["curvature_min"] is None for r in report["sweep"]] == [
+            i == 0 for i in range(15)
         ]
+        assert report["sweep"][0]["curvature_mean"] is None
 
 
 class TestCLI:
@@ -318,42 +351,42 @@ class TestCLI:
         ]) == 0
 
     def test_mtw_subcommand(self, tmp_path, capsys):
-        assert cli.main(["mtw", "--n", "2", "--samples", "30",
-                         "--out", str(tmp_path / "mtw")]) == 0
+        assert cli.main(["mtw", "--n", "2", "--out", str(tmp_path / "mtw")]) == 0
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--seed", "-1", "--mesh", "60"],
         ["solve", "--n", "1", "--seed", "-1", "--mesh", "60"],
         ["gen", "--seed", "-3"],
-        ["mtw", "--seed", "-1"],
-        ["mtw", "--samples", "0"],
-        ["mtw", "--samples", "-3"],
         ["mtw", "--n", "0"],
         # a measure file on S^2 for a run on another sphere
         ["solve", "--n", "1", "--mu", "S2_FILE", "--nu", "S2_FILE"],
         ["solve", "--n", "3", "--mu", "S2_FILE", "--nu", "uniform"],
-        # a measure file one of whose atoms weighs zero
-        ["solve", "--mu", "uniform", "--nu", "ZERO_FILE"],
+        # a measure file one of whose atoms weighs zero, or less than the
+        # plan's support cut solver.SUPPORT_EPS = 1e-15
+        ["solve", "--mu", "uniform", "--nu", "LIGHT_FILE:0.0"],
+        ["solve", "--mu", "uniform", "--nu", "LIGHT_FILE:1e-16"],
     ])
     def test_configuration_error(self, tmp_path, capsys, argv):
-        s2_file, zero_file = str(tmp_path / "s2.json"), tmp_path / "zero.json"
+        s2_file, light_file = str(tmp_path / "s2.json"), tmp_path / "light.json"
         if "S2_FILE" in argv:
             assert cli.main(["gen", "--n", "2", "--mesh", "60", "--out", s2_file]) == 0
             capsys.readouterr()
             argv = [s2_file if a == "S2_FILE" else a for a in argv]
-        if "ZERO_FILE" in argv:
-            assert cli.main(["gen", "--mesh", "60", "--out", str(zero_file)]) == 0
+        light = [float(a.partition(":")[2]) for a in argv if a.startswith("LIGHT_FILE:")]
+        if light:
+            assert cli.main(["gen", "--mesh", "60", "--out", str(light_file)]) == 0
             capsys.readouterr()
-            data = json.loads(zero_file.read_text())
-            data["atoms"][0]["w"] += data["atoms"][2]["w"]
-            data["atoms"][2]["w"] = 0.0
-            zero_file.write_text(json.dumps(data))
-            argv = [str(zero_file) if a == "ZERO_FILE" else a for a in argv]
+            data = json.loads(light_file.read_text())
+            data["atoms"][0]["w"] += data["atoms"][2]["w"] - light[0]
+            data["atoms"][2]["w"] = light[0]
+            light_file.write_text(json.dumps(data))
+            argv = [str(light_file) if a.startswith("LIGHT_FILE:") else a for a in argv]
         assert cli.main(argv + ["--out", str(tmp_path / "out")]) == pipe.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert s2_file in err or s2_file not in argv
-        assert f"{zero_file}: atom 2 has zero weight" in err or str(zero_file) not in argv
+        for weight in light:
+            assert f"{light_file}: atom 2 has weight {weight:g}, not above the plan's cut" in err
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_with_two_files(self, tmp_path, capsys):

@@ -80,8 +80,3 @@ def test_study_rejects_grid_keys(tmp_path, monkeypatch, edit, key):
         _run_study(tmp_path, monkeypatch, grid)
     assert not (tmp_path / "rows.runs").exists()
 
-
-def test_mtw_survey_writes_rows(tmp_path, monkeypatch):
-    rows = _run_script(tmp_path, monkeypatch, "mtw_survey.py", ["--samples-per-dot", "2"])
-    assert len(rows) == 15
-    assert {"alignment", "det_mean", "curvature_min", "curvature_law"} <= set(rows[0])
