@@ -357,6 +357,9 @@ class TestCLI:
         ["solve", "--seed", "-1", "--mesh", "60"],
         ["solve", "--n", "1", "--seed", "-1", "--mesh", "60"],
         ["gen", "--seed", "-3"],
+        ["mtw", "--n", "-1"],
+        ["solve", "--mu", "cap:1.5", "--mesh", "60"],
+        ["solve", "--solver", "entropic", "--reg", "0", "--mesh", "60"],
         ["mtw", "--n", "0"],
         # a measure file on S^2 for a run on another sphere
         ["solve", "--n", "1", "--mu", "S2_FILE", "--nu", "S2_FILE"],
