@@ -8,9 +8,10 @@ The grid is a JSON object with exactly the keys "n" (sphere dimension),
 gradient of |y + s e|, e the last axis, for which the identity pairing is
 optimal. Each instance, mesh and seed is one run, kept in a directory of
 its own under <out stem>.runs/ beside the output. Its row reads that run's
-artifacts: exit code, failed checks, every check's value by name, regions,
-bivalent fraction, cost, spacing, anomaly count, the lambda range on S2,
-the envelope fits and the bivalent constants (null where a run has none).
+summary and artifacts: exit code, failed checks, every check's value by
+name, regions, bivalent fraction, cost, spacing, anomaly count, the lambda
+range on S2, the envelope fits and the bivalent constants (null where a
+run has none).
 
     python3 scripts/study.py scripts/grids/bivalent.json --out bivalent.json
 """
@@ -53,9 +54,9 @@ def run_row(n: int, instance: dict, count: int, seed: int, runs: Path) -> dict:
              else (instance["mu"], instance["nu"]))
     config = pipeline.RunConfig(n=n, mesh_count=count, seed=seed, output_dir=run_dir)
     result = pipeline.run_pipeline(config, *specs)
+    summary = result.summary
     found = {stem: json.loads((run_dir / f"{stem}.json").read_text()) for stem in
-             ("summary", "checks", "regions", "multimap", "holder_reports", "constants")}
-    summary = found["summary"]
+             ("checks", "regions", "multimap", "holder_reports", "constants")}
     jumps = [a["lambda"] for a in found["multimap"]["atoms"] if a["region"] == "S2"]
     return {
         "instance": instance,

@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 configuration error, 2 invariant violation,
 """
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -93,29 +92,10 @@ def _cmd_solve(args) -> int:
     return result.exit_code
 
 
-def _run_entries(path: Path, valid, *keys) -> list:
-    """The entries under keys of a run directory's JSON file; OSError naming
-    the file when it is not JSON, lacks one of them or one fails valid."""
-    data = pipe.read_run_json(path)
-    try:
-        values = [data[key] for key in keys]
-    except (KeyError, TypeError) as exc:
-        raise OSError(f"{path}: malformed run file: {exc!r}") from None
-    for key, value in zip(keys, values):
-        if not valid(value):
-            raise OSError(f"{path}: malformed run file: {key} is {value!r}")
-    return values
-
-
-def _is_scale(value) -> bool:
-    """A finite positive number; bool, though an int, is none."""
-    return type(value) in (int, float) and 0 < value < math.inf
-
-
 def _load_run(run_dir: Path):
-    """A solved run's measures, the support its maps were read from, and the
-    scales it recorded in summary.json: (coupling, mu, nu, merge_tol,
-    zero_tol, mesh_spacing)."""
+    """A solved run's measures, the support its maps were read from, and its
+    scales, which are a function of the two measures (pipeline.run_scales):
+    (coupling, mu, nu, merge_tol, zero_tol, mesh_spacing)."""
     if not run_dir.is_dir():
         raise OSError(f"run directory {run_dir} does not exist")
     mu = measures_mod.load_measure(run_dir / "mu.json")
@@ -124,11 +104,11 @@ def _load_run(run_dir: Path):
         raise DomainError(f"{run_dir / 'nu.json'}: a measure on S^{nu.n}, "
                           f"but mu.json is on S^{mu.n}")
     coupling = solver_mod.load_coupling_csv(run_dir / "coupling.csv", mu, nu)
-    [solver] = _run_entries(run_dir / "config.json", lambda v: v in ("exact", "entropic"),
-                            "solver")
-    scales = _run_entries(run_dir / "summary.json", _is_scale,
-                          "merge_tol", "zero_tol", "mesh_spacing")
-    return (pipe.extraction_support(coupling, solver), mu, nu, *scales)
+    config = pipe.read_run_json(run_dir / "config.json")
+    solver = config.get("solver") if isinstance(config, dict) else None
+    if solver not in ("exact", "entropic"):
+        raise OSError(f"{run_dir / 'config.json'}: malformed run file: solver is {solver!r}")
+    return (pipe.extraction_support(coupling, solver), mu, nu, *pipe.run_scales(mu, nu))
 
 
 def _cmd_extract(args) -> int:

@@ -184,10 +184,6 @@ def sample_density(density, mesh: SphereMesh) -> DiscreteMeasure:
     return DiscreteMeasure(mesh.n, mesh.points.copy(), w, mesh.cell_areas.copy())
 
 
-def uniform_measure(mesh: SphereMesh) -> DiscreteMeasure:
-    return sample_density(lambda p: 1.0, mesh)
-
-
 @dataclass
 class SuitabilityCertificate:
     """Result of the two-sided density-bound check at a given epsilon."""

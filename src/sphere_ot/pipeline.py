@@ -137,7 +137,6 @@ class RunResult:
     exit_code: int
     checks: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-    output_dir: Path | None = None
 
 
 def _json_number(value):
@@ -173,6 +172,15 @@ def extraction_support(coupling, solver: str):
     return solver_mod.Coupling(
         coupling.rows[keep], coupling.cols[keep], coupling.mass[keep], coupling.total_cost
     )
+
+
+def run_scales(mu, nu):
+    """The run's scales, a function of its two measures alone, so a run
+    directory is re-analysed at them from mu.json and nu.json: (merge_tol,
+    zero_tol, spacing), with spacing the larger median nearest-neighbour
+    distance of the two, merge radius 2 * spacing and zero band spacing."""
+    spacing = max(measures_mod.median_spacing(mu.points), measures_mod.median_spacing(nu.points))
+    return 2.0 * spacing, spacing, spacing
 
 
 def _holder_reports(mm, window):
@@ -234,8 +242,7 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
         raise OSError(f"output directory {out} is not writable: {exc}") from exc
 
     epsilon = measures_mod.default_epsilon(config.n)
-    spacing = max(measures_mod.median_spacing(mu.points), measures_mod.median_spacing(nu.points))
-    merge_tol, zero_tol = 2.0 * spacing, spacing
+    merge_tol, zero_tol, spacing = run_scales(mu, nu)
 
     checks: list[Check] = []
     certificate = measures_mod.check_suitable(mu, nu, epsilon)
@@ -250,6 +257,16 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
         coupling, duals = solver_mod.solve_exact(mu, nu)
     else:
         coupling, duals = solver_mod.solve_entropic(mu, nu, reg=config.reg)
+    # the run's inputs and its plan before any check, so that a run whose
+    # analysis raises can still be re-analysed by extract and diagnose
+    _json_dump(
+        {k: (str(v) if isinstance(v, Path) else v) for k, v in dataclasses.asdict(config).items()},
+        out / "config.json",
+    )
+    measures_mod.save_measure(mu, out / "mu.json")
+    measures_mod.save_measure(nu, out / "nu.json")
+    solver_mod.save_coupling_csv(coupling, out / "coupling.csv")
+    solver_mod.save_duals_json(duals, coupling.total_cost, out / "duals.json")
     marginal_err = coupling.validate(mu, nu)
     exact = config.solver == "exact"
 
@@ -345,14 +362,6 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
 
     # ---- artifacts ----------------------------------------------------
     _json_dump(
-        {k: (str(v) if isinstance(v, Path) else v) for k, v in dataclasses.asdict(config).items()},
-        out / "config.json",
-    )
-    measures_mod.save_measure(mu, out / "mu.json")
-    measures_mod.save_measure(nu, out / "nu.json")
-    solver_mod.save_coupling_csv(coupling, out / "coupling.csv")
-    solver_mod.save_duals_json(duals, coupling.total_cost, out / "duals.json")
-    _json_dump(
         {name: dataclasses.asdict(rep) for name, rep in holder.items()},
         out / "holder_reports.json",
     )
@@ -381,7 +390,7 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
     }
     _json_dump(summary, out / "summary.json")
 
-    return RunResult(EXIT_INVARIANT if failed else EXIT_OK, checks, summary, out)
+    return RunResult(EXIT_INVARIANT if failed else EXIT_OK, checks, summary)
 
 
 def _inverse_records(inv) -> dict:
@@ -467,7 +476,7 @@ def run_mtw_suite(n: int, out_dir: Path) -> RunResult:
         out / "mtw_report.json",
     )
     code = EXIT_OK if all(c.passed for c in checks) else EXIT_INVARIANT
-    return RunResult(code, checks, {"mtw": "done"}, out)
+    return RunResult(code, checks)
 
 
 def export_report(run_dir: Path, fmt: str = "json") -> Path:

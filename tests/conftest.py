@@ -189,7 +189,7 @@ def bivalent_instance():
     """Solved sharp-cap vs uniform instance at test scale, with extraction."""
     mesh = measures_mod.quasi_uniform_mesh(2, 220, 0)
     mu = measures_mod.sample_density(pipe.builtin_density("cap:0.98", 2), mesh)
-    nu = measures_mod.uniform_measure(mesh)
+    nu = measures_mod.sample_density(lambda p: 1.0, mesh)
     coupling, duals = solver_mod.solve_exact(mu, nu)
     mm = maps_mod.extract_multimap(coupling, mu, nu, 2.0 * mesh.spacing, mesh.spacing)
     inv = maps_mod.invert_maps(coupling, mu, nu, 2.0 * mesh.spacing, mesh.spacing)

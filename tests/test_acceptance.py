@@ -44,8 +44,8 @@ def extract(mesh_or_spacing, mu, nu, coupling):
 def identity_500():
     t0 = time.monotonic()
     mesh = me.quasi_uniform_mesh(2, 500, 0)
-    mu = me.uniform_measure(mesh)
-    nu = me.uniform_measure(mesh)
+    mu = me.sample_density(lambda p: 1.0, mesh)
+    nu = me.sample_density(lambda p: 1.0, mesh)
     coupling, duals = so.solve_exact(mu, nu)
     mm, inv = extract(mesh, mu, nu, coupling)
     return {"mesh": mesh, "mu": mu, "nu": nu, "coupling": coupling,
@@ -57,7 +57,7 @@ def bivalent_1000():
     t0 = time.monotonic()
     mesh = me.quasi_uniform_mesh(2, 1000, 0)
     mu = me.sample_density(pipe.builtin_density("cap:0.98", 2), mesh)
-    nu = me.uniform_measure(mesh)
+    nu = me.sample_density(lambda p: 1.0, mesh)
     coupling, duals = so.solve_exact(mu, nu)
     mm, inv = extract(mesh, mu, nu, coupling)
     return {"mesh": mesh, "mu": mu, "nu": nu, "coupling": coupling,

@@ -461,7 +461,7 @@ def _instance(kind, n, count):
     else:
         mesh = me.quasi_uniform_mesh(n, count, 0)
         mu = me.sample_density(pipe.builtin_density("cap:0.98", n), mesh)
-        nu = me.uniform_measure(mesh)
+        nu = me.sample_density(lambda p: 1.0, mesh)
     if kind == "entropic":
         coupling, _ = so.solve_entropic(mu, nu, reg=0.01)
         coupling = pipe.extraction_support(coupling, "entropic")
@@ -555,7 +555,7 @@ class TestFormerLoops:
         # near 5 MiB
         mesh = me.quasi_uniform_mesh(2, 300, 0)
         mu = me.sample_density(pipe.builtin_density("cap:0.98", 2), mesh)
-        nu = me.uniform_measure(mesh)
+        nu = me.sample_density(lambda p: 1.0, mesh)
         coupling = pipe.extraction_support(so.solve_entropic(mu, nu, reg=0.1)[0], "entropic")
         tracemalloc.start()
         try:

@@ -97,18 +97,19 @@ class TestSampleDensity:
 class TestSuitability:
     def test_uniform_pair_passes(self):
         mesh = me.quasi_uniform_mesh(2, 200, 0)
-        mu = me.uniform_measure(mesh)
-        nu = me.uniform_measure(mesh)
+        mu = me.sample_density(lambda p: 1.0, mesh)
+        nu = me.sample_density(lambda p: 1.0, mesh)
         eps = 0.5 / me.sphere_area(2)
         for cert in (me.check_suitable(mu, nu, eps), me.check_suitable(nu, mu, eps)):
             assert cert.upper_ok and cert.lower_ok
 
     def test_zero_weight_atom_fails_lower(self):
         mesh = me.quasi_uniform_mesh(2, 100, 0)
-        nu = me.uniform_measure(mesh)
+        nu = me.sample_density(lambda p: 1.0, mesh)
         nu.weights[17] = 0.0
         nu.weights /= nu.weights.sum()
-        cert = me.check_suitable(me.uniform_measure(mesh), nu, 0.01 / me.sphere_area(2))
+        mu = me.sample_density(lambda p: 1.0, mesh)
+        cert = me.check_suitable(mu, nu, 0.01 / me.sphere_area(2))
         assert not cert.lower_ok
         assert cert.worst_atoms["nu_min"] == 17
 
@@ -117,22 +118,22 @@ class TestSuitability:
         # estimate 0.5 * 500 / (4 pi) ~ 19.9, far above the uniform level;
         # any epsilon above ~0.05 trips the upper bound
         mesh = me.quasi_uniform_mesh(2, 500, 0)
-        mu = me.uniform_measure(mesh)
+        mu = me.sample_density(lambda p: 1.0, mesh)
         mu.weights[3] = mu.weights.sum()
         mu.weights /= mu.weights.sum()
         estimate = mu.weights[3] / mu.cell_areas[3]
         assert estimate > 15.0
-        cert = me.check_suitable(mu, me.uniform_measure(mesh), 0.06)
+        cert = me.check_suitable(mu, me.sample_density(lambda p: 1.0, mesh), 0.06)
         assert not cert.upper_ok
         assert cert.worst_atoms["mu_max"] == 3
         # the spec-level example value 0.01 keeps 1/epsilon = 100 above the
         # estimate, so the bound still holds there
-        assert me.check_suitable(mu, me.uniform_measure(mesh), 0.01).upper_ok
+        assert me.check_suitable(mu, me.sample_density(lambda p: 1.0, mesh), 0.01).upper_ok
 
     def test_monotone_in_epsilon(self):
         mesh = me.quasi_uniform_mesh(2, 150, 2)
         mu = me.sample_density(lambda p: 0.5 + (1 + p[2]) ** 2, mesh)
-        nu = me.uniform_measure(mesh)
+        nu = me.sample_density(lambda p: 1.0, mesh)
         passing = [
             eps
             for eps in np.geomspace(1e-4, 1.0, 12)
@@ -148,8 +149,8 @@ class TestSuitability:
                     assert cert.upper_ok and cert.lower_ok
 
     def test_dimension_mismatch(self):
-        a = me.uniform_measure(me.quasi_uniform_mesh(1, 10, 0))
-        b = me.uniform_measure(me.quasi_uniform_mesh(2, 10, 0))
+        a = me.sample_density(lambda p: 1.0, me.quasi_uniform_mesh(1, 10, 0))
+        b = me.sample_density(lambda p: 1.0, me.quasi_uniform_mesh(2, 10, 0))
         with pytest.raises(ConfigError):
             me.check_suitable(a, b, 0.1)
 
@@ -168,7 +169,7 @@ class TestMeasureIO:
 
     def test_loader_rejects_bad_mass(self, tmp_path):
         mesh = me.quasi_uniform_mesh(2, 10, 0)
-        m = me.uniform_measure(mesh)
+        m = me.sample_density(lambda p: 1.0, mesh)
         m.weights = m.weights * 2.0
         path = tmp_path / "bad.json"
         me.save_measure(m, path)
@@ -177,7 +178,7 @@ class TestMeasureIO:
 
     def test_loader_rejects_off_sphere(self, tmp_path):
         mesh = me.quasi_uniform_mesh(2, 10, 0)
-        m = me.uniform_measure(mesh)
+        m = me.sample_density(lambda p: 1.0, mesh)
         m.points = m.points * 1.001
         path = tmp_path / "off.json"
         me.save_measure(m, path)
@@ -185,7 +186,7 @@ class TestMeasureIO:
             me.load_measure(path)
 
     def test_loader_rejects_nan_weight(self, tmp_path):
-        m = me.uniform_measure(me.quasi_uniform_mesh(2, 10, 0))
+        m = me.sample_density(lambda p: 1.0, me.quasi_uniform_mesh(2, 10, 0))
         m.weights[3] = np.nan
         path = tmp_path / "nan.json"
         me.save_measure(m, path)
@@ -193,7 +194,7 @@ class TestMeasureIO:
             me.load_measure(path)
 
     def test_loader_rejects_nan_coordinate(self, tmp_path):
-        m = me.uniform_measure(me.quasi_uniform_mesh(2, 10, 0))
+        m = me.sample_density(lambda p: 1.0, me.quasi_uniform_mesh(2, 10, 0))
         m.points[3, 0] = np.nan
         path = tmp_path / "nan.json"
         me.save_measure(m, path)
@@ -207,13 +208,13 @@ class TestMeasureIO:
             me.load_measure(path)
 
     def test_nan_cell_area_rejected(self):
-        m = me.uniform_measure(me.quasi_uniform_mesh(2, 10, 0))
+        m = me.sample_density(lambda p: 1.0, me.quasi_uniform_mesh(2, 10, 0))
         m.cell_areas[3] = np.nan
         with pytest.raises(DomainError, match="cell areas"):
             m.validate()
 
     def test_restriction_keeps_weights(self):
         mesh = me.quasi_uniform_mesh(2, 30, 0)
-        m = me.uniform_measure(mesh)
+        m = me.sample_density(lambda p: 1.0, mesh)
         sub = m.restrict(np.arange(10))
         assert sub.mass == pytest.approx(m.weights[:10].sum())

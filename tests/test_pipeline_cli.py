@@ -95,7 +95,7 @@ class TestRunPipeline:
         from sphere_ot import measures as me
 
         mesh = me.quasi_uniform_mesh(2, 60, 3)
-        m = me.uniform_measure(mesh)
+        m = me.sample_density(lambda p: 1.0, mesh)
         path = tmp_path / "m.json"
         me.save_measure(m, path)
         config = pipe.RunConfig(n=2, mesh_count=60, seed=3, output_dir=tmp_path / "r")
@@ -126,7 +126,7 @@ class TestRunPipeline:
         from sphere_ot import measures as me
 
         path = tmp_path / "s1.json"
-        me.save_measure(me.uniform_measure(me.quasi_uniform_mesh(1, 60, 0)), path)
+        me.save_measure(me.sample_density(lambda p: 1.0, me.quasi_uniform_mesh(1, 60, 0)), path)
         with pytest.raises(ConfigError, match=r"a measure on S\^1, but the run is on S\^2"):
             pipe.resolve_measure(str(path), 2)
 
@@ -324,6 +324,50 @@ class TestCLI:
                 f"C-(proof)={constants['C_minus_proof']:.4f} "
                 f"bound ratio={saved['inner_bound_ratio']:.4f}") in out
 
+    @pytest.mark.parametrize("solve", [
+        ["--mesh", "220", "--seed", "1", "--mu", "cap:0.98"],
+        ["--mesh", "80", "--seed", "1", "--mu", "cap:0.98", "--solver", "entropic"],
+    ], ids=["exact", "entropic"])
+    def test_reanalysis_reads_no_summary(self, tmp_path, capsys, solve):
+        # the scales come from mu.json and nu.json (pipeline.run_scales), so a
+        # run directory without summary.json is re-analysed as it was solved
+        run = tmp_path / "run"
+        cli.main(["solve", *solve, "--out", str(run)])
+        names = ("multimap.json", "inverse.json", "regions.json")
+        written = {name: (run / name).read_bytes() for name in names}
+        capsys.readouterr()
+        printed = {}
+        for command in ("extract", "diagnose"):
+            assert cli.main([command, "--run", str(run)]) == 0
+            printed[command] = capsys.readouterr().out
+        (run / "summary.json").unlink()
+        for name in names:
+            (run / name).write_text("{}")
+        for command in ("extract", "diagnose"):
+            assert cli.main([command, "--run", str(run)]) == 0
+            assert capsys.readouterr().out == printed[command]
+        assert {name: (run / name).read_bytes() for name in names} == written
+
+    def test_failed_analysis_keeps_the_plan(self, tmp_path, capsys):
+        # on S^3 at 1000 x 1000 atoms the inverse extraction raises after the
+        # solve; the run's inputs and plan are written before any check, so
+        # extract re-raises the same error from them
+        mu, nu = str(tmp_path / "mu.json"), str(tmp_path / "nu.json")
+        for path, seed, density in ((mu, "0", "cap:0.98"), (nu, "1", "uniform")):
+            assert cli.main(["gen", "--n", "3", "--mesh", "1000", "--seed", seed,
+                             "--density", density, "--out", path]) == 0
+        run = tmp_path / "run"
+        capsys.readouterr()
+        code = cli.main(["solve", "--n", "3", "--mu", mu, "--nu", nu, "--out", str(run)])
+        assert code == pipe.EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert "has 3 image clusters" in err
+        assert sorted(path.name for path in run.iterdir()) == [
+            "config.json", "coupling.csv", "duals.json", "mu.json", "nu.json"]
+        assert all(path.stat().st_size > 0 for path in run.iterdir())
+        assert cli.main(["extract", "--run", str(run)]) == pipe.EXIT_INVARIANT
+        assert capsys.readouterr().err == err
+
     def test_diagnose_with_too_little_data(self, tmp_path, capsys):
         run = str(tmp_path / "tiny")
         assert cli.main(["solve", "--n", "2", "--mesh", "10", "--seed", "0",
@@ -470,10 +514,7 @@ class TestCLI:
     @pytest.mark.parametrize("command", ["extract", "diagnose"])
     @pytest.mark.parametrize("name, edit", [
         ("config.json", lambda text: "{}"),
-        ("summary.json", lambda text: text[: len(text) // 2]),
-        ("summary.json", lambda text: json.dumps(
-            {k: v for k, v in json.loads(text).items() if k != "merge_tol"})),
-    ], ids=["config-without-solver", "summary-not-json", "summary-without-merge-tol"])
+    ], ids=["config-without-solver"])
     def test_malformed_run_file_is_io_failure(self, tmp_path, capsys, command, name, edit):
         run = tmp_path / "run"
         assert cli.main(["solve", "--mesh", "60", "--out", str(run)]) == 0
@@ -485,11 +526,6 @@ class TestCLI:
         assert (run / "multimap.json").read_bytes() == written
 
     @pytest.mark.parametrize("command, name, key, value", [
-        ("extract", "summary.json", "merge_tol", None),
-        ("diagnose", "summary.json", "mesh_spacing", "0.3"),
-        ("extract", "summary.json", "zero_tol", True),
-        ("extract", "summary.json", "merge_tol", -0.1),
-        ("diagnose", "summary.json", "zero_tol", float("inf")),
         ("extract", "config.json", "solver", "bogus"),
     ])
     def test_bad_run_value_is_io_failure(self, tmp_path, capsys, command, name, key, value):
