@@ -278,7 +278,6 @@ def atom_records(mm: MultiMap) -> list:
 
 
 def save_multimap_json(mm: MultiMap, path) -> None:
-    # json.dumps takes the C encoder, json.dump never does; the bytes agree
     with open(path, "w") as fh:
         fh.write(json.dumps({"n": mm.n, "atoms": atom_records(mm), "anomalies": mm.anomalies},
                             sort_keys=True))

@@ -224,10 +224,8 @@ def check_suitable(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
 def save_measure(measure: DiscreteMeasure, path) -> None:
     """Write the measure as JSON: {"n": ..., "atoms": [{"p": ..., "w": ..., "a": ...}]}."""
-    atoms = [
-        {"p": [float(c) for c in p], "w": float(w), "a": float(a)}
-        for p, w, a in zip(measure.points, measure.weights, measure.cell_areas)
-    ]
+    columns = (measure.points, measure.weights, measure.cell_areas)
+    atoms = [{"p": p, "w": w, "a": a} for p, w, a in zip(*(c.tolist() for c in columns))]
     with open(path, "w") as fh:
         fh.write(json.dumps({"n": measure.n, "atoms": atoms}, sort_keys=True))
 

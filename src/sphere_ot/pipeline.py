@@ -34,6 +34,13 @@ BAND_POWER = 4
 # entropic plans are cut to entries of at least this share of their row's
 # largest mass before extraction, in a run and when it is re-analysed
 ENTROPIC_SUPPORT_TOL = 1e-6
+# every file that solve, extract and report write into a run directory; a
+# solve deletes them all before it writes its own
+RUN_FILES = (
+    "config.json", "mu.json", "nu.json", "coupling.csv", "duals.json", "multimap.json",
+    "inverse.json", "regions.json", "holder_reports.json", "constants.json",
+    "beta_values.csv", "checks.json", "summary.json", "report.json", "report.csv",
+)
 
 
 @dataclass
@@ -146,8 +153,11 @@ def _json_number(value):
 
 
 def _json_dump(obj, path: Path) -> None:
+    """Write obj to path as every JSON file of a run is written: one
+    json.dumps with sorted keys and no indentation, which takes the C
+    encoder (json.dump, or any indent, never does)."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
+        fh.write(json.dumps(obj, sort_keys=True))
 
 
 def read_run_json(path: Path):
@@ -235,9 +245,19 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
     out = Path(config.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".writable"
-        probe.write_text("")
-        probe.unlink()
+        # a rerun keeps nothing of an earlier run; the measures are already
+        # read, so a spec pointing into out still works
+        for name in RUN_FILES:
+            (out / name).unlink(missing_ok=True)
+        # the run's inputs before the solve, so a run whose solve or
+        # analysis fails keeps them
+        _json_dump(
+            {k: (str(v) if isinstance(v, Path) else v)
+             for k, v in dataclasses.asdict(config).items()},
+            out / "config.json",
+        )
+        measures_mod.save_measure(mu, out / "mu.json")
+        measures_mod.save_measure(nu, out / "nu.json")
     except OSError as exc:
         raise OSError(f"output directory {out} is not writable: {exc}") from exc
 
@@ -257,14 +277,8 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
         coupling, duals = solver_mod.solve_exact(mu, nu)
     else:
         coupling, duals = solver_mod.solve_entropic(mu, nu, reg=config.reg)
-    # the run's inputs and its plan before any check, so that a run whose
-    # analysis raises can still be re-analysed by extract and diagnose
-    _json_dump(
-        {k: (str(v) if isinstance(v, Path) else v) for k, v in dataclasses.asdict(config).items()},
-        out / "config.json",
-    )
-    measures_mod.save_measure(mu, out / "mu.json")
-    measures_mod.save_measure(nu, out / "nu.json")
+    # the plan before any check, so that a run whose analysis raises can
+    # still be re-analysed by extract and diagnose
     solver_mod.save_coupling_csv(coupling, out / "coupling.csv")
     solver_mod.save_duals_json(duals, coupling.total_cost, out / "duals.json")
     marginal_err = coupling.validate(mu, nu)
@@ -278,6 +292,16 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
         gap = coupling.total_cost - float(duals.psi @ mu.weights + duals.phi @ nu.weights)
         checks.append(Check(
             "duality_gap", "primal cost meets the dual value", abs(gap) <= 1e-8, gap, 1e-8,
+        ))
+        feasibility = duals.feasibility_gap(mu, nu)
+        checks.append(Check(
+            "dual_feasibility", "no pair has psi_i + phi_j above its cost",
+            feasibility <= 1e-8, feasibility, 1e-8,
+        ))
+        slackness = duals.slackness_gap(coupling, mu, nu)
+        checks.append(Check(
+            "complementary_slackness", "every support pair has psi_i + phi_j equal to its cost",
+            slackness <= 1e-8, slackness, 1e-8,
         ))
     extraction_input = extraction_support(coupling, config.solver)
     cyc = solver_mod.cyclical_monotonicity_violation(extraction_input, mu, nu)

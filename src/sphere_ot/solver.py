@@ -769,8 +769,8 @@ def save_duals_json(duals: DualPotentials, total_cost: float, path) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps(
             {
-                "phi": [float(v) for v in duals.phi],
-                "psi": [float(v) for v in duals.psi],
+                "phi": duals.phi.tolist(),
+                "psi": duals.psi.tolist(),
                 "total_cost": float(total_cost),
             },
             sort_keys=True,

@@ -6,7 +6,7 @@ import pytest
 from sphere_ot import cli
 from sphere_ot import pipeline as pipe
 from sphere_ot import solver as solver_mod
-from sphere_ot.errors import ConfigError
+from sphere_ot.errors import ConfigError, SolverError
 
 
 def _reject_constant(token):
@@ -66,6 +66,29 @@ class TestRunPipeline:
         result = pipe.run_pipeline(config, "uniform", "uniform")
         assert result.exit_code == pipe.EXIT_INVARIANT
         assert "duality_gap" in result.summary["checks_failed"]
+
+    def test_infeasible_duals_fail_dual_feasibility(self, tmp_path, monkeypatch):
+        # raising phi_0 by eps and lowering psi_1 by eps * b_0 / a_1 keeps the
+        # dual value, so duality_gap passes; pair (0, 0) of the identity plan
+        # then has psi_0 + phi_0 eps above its cost
+        real, eps = solver_mod.solve_exact, 1e-3
+
+        def infeasible(mu, nu):
+            coupling, duals = real(mu, nu)
+            psi, phi = duals.psi.copy(), duals.phi.copy()
+            phi[0] += eps
+            psi[1] -= eps * nu.weights[0] / mu.weights[1]
+            return coupling, solver_mod.DualPotentials(psi, phi)
+
+        monkeypatch.setattr(solver_mod, "solve_exact", infeasible)
+        config = pipe.RunConfig(n=2, mesh_count=80, seed=0, output_dir=tmp_path / "run")
+        result = pipe.run_pipeline(config, "uniform", "uniform")
+        assert result.exit_code == pipe.EXIT_INVARIANT
+        checks = {c.name: c for c in result.checks}
+        assert checks["duality_gap"].passed
+        assert checks["dual_feasibility"].value == pytest.approx(eps)
+        assert checks["complementary_slackness"].value == pytest.approx(eps)
+        assert result.summary["checks_failed"] == ["dual_feasibility", "complementary_slackness"]
 
     def test_extraction_support(self):
         coupling = solver_mod.Coupling(
@@ -174,6 +197,20 @@ class TestDeterminism:
         assert float(csv_rows[cost_key]) == payload["summary"]["total_cost"]
         spacing_key = "summary.mesh_spacing"
         assert float(csv_rows[spacing_key]) == payload["summary"]["mesh_spacing"]
+
+    def test_json_artifacts_sorted_and_unindented(self, tmp_path, capsys):
+        # every JSON file that solve, extract, report and mtw write is one
+        # json.dumps(obj, sort_keys=True)
+        run, mtw = tmp_path / "run", tmp_path / "mtw"
+        cli.main(["solve", "--mesh", "220", "--seed", "1", "--mu", "cap:0.98", "--out", str(run)])
+        for argv in (["extract", "--run", str(run)], ["report", "--run", str(run)],
+                     ["mtw", "--out", str(mtw)]):
+            assert cli.main(argv) == 0
+        paths = sorted(run.glob("*.json")) + sorted(mtw.glob("*.json"))
+        assert len(paths) == 13
+        for path in paths:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), sort_keys=True), path.name
 
     def test_missing_run_dir(self, tmp_path):
         with pytest.raises(OSError):
@@ -367,6 +404,37 @@ class TestCLI:
         assert all(path.stat().st_size > 0 for path in run.iterdir())
         assert cli.main(["extract", "--run", str(run)]) == pipe.EXIT_INVARIANT
         assert capsys.readouterr().err == err
+
+    def test_rerun_leaves_no_stale_artifacts(self, tmp_path, capsys, monkeypatch):
+        # a solve deletes every file of an earlier run and writes the run's
+        # inputs before it solves; measure specs pointing into the directory
+        # are read first
+        run = tmp_path / "run"
+        assert cli.main(["solve", "--mesh", "60", "--out", str(run)]) == 0
+        written = {path.name: path.read_bytes() for path in run.iterdir()}
+        assert cli.main(["report", "--run", str(run), "--format", "csv"]) == 0
+        assert cli.main(["solve", "--mesh", "60", "--mu", str(run / "mu.json"),
+                         "--nu", str(run / "nu.json"), "--out", str(run)]) == 0
+        assert {path.name: path.read_bytes() for path in run.iterdir()} == written
+
+        def fail(mu, nu):
+            raise SolverError("no optimum")
+
+        monkeypatch.setattr(solver_mod, "solve_exact", fail)
+        capsys.readouterr()
+        code = cli.main(["solve", "--n", "1", "--mesh", "60", "--out", str(run)])
+        assert code == pipe.EXIT_SOLVER
+        assert capsys.readouterr().err == "solver failure: no optimum\n"
+        assert sorted(path.name for path in run.iterdir()) == ["config.json", "mu.json", "nu.json"]
+        assert json.loads((run / "config.json").read_text())["n"] == 1
+        assert cli.main(["report", "--run", str(run)]) == 0
+        assert json.loads((run / "report.json").read_text()) == {}
+
+    def test_unwritable_output_is_io_failure(self, tmp_path, capsys):
+        out = tmp_path / "file"
+        out.write_text("")
+        assert cli.main(["solve", "--mesh", "60", "--out", str(out)]) == pipe.EXIT_IO
+        assert f"output directory {out} is not writable" in capsys.readouterr().err
 
     def test_diagnose_with_too_little_data(self, tmp_path, capsys):
         run = str(tmp_path / "tiny")

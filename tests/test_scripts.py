@@ -38,6 +38,8 @@ def test_study_cap_row(tmp_path, monkeypatch):
     assert row["checks"]["inner_bound"] == row["inner_bound_ratio"] <= 1.0
     assert row["constants"]["k_U"] > 0
     assert abs(row["checks"]["duality_gap"]) <= 1e-8
+    assert row["checks"]["dual_feasibility"] <= 1e-8
+    assert row["checks"]["complementary_slackness"] <= 1e-8
     assert row["exit_code"] == (2 if row["checks_failed"] else 0)
     assert len(list(tmp_path.glob("rows.runs/*/checks.json"))) == 1
 
