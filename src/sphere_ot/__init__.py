@@ -6,7 +6,6 @@ from .errors import (
     DomainError,
     ExtractionError,
     InsufficientDataError,
-    NullityError,
     SolverError,
     SphereOTError,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "DomainError",
     "ExtractionError",
     "InsufficientDataError",
-    "NullityError",
     "SolverError",
     "SphereOTError",
 ]

@@ -1,4 +1,4 @@
-"""Command-line front end: gen, solve, extract, diagnose, mtw, report.
+"""Command-line front end: gen, solve, extract, diagnose, report.
 
 Exit codes: 0 success, 1 configuration error, 2 invariant violation,
 3 solver failure, 4 I/O failure.
@@ -49,10 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("diagnose", help="recompute regularity reports for a run")
     d.add_argument("--run", required=True)
-
-    m = sub.add_parser("mtw", help="structural-condition sweep for the sphere cost")
-    m.add_argument("--n", type=int, default=2)
-    m.add_argument("--out", default="mtw", help="output directory")
 
     r = sub.add_parser("report", help="aggregate run artifacts into one report")
     r.add_argument("--run", required=True)
@@ -139,14 +135,6 @@ def _cmd_diagnose(args) -> int:
     return pipe.EXIT_OK
 
 
-def _cmd_mtw(args) -> int:
-    result = pipe.run_mtw_suite(args.n, Path(args.out))
-    for check in result.checks:
-        status = "pass" if check.passed else "FAIL"
-        print(f"[{status}] {check.name}: {check.claim} (value={check.value:.3e})")
-    return result.exit_code
-
-
 def _cmd_report(args) -> int:
     out = pipe.export_report(Path(args.run), args.format)
     print(f"wrote {out}")
@@ -158,14 +146,16 @@ _COMMANDS = {
     "solve": _cmd_solve,
     "extract": _cmd_extract,
     "diagnose": _cmd_diagnose,
-    "mtw": _cmd_mtw,
     "report": _cmd_report,
 }
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse printed the help (0) or a usage error (2)
+        return pipe.EXIT_OK if exc.code == 0 else pipe.EXIT_CONFIG
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

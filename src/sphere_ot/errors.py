@@ -29,9 +29,5 @@ class InsufficientDataError(SphereOTError):
     """Too few samples or pairs to run a diagnostic."""
 
 
-class NullityError(SphereOTError):
-    """A direction pair fails the nullity constraint it was required to satisfy."""
-
-
 class SolverFallbackWarning(RuntimeWarning):
     """The exact solver left the assignment path for the LP; the message says why."""

@@ -2,23 +2,22 @@
 
 A run writes every artifact into one output directory: the two measures,
 the coupling and dual potentials, the extracted map pair with region
-labels, inverse maps, regularity reports, structural-condition reports,
-and a pass/fail check table. All artifacts are byte-stable for a fixed
-seed on one machine and BLAS thread count. Exit codes: 0 success,
-1 configuration, 2 invariant violation, 3 solver failure, 4 I/O failure.
+labels, inverse maps, regularity reports, and a pass/fail check table.
+All artifacts are byte-stable for a fixed seed on one machine and BLAS
+thread count. Exit codes: 0 success, 1 configuration, 2 invariant
+violation, 3 solver failure, 4 I/O failure.
 """
 
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import maps as maps_mod
 from . import measures as measures_mod
-from . import mtw as mtw_mod
 from . import regularity as reg_mod
 from . import solver as solver_mod
 from .errors import ConfigError, InsufficientDataError, SphereOTError
@@ -142,14 +141,14 @@ class Check:
 @dataclass
 class RunResult:
     exit_code: int
-    checks: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
+    checks: list
+    summary: dict
 
 
 def _json_number(value):
-    """value as a float, or None (JSON null) for None and NaN, which strict
-    JSON has no token for."""
-    return None if value is None or math.isnan(value) else float(value)
+    """value as a float, or None (JSON null) for NaN, which strict JSON has
+    no token for."""
+    return None if math.isnan(value) else float(value)
 
 
 def _json_dump(obj, path: Path) -> None:
@@ -444,72 +443,13 @@ def _write_beta_csv(probes: dict, path: Path) -> None:
                 writer.writerow([center, int(j), repr(float(beta))])
 
 
-def run_mtw_suite(n: int, out_dir: Path) -> RunResult:
-    """Structural-condition suite written as a standalone report: twist,
-    coincidence and biconvexity at one random point, and the alignment
-    sweep (mtw.alignment_sweep), whose rows decide the decay and
-    cross-curvature checks."""
-    if n < 1:
-        raise ConfigError("sphere dimension must be >= 1")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(mtw_mod.SEED)
-    x = rng.normal(size=n + 1)
-    x /= np.linalg.norm(x)
-    chart = mtw_mod.Chart(x)
-    ys = np.array([
-        mtw_mod.chart_lift(chart, 0.8 * rng.uniform(-1, 1, n) / math.sqrt(n))
-        for _ in range(12)
-    ])
-    twist = mtw_mod.twist_margin(x, ys)
-    coincidence = abs(float(np.linalg.det(mtw_mod.cross_derivative_frame(x, x))))
-    sweep = mtw_mod.alignment_sweep(n)
-    y0 = mtw_mod.chart_lift(chart, 0.6 * np.eye(n)[0])
-    y1 = mtw_mod.chart_lift(chart, -0.5 * np.eye(n)[min(1, n - 1)])
-    witness_ok = True
-    try:
-        mtw_mod.biconvexity_witness(x, y0, y1, 0.37)
-    except SphereOTError:
-        witness_ok = False
-
-    dets = [row["det_mean"] for row in sweep]
-    checks = [
-        Check("twist", "gradient image doubles chart separations",
-              abs(twist - 2.0) <= 1e-10, twist, 1e-10),
-        Check("nondegeneracy_coincidence", "mixed-derivative determinant is 2^n at coincidence",
-              abs(coincidence - 2.0**n) <= 0.01 * 2.0**n, coincidence, 0.01 * 2.0**n),
-        Check("nondegeneracy_decay", "determinant decays strictly toward the alignment boundary",
-              all(a < b for a, b in zip(dets, dets[1:])), dets[0], 0.0),
-        Check("biconvexity", "gradient image of the half-sphere is convex",
-              witness_ok, 1.0 if witness_ok else 0.0, 1e-10),
-    ]
-    curvature = float(np.min([row["curvature_min"] for row in sweep])) if n >= 2 else None
-    if curvature is not None:
-        checks.insert(3, Check(
-            "cross_curvature_positive", "mixed fourth difference is positive on null pairs",
-            curvature > 0.0, curvature, 0.0,
-        ))
-    _json_dump(
-        {
-            "twist": {"ratio": twist, "samples": len(ys)},
-            "nondegeneracy": {"coincidence": coincidence},
-            "cross_curvature": None if curvature is None else {"min": _json_number(curvature)},
-            "sweep": [{key: _json_number(v) for key, v in row.items()} for row in sweep],
-            "checks": [c.as_dict() for c in checks],
-        },
-        out / "mtw_report.json",
-    )
-    code = EXIT_OK if all(c.passed for c in checks) else EXIT_INVARIANT
-    return RunResult(code, checks)
-
-
 def export_report(run_dir: Path, fmt: str = "json") -> Path:
     """Aggregate a run directory into one deterministic report file."""
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
         raise OSError(f"run directory {run_dir} does not exist")
     payload = {}
-    for name in ("summary", "checks", "regions", "holder_reports", "constants", "mtw_report"):
+    for name in ("summary", "checks", "regions", "holder_reports", "constants"):
         path = run_dir / f"{name}.json"
         if path.exists():
             payload[name] = read_run_json(path)

@@ -1,38 +1,163 @@
-"""Structural condition checks for the squared-distance cost on spheres.
+"""Finite-difference confirmations of the closed forms of the sphere cost.
 
-The quadratic cost restricted to positively aligned pairs is smooth,
-twisted (the chart image of the cost gradient is injective), non-
-degenerate (the mixed derivative matrix is invertible, degenerating only
-as the alignment vanishes), and strictly regular: the mixed fourth
-derivative of the cost along the straight chart lines through a pair, in
-null direction pairs, stays positive. Derivative magnitudes here are
-chart quantities; only signs and determinant magnitudes are invariant.
+The cost 2 - 2 x.y is twisted on the open half-sphere x.y > 0 (its chart
+gradient image doubles chart coordinates), its mixed-derivative matrix
+has |det| = 2^n x.y, and its cross-curvature on null direction pairs is
+2/(x.y). The tests confirm these closed forms numerically with the charts,
+frames and stencils below; the package computes none of them.
+
+A chart at a base point projects onto the hyperplane perpendicular to it,
+so a point of the open half-sphere around the base is represented by its
+n components along an orthonormal tangent frame. Derivative magnitudes
+here are chart quantities; only signs and determinant magnitudes are
+invariant.
 """
 
 import math
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NullityError
-from .geometry import (
-    BOUNDARY_GUARD,
-    Chart,
-    chart_lift,
-    chart_project,
-    check_unit,
-    cost_extrinsic,
-    cross_derivative_frame,
-    geodesic_step,
-    grad_cost_local,
-    random_sphere_points,
-    tangent_frame,
-)
+from sphere_ot.errors import ConfigError, DomainError, SphereOTError
+from sphere_ot.geometry import UNIT_TOL
 
+FRAME_TOL = 1e-10
+# Pairs with alignment below this are treated as outside the positive-
+# alignment neighbourhood; avoids chart blow-up at the exact boundary.
+BOUNDARY_GUARD = 1e-10
+DERIVATIVE_STEP = 1e-3  # central-difference step of cross_derivative_frame
 NULL_TOL = 1e-8
 CURVATURE_STEP = 1e-3  # centred-difference step of cross_curvature
-SWEEP_ALIGNMENTS = np.linspace(0.12, 0.98, 15)  # alignments x . y of alignment_sweep
-SWEEP_SAMPLES = 20  # source points per alignment
-SEED = 0  # seed of the structural-condition suite's draws
+
+
+class NullityError(SphereOTError):
+    """A direction pair fails the nullity constraint it was required to satisfy."""
+
+
+def check_unit(p: np.ndarray) -> np.ndarray:
+    """Validate that p is a unit vector to within UNIT_TOL; returns p as a float array."""
+    p = np.asarray(p, dtype=float)
+    if abs(np.linalg.norm(p) - 1.0) > UNIT_TOL:
+        raise DomainError(f"point is not on the unit sphere: |p| = {np.linalg.norm(p)!r}")
+    return p
+
+
+def tangent_frame(base: np.ndarray) -> np.ndarray:
+    """Deterministic orthonormal frame of the tangent space at base.
+
+    Gram-Schmidt on the standard basis with the axis of largest |component|
+    of base dropped, so the construction is reproducible and never degenerate.
+    Returns an (n, n+1) array whose rows are the frame vectors.
+    """
+    base = np.asarray(base, dtype=float)
+    d = base.shape[0]
+    drop = int(np.argmax(np.abs(base)))
+    frame = []
+    for k in range(d):
+        if k == drop:
+            continue
+        v = np.zeros(d)
+        v[k] = 1.0
+        v = v - np.dot(v, base) * base
+        for f in frame:
+            v = v - np.dot(v, f) * f
+        frame.append(v / np.linalg.norm(v))
+    return np.array(frame)
+
+
+class Chart:
+    """Local coordinates at a base point: projection onto the tangent hyperplane."""
+
+    def __init__(self, base: np.ndarray):
+        self.base = check_unit(base)
+        self.frame = tangent_frame(self.base)
+
+    @property
+    def n(self) -> int:
+        return self.frame.shape[0]
+
+    def validate(self) -> None:
+        gram = self.frame @ self.frame.T
+        if np.max(np.abs(gram - np.eye(self.n))) > FRAME_TOL:
+            raise DomainError("tangent frame is not orthonormal")
+        if np.max(np.abs(self.frame @ self.base)) > FRAME_TOL:
+            raise DomainError("tangent frame is not orthogonal to the base point")
+
+
+def chart_project(chart: Chart, p: np.ndarray) -> np.ndarray:
+    """Frame components of a point of the open half-sphere around chart.base."""
+    p = np.asarray(p, dtype=float)
+    if float(np.dot(chart.base, p)) <= BOUNDARY_GUARD:
+        raise DomainError("point is not in the positive half-sphere of the chart base")
+    return chart.frame @ p
+
+
+def chart_lift(chart: Chart, coords: np.ndarray) -> np.ndarray:
+    """Inverse of chart_project: the half-sphere point with the given coordinates."""
+    coords = np.asarray(coords, dtype=float)
+    sq = float(coords @ coords)
+    if sq >= 1.0:
+        raise DomainError("local coordinates must lie in the open unit ball")
+    return coords @ chart.frame + math.sqrt(1.0 - sq) * chart.base
+
+
+def cost_extrinsic(x: np.ndarray, y: np.ndarray) -> float:
+    """Squared chordal distance |x - y|^2 = 2 - 2 x . y, in [0, 4]."""
+    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return float(d @ d)
+
+
+def _check_ball(v: np.ndarray, name: str) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if float(v @ v) >= 1.0:
+        raise DomainError(f"{name} must lie in the open unit ball")
+    return v
+
+
+def grad_cost_local(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Gradient in X of the squared-distance cost in shared local
+    coordinates, |X - Y|^2 + (h_X - h_Y)^2 with heights h = sqrt(1 - |.|^2)
+    of the half-sphere lifts; equals -2Y at X = 0."""
+    X = _check_ball(X, "X")
+    Y = _check_ball(Y, "Y")
+    hx = math.sqrt(1.0 - float(X @ X))
+    hy = math.sqrt(1.0 - float(Y @ Y))
+    return 2.0 * (X - Y) - 2.0 * (hx - hy) * X / hx
+
+
+def geodesic_step(x: np.ndarray, direction: np.ndarray, s: float) -> np.ndarray:
+    """Great-circle point cos(s) x + sin(s) d for a unit tangent direction d."""
+    return math.cos(s) * x + math.sin(s) * direction
+
+
+def cross_derivative_frame(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mixed second derivatives of the cost in orthonormal tangent frames.
+
+    Entry (i, j) is d^2 c / ds dt of c(x(s), y(t)) along great circles
+    through x and y in the i-th / j-th frame directions, by central
+    differences with step DERIVATIVE_STEP. The matrix depends on the frames
+    but its determinant magnitude does not.
+    """
+    x = check_unit(x)
+    y = check_unit(y)
+    if float(np.dot(x, y)) <= BOUNDARY_GUARD:
+        raise DomainError("cross derivative is only defined for positively aligned pairs")
+    ex = tangent_frame(x)
+    fy = tangent_frame(y)
+    n, h = ex.shape[0], DERIVATIVE_STEP
+    out = np.empty((n, n))
+    for i in range(n):
+        xp = geodesic_step(x, ex[i], h)
+        xm = geodesic_step(x, ex[i], -h)
+        for j in range(n):
+            yp = geodesic_step(y, fy[j], h)
+            ym = geodesic_step(y, fy[j], -h)
+            out[i, j] = (
+                cost_extrinsic(xp, yp)
+                - cost_extrinsic(xp, ym)
+                - cost_extrinsic(xm, yp)
+                + cost_extrinsic(xm, ym)
+            ) / (4.0 * h * h)
+    return out
 
 
 def cost_gradient_image(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -197,33 +322,3 @@ def biconvexity_witness(
     if np.max(np.abs(image - target)) > 1e-10:
         raise DomainError("witness image failed to match the convex combination")
     return witness
-
-
-def alignment_sweep(n: int) -> list:
-    """One row per alignment of SWEEP_ALIGNMENTS, over SWEEP_SAMPLES random
-    points x on S^n, each with its target y at that alignment along
-    tangent_frame(x)[0]: the mean |det| of the mixed derivative matrix
-    against its law 2^n x.y, and the least and mean cross-curvature on one
-    random null pair per point against its law 2/(x.y). The curvature keys
-    are None on the circle, which has no null pairs; a NaN sample makes its
-    row's least and mean value NaN."""
-    rng = np.random.default_rng(SEED)
-    rows = []
-    for dot in SWEEP_ALIGNMENTS:
-        angle = math.acos(dot)
-        dets, curvs = [], []
-        for _ in range(SWEEP_SAMPLES):
-            x = random_sphere_points(n, 1, rng)[0]
-            dets.append(nondegeneracy_profile(x, [angle])[0][1])
-            if n >= 2:
-                y = geodesic_step(x, tangent_frame(x)[0], angle)
-                curvs.append(cross_curvature(x, y, *random_null_pair(x, y, rng)))
-        rows.append({
-            "alignment": float(dot),
-            "det_mean": float(np.mean(dets)),
-            "det_expected": float(2.0**n * dot),
-            "curvature_min": float(np.min(curvs)) if curvs else None,
-            "curvature_mean": float(np.mean(curvs)) if curvs else None,
-            "curvature_law": 2.0 / float(dot) if curvs else None,
-        })
-    return rows

@@ -15,10 +15,10 @@ from conftest import (
     bivalent_family, brute_force_oracle, exact_exponent_fixture, make_measure, random_suitable_pair,
     vector_lemma_margin,
 )
+import sphere_cost as sc
 from sphere_ot import geometry as g
 from sphere_ot import maps as mp
 from sphere_ot import measures as me
-from sphere_ot import mtw
 from sphere_ot import pipeline as pipe
 from sphere_ot import regularity as rg
 from sphere_ot import solver as so
@@ -266,18 +266,18 @@ def test_criterion_10_constant_formulas(bivalent_1000):
 def test_criterion_11_mtw_suite(rng):
     t0 = time.monotonic()
     x = g.random_sphere_points(2, 1, rng)[0]
-    chart = g.Chart(x)
-    ys = np.array([g.chart_lift(chart, 0.8 * rng.uniform(-1, 1, 2) / math.sqrt(2))
+    chart = sc.Chart(x)
+    ys = np.array([sc.chart_lift(chart, 0.8 * rng.uniform(-1, 1, 2) / math.sqrt(2))
                    for _ in range(10)])
-    twist_ok = abs(mtw.twist_margin(x, ys) - 2.0) <= 1e-10
+    twist_ok = abs(sc.twist_margin(x, ys) - 2.0) <= 1e-10
 
     coincidence_ok = True
     decay_ok = True
     for n in (1, 2, 3):
         xn = g.random_sphere_points(n, 1, rng)[0]
-        det0 = abs(np.linalg.det(g.cross_derivative_frame(xn, xn)))
+        det0 = abs(np.linalg.det(sc.cross_derivative_frame(xn, xn)))
         coincidence_ok = coincidence_ok and abs(det0 - 2.0**n) <= 0.01 * 2.0**n
-        profile = mtw.nondegeneracy_profile(xn, np.deg2rad([10, 30, 50, 70, 85]))
+        profile = sc.nondegeneracy_profile(xn, np.deg2rad([10, 30, 50, 70, 85]))
         dets = [d for _, d in profile]
         decay_ok = decay_ok and all(a > b for a, b in zip(dets, dets[1:]))
 
@@ -285,23 +285,23 @@ def test_criterion_11_mtw_suite(rng):
     count = 0
     while count < 1000:
         xc = g.random_sphere_points(2, 1, rng)[0]
-        d = g.tangent_frame(xc)[0]
+        d = sc.tangent_frame(xc)[0]
         dot = float(rng.uniform(0.3, 0.999))
-        yc = g.geodesic_step(xc, d, math.acos(dot))
-        p, pbar = mtw.random_null_pair(xc, yc, rng)
-        worst_curv = min(worst_curv, mtw.cross_curvature(xc, yc, p, pbar, h=1e-3))
+        yc = sc.geodesic_step(xc, d, math.acos(dot))
+        p, pbar = sc.random_null_pair(xc, yc, rng)
+        worst_curv = min(worst_curv, sc.cross_curvature(xc, yc, p, pbar, h=1e-3))
         count += 1
     curv_ok = worst_curv > 0
 
     witness_ok = True
     for _ in range(20):
         x0 = g.random_sphere_points(2, 1, rng)[0]
-        ch = g.Chart(x0)
+        ch = sc.Chart(x0)
         c0 = 0.8 * rng.uniform(-1, 1, 2) / math.sqrt(2)
         c1 = 0.8 * rng.uniform(-1, 1, 2) / math.sqrt(2)
         theta = float(rng.uniform(0, 1))
-        w = mtw.biconvexity_witness(x0, g.chart_lift(ch, c0), g.chart_lift(ch, c1), theta)
-        image = mtw.cost_gradient_image(x0, w)
+        w = sc.biconvexity_witness(x0, sc.chart_lift(ch, c0), sc.chart_lift(ch, c1), theta)
+        image = sc.cost_gradient_image(x0, w)
         witness_ok = witness_ok and np.max(
             np.abs(image - (theta * 2 * c1 + (1 - theta) * 2 * c0))
         ) <= 1e-10

@@ -9,10 +9,6 @@ from sphere_ot import solver as solver_mod
 from sphere_ot.errors import ConfigError, SolverError
 
 
-def _reject_constant(token):
-    raise ValueError(f"{token} is not strict JSON")
-
-
 class TestRunPipeline:
     def test_uniform_identity(self, tmp_path):
         config = pipe.RunConfig(n=2, mesh_count=150, seed=0, output_dir=tmp_path / "run")
@@ -199,15 +195,14 @@ class TestDeterminism:
         assert float(csv_rows[spacing_key]) == payload["summary"]["mesh_spacing"]
 
     def test_json_artifacts_sorted_and_unindented(self, tmp_path, capsys):
-        # every JSON file that solve, extract, report and mtw write is one
+        # every JSON file that solve, extract and report write is one
         # json.dumps(obj, sort_keys=True)
-        run, mtw = tmp_path / "run", tmp_path / "mtw"
+        run = tmp_path / "run"
         cli.main(["solve", "--mesh", "220", "--seed", "1", "--mu", "cap:0.98", "--out", str(run)])
-        for argv in (["extract", "--run", str(run)], ["report", "--run", str(run)],
-                     ["mtw", "--out", str(mtw)]):
+        for argv in (["extract", "--run", str(run)], ["report", "--run", str(run)]):
             assert cli.main(argv) == 0
-        paths = sorted(run.glob("*.json")) + sorted(mtw.glob("*.json"))
-        assert len(paths) == 13
+        paths = sorted(run.glob("*.json"))
+        assert len(paths) == 12
         for path in paths:
             text = path.read_text()
             assert text == json.dumps(json.loads(text), sort_keys=True), path.name
@@ -215,74 +210,6 @@ class TestDeterminism:
     def test_missing_run_dir(self, tmp_path):
         with pytest.raises(OSError):
             pipe.export_report(tmp_path / "nope", "json")
-
-
-class TestMTWSuite:
-    def test_n2_suite_passes(self, tmp_path):
-        result = pipe.run_mtw_suite(2, tmp_path / "mtw")
-        assert result.exit_code == 0
-        with open(tmp_path / "mtw" / "mtw_report.json") as fh:
-            report = json.load(fh)
-        assert report["twist"]["ratio"] == pytest.approx(2.0, abs=1e-10)
-        assert report["cross_curvature"]["min"] > 0
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_sweep_rows(self, tmp_path, n):
-        assert pipe.run_mtw_suite(n, tmp_path / "mtw").exit_code == 0
-        rows = json.loads((tmp_path / "mtw" / "mtw_report.json").read_text())["sweep"]
-        assert len(rows) == 15
-        assert all(a["alignment"] < b["alignment"] for a, b in zip(rows, rows[1:]))
-        for row in rows:
-            assert set(row) == {"alignment", "det_mean", "det_expected", "curvature_min",
-                                "curvature_mean", "curvature_law"}
-            assert row["det_mean"] == pytest.approx(row["det_expected"], rel=1e-3)
-            curvature = [row[k] for k in ("curvature_min", "curvature_mean", "curvature_law")]
-            if n == 1:
-                assert curvature == [None, None, None]
-            else:
-                assert row["curvature_mean"] == pytest.approx(row["curvature_law"], rel=1e-3)
-                assert 0 < row["curvature_min"] <= row["curvature_mean"]
-
-    def test_report_of_sweep(self, tmp_path):
-        import csv as csv_mod
-
-        out = tmp_path / "mtw"
-        pipe.run_mtw_suite(2, out)
-        report = json.loads((out / "mtw_report.json").read_text())
-        payload = json.loads(pipe.export_report(out, "json").read_text())
-        assert payload == {"mtw_report": report}
-        with open(pipe.export_report(out, "csv"), newline="") as fh:
-            rows = dict(list(csv_mod.reader(fh))[1:])
-        assert float(rows["mtw_report.sweep.14.alignment"]) == 0.98
-        assert float(rows["mtw_report.sweep.0.det_mean"]) == report["sweep"][0]["det_mean"]
-        assert rows["mtw_report.checks.3.name"] == "cross_curvature_positive"
-
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_vacuous_sweep_rejected(self, tmp_path, n):
-        with pytest.raises(ConfigError):
-            pipe.run_mtw_suite(n, tmp_path / "mtw")
-
-    def test_nan_sample_fails(self, tmp_path, monkeypatch):
-        real = pipe.mtw_mod.cross_curvature
-        calls = []
-
-        def one_nan(*args, **kwargs):
-            calls.append(None)
-            return float("nan") if len(calls) == 3 else real(*args, **kwargs)
-
-        monkeypatch.setattr(pipe.mtw_mod, "cross_curvature", one_nan)
-        result = pipe.run_mtw_suite(2, tmp_path / "mtw")
-        assert result.exit_code == pipe.EXIT_INVARIANT
-        [check] = [c for c in result.checks if c.name == "cross_curvature_positive"]
-        assert not check.passed
-        report = json.loads((tmp_path / "mtw" / "mtw_report.json").read_text(),
-                            parse_constant=_reject_constant)
-        assert report["cross_curvature"]["min"] is None
-        # the third sample lies in the first row, at the least alignment
-        assert [r["curvature_min"] is None for r in report["sweep"]] == [
-            i == 0 for i in range(15)
-        ]
-        assert report["sweep"][0]["curvature_mean"] is None
 
 
 class TestCLI:
@@ -462,17 +389,26 @@ class TestCLI:
             "--solver", "entropic", "--out", str(tmp_path / "s3"),
         ]) == 0
 
-    def test_mtw_subcommand(self, tmp_path, capsys):
-        assert cli.main(["mtw", "--n", "2", "--out", str(tmp_path / "mtw")]) == 0
+    @pytest.mark.parametrize("argv", [
+        ["mtw", "--n", "2"], ["bogus"], ["solve", "--mesh", "abc"], ["report"], ["--help"],
+    ])
+    def test_usage_error_is_configuration_error(self, capsys, argv):
+        # argparse's usage errors exit 1 with its message; --help exits 0
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        if argv == ["--help"]:
+            assert code == pipe.EXIT_OK and out.startswith("usage: sphere-ot") and err == ""
+        else:
+            assert code == pipe.EXIT_CONFIG and "sphere-ot" in err and "error:" in err
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--seed", "-1", "--mesh", "60"],
         ["solve", "--n", "1", "--seed", "-1", "--mesh", "60"],
         ["gen", "--seed", "-3"],
-        ["mtw", "--n", "-1"],
+        ["gen", "--n", "-1"],
         ["solve", "--mu", "cap:1.5", "--mesh", "60"],
         ["solve", "--solver", "entropic", "--reg", "0", "--mesh", "60"],
-        ["mtw", "--n", "0"],
+        ["solve", "--n", "0", "--mesh", "60"],
         # a measure file on S^2 for a run on another sphere
         ["solve", "--n", "1", "--mu", "S2_FILE", "--nu", "S2_FILE"],
         ["solve", "--n", "3", "--mu", "S2_FILE", "--nu", "uniform"],
