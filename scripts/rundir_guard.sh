@@ -11,7 +11,10 @@
 # solve, the re-analysis commands run on the run directory: `extract` rewrites
 # the map artifacts in place, `diagnose` prints its fits and constants, and
 # `report` writes report.json into it. The stdout and exit code of every
-# command are kept next to each run directory and compared too.
+# command are kept next to each run directory and compared too. The built-in
+# densities carry cell-area weights and take the LP path, so one instance is
+# an equal-weight warp on the assignment path: its two measure files are
+# written once, with the working tree, and fed to both trees.
 # Ends with `diff -r` and exits non-zero on any difference.
 set -euo pipefail
 
@@ -25,7 +28,22 @@ cleanup() {
 trap cleanup EXIT
 git -C "$repo" worktree add --quiet --detach "$work/checkout" "$rev"
 
-# name|solve arguments; the target is uniform throughout
+# 300 atoms of the mesh against their push-forward under the gradient map
+# x -> (x + 0.35 e_z) / |x + 0.35 e_z|, at weight 1/300 each
+PYTHONPATH="$repo/src" python3 - "$work" <<'EOF'
+import sys
+import numpy as np
+from sphere_ot import measures
+grid = measures.quasi_uniform_mesh(2, 300, 0)
+moved = grid.points + 0.35 * np.array([0.0, 0.0, 1.0])
+moved /= np.linalg.norm(moved, axis=1, keepdims=True)
+weights = np.full(300, 1 / 300)
+for side, points in (("mu", grid.points), ("nu", moved)):
+    measures.save_measure(measures.DiscreteMeasure(2, points, weights, grid.cell_areas),
+                          f"{sys.argv[1]}/warp-{side}.json")
+EOF
+
+# name|solve arguments; the target is uniform but for the warp
 instances=(
     "exact-cap-200|--mesh 200 --mu cap:0.98"
     "exact-band-200|--mesh 200 --mu band:0.5"
@@ -37,6 +55,7 @@ instances=(
     "entropic-cap-500|--mesh 500 --mu cap:0.98 --solver entropic"
     "exact-cap-s1-300|--n 1 --mesh 300 --mu cap:0.98"
     "exact-cap-s3-300|--n 3 --mesh 300 --mu cap:0.98"
+    "exact-warp-300|--mu $work/warp-mu.json --nu $work/warp-nu.json"
 )
 
 step() {  # $1: source tree, $2: instance directory, $3: file prefix, then the command

@@ -37,17 +37,18 @@ that is solved first; its target duals, carried up by two c-transforms,
 make linear_sum_assignment run on reduced costs, with the same optimum
 in far fewer augmenting-path steps. The reduced costs are formed in place
 in the cost matrix, which is then rebuilt for the sweeps below, so the
-path holds one n x n array at a time. Instances of at most FULL_PAIRS
-pairs have no coarse level and run on the costs themselves. The duals come
-from Jacobi Bellman-Ford sweeps from zero on the column reassignment
-graph, run over the NEIGHBOURS smallest entries of each row of the matrix
-linear_sum_assignment ran on and widened by pricing: one pass over every
-row, then passes over the rows whose tail dual fell. Each sweep is
-monotone and starts above every fixed point, so any such run stops at
-the greatest fixed point at or below zero of the sweep over all pairs:
-the duals are bit for bit those of sweeps over the dense matrix. If the
-sweeps do not settle, solve_exact warns with SolverFallbackWarning and
-solves the LP.
+path holds one n x n array at a time; beside it are only the coarse
+level's matrix and blocks of at most BLOCK * BLOCK entries. Instances of
+at most FULL_PAIRS pairs have no coarse level and run on the costs
+themselves. The duals come from Jacobi Bellman-Ford sweeps from zero on
+the column reassignment graph, run over the NEIGHBOURS smallest entries of
+each row of the matrix linear_sum_assignment ran on and widened by
+pricing: one pass over every row, then passes over the rows whose tail
+dual fell. Each sweep is monotone and starts above every fixed point, so
+any such run stops at the greatest fixed point at or below zero of the
+sweep over all pairs: the duals are bit for bit those of sweeps over the
+dense matrix. If the sweeps do not settle, solve_exact warns with
+SolverFallbackWarning and solves the LP.
 
 The entropic backend is the stabilised scaling of Schmitzer ("Stabilized
 sparse scaling algorithms for entropy regularized transport problems",
@@ -83,7 +84,10 @@ LP_FULL_PAIRS = 3_600  # LP instances of at most this many pairs price every pai
 COARSEN = 4  # atoms per coarse centre in the multiscale warm start
 NEIGHBOURS = 10  # smallest reduced costs per row first taken as candidate edges on the assignment path
 LP_NEIGHBOURS = 4  # smallest reduced costs per row and per column first taken as LP candidates
-BLOCK = 256  # rows, columns or support entries per block when selecting, pricing or checking
+# rows, columns or support entries per block when selecting, pricing or
+# checking; the assignment path's blocks of its n x n matrix hold at most
+# BLOCK * BLOCK entries (_row_step)
+BLOCK = 256
 SCALING_BOUND = 1e50  # Sinkhorn scalings above this are absorbed into the potentials
 MAX_SWEEPS = 20_000  # Sinkhorn sweeps before the entropic solve gives up
 PRICE_TOL = 1e-10  # certified once no pair has reduced cost below -PRICE_TOL
@@ -203,12 +207,17 @@ def _coarsen(points: np.ndarray, weights: np.ndarray):
     return centres[keep], mass[keep], owner
 
 
-def _smallest_per_row(block, count, k):
+def _row_step(n):
+    """Rows per block of at most BLOCK * BLOCK entries of a matrix of n columns."""
+    return max(1, BLOCK * BLOCK // n)
+
+
+def _smallest_per_row(block, count, k, step):
     """The k smallest entries of every row of a count-row matrix whose rows
-    lo:lo + BLOCK are block(lo), new arrays, as (rows, cols): k argmin passes
+    lo:lo + step are block(lo), new arrays, as (rows, cols): k argmin passes
     set each pick to inf, so ties go to the lower column."""
     rows, cols = [], []
-    for lo in range(0, count, BLOCK):
+    for lo in range(0, count, step):
         values = block(lo)
         at = np.arange(len(values))
         for _ in range(min(k, values.shape[1])):
@@ -232,9 +241,9 @@ def _smallest_reduced(xs, ys, psi, phi, k, rows, cols):
     """The k pairs of smallest reduced cost c - psi - phi in each row of rows and each
     column of cols, in blocks built by _reduced, as (rows, cols); a pair may appear twice."""
     at, picks = _smallest_per_row(lambda lo: _reduced(xs, ys, psi, phi, rows[lo:lo + BLOCK]),
-                                  len(rows), k)
+                                  len(rows), k, BLOCK)
     to, sources = _smallest_per_row(lambda lo: _reduced(ys, xs, phi, psi, cols[lo:lo + BLOCK]),
-                                    len(cols), k)
+                                    len(cols), k, BLOCK)
     return np.append(rows[at], sources), np.append(picks, cols[to])
 
 
@@ -251,16 +260,19 @@ def _line_minima(xs, ys, psi, phi):
     return row_min, col_min
 
 
-def _c_transforms(block, count, cols, phi_coarse):
-    """Duals (psi, phi) on all of a count-row cost matrix whose rows lo:lo + BLOCK
-    are block(lo), new arrays, from target duals phi_coarse on its columns cols:
-    psi_i = min_k c[i, cols[k]] - phi_coarse[k], then phi_j = min_i c_ij - psi_i."""
+def _c_transforms(block, count, cols, phi_coarse, step):
+    """Duals (psi, phi) on all of a count-row cost matrix whose rows lo:lo + step
+    are block(lo), from target duals phi_coarse on its columns cols:
+    psi_i = min_k c[i, cols[k]] - phi_coarse[k], then phi_j = min_i c_ij - psi_i.
+    Each block becomes c - psi in place: the LP path builds new blocks from
+    the points, and the assignment path passes views of its cost matrix,
+    which thus becomes c - psi without a copy of its rows."""
     psi = np.empty(count)
     phi = np.inf
-    for lo in range(0, count, BLOCK):
+    for lo in range(0, count, step):
         c = block(lo)
-        psi[lo:lo + BLOCK] = (c[:, cols] - phi_coarse[None, :]).min(axis=1)
-        c -= psi[lo:lo + BLOCK, None]
+        psi[lo:lo + step] = (c[:, cols] - phi_coarse[None, :]).min(axis=1)
+        c -= psi[lo:lo + step, None]
         phi = np.minimum(phi, c.min(axis=0))
         del c  # the next block is built without this one
     return psi, phi
@@ -290,7 +302,8 @@ def _initial_candidates(xs, ys, a, b):
         (np.ones(positive.sum()), (crows[positive], ccols[positive])), shape=(len(ci), len(cj))
     )
     child_rows, child_cols = support[src_owner][:, tgt_owner].nonzero()
-    psi, phi = _c_transforms(lambda lo: cost_matrix(xs[lo:lo + BLOCK], ys), n, cj, phi_coarse)
+    psi, phi = _c_transforms(lambda lo: cost_matrix(xs[lo:lo + BLOCK], ys), n, cj, phi_coarse,
+                             BLOCK)
     rows, cols = _smallest_reduced(xs, ys, psi, phi, LP_NEIGHBOURS, np.arange(n), np.arange(m))
     corner_rows, corner_cols = _north_west_corner(a, b)
     keys = np.r_[child_rows * m + child_cols, rows * m + cols, corner_rows * m + corner_cols]
@@ -440,27 +453,29 @@ def _assignment(costs, xs, ys):
     (psi, phi), or None if the dual sweeps do not settle. Instances above
     FULL_PAIRS subsample both sides, solve that equal-weight instance the
     same way on a block of c and carry its target duals up by two
-    c-transforms (zeros if they did not settle). c then
-    becomes the reduced costs c - psi - phi in place, and
-    linear_sum_assignment runs on them, with the same optimum in far fewer
-    augmenting-path steps; smaller instances run it on c itself. The
-    NEIGHBOURS smallest entries of every row of the matrix it ran on are the
-    first candidate edges of the dual sweeps. Reduced costs are then
-    replaced by a second costs() call, so no two arrays as large as c are
-    held at once.
+    c-transforms (zeros if they did not settle), run in place on c's own
+    rows: each block of rows has its psi subtracted, phi is the running
+    column minimum, and then c -= phi leaves the reduced costs
+    c - psi - phi in c. linear_sum_assignment runs on them, with the same
+    optimum in far fewer augmenting-path steps; smaller instances run it on
+    c itself. The NEIGHBOURS smallest entries of every row of the matrix it
+    ran on are the first candidate edges of the dual sweeps. Reduced costs
+    are then replaced by a second costs() call, so no two arrays as large as
+    c are held at once, and every pass over c copies blocks of at most
+    BLOCK * BLOCK entries.
     """
     c = costs()
     n = len(c)
+    step = _row_step(n)
     reduced = n * n > FULL_PAIRS
     if reduced:
         ci, cj = _subsample(xs), _subsample(ys)
         coarse = _assignment(lambda: c[np.ix_(ci, cj)], xs[ci], ys[cj])[1]
         phi_coarse = coarse[1] if coarse is not None else np.zeros(len(cj))
-        psi, phi = _c_transforms(lambda lo: c[lo:lo + BLOCK].copy(), n, cj, phi_coarse)
-        c -= psi[:, None]
+        phi = _c_transforms(lambda lo: c[lo:lo + step], n, cj, phi_coarse, step)[1]
         c -= phi[None, :]
     _, assign = linear_sum_assignment(c)
-    rows, cols = _smallest_per_row(lambda lo: c[lo:lo + BLOCK].copy(), n, NEIGHBOURS)
+    rows, cols = _smallest_per_row(lambda lo: c[lo:lo + step].copy(), n, NEIGHBOURS, step)
     if reduced:
         del c
         c = costs()
@@ -518,17 +533,20 @@ def _assignment_duals(c, assign, rows, cols):
 
 def _failing_pairs(c, own, tail, phi, stale):
     """The pairs (i, j) of the rows stale with (c_ij - own_i) + tail_i < phi_j,
-    as (rows, cols). The rows are priced in blocks of BLOCK, each a copy of
-    its rows of c changed in place."""
+    as (rows, cols). The rows are priced in blocks of at most BLOCK * BLOCK
+    entries, each a copy of its rows of c changed in place and dropped
+    before the next is copied."""
     rows, cols = [], []
-    for lo in range(0, len(stale), BLOCK):
-        blk = stale[lo:lo + BLOCK]
+    step = _row_step(len(phi))
+    for lo in range(0, len(stale), step):
+        blk = stale[lo:lo + step]
         via = c[blk]
         via -= own[blk, None]
         via += tail[blk, None]
         at, j = np.divmod(np.flatnonzero(via < phi), len(phi))
         rows.append(blk[at])
         cols.append(j)
+        del via  # the next block is copied without this one
     return np.concatenate(rows), np.concatenate(cols)
 
 

@@ -258,7 +258,7 @@ class TestAssignment:
         psi, phi = _dense_assignment_duals(c, assign)
         every = np.divmod(np.arange(count * count), count)
         nearest = so._smallest_per_row(lambda lo: c[lo:lo + so.BLOCK].copy(), count,
-                                       so.NEIGHBOURS)
+                                       so.NEIGHBOURS, so.BLOCK)
         alone = (np.empty(0, dtype=int), np.empty(0, dtype=int))
         for rows, cols in (every, nearest, alone):
             priced.clear()
@@ -268,9 +268,26 @@ class TestAssignment:
             assert priced[0] == count
         assert len(priced) >= 2 and max(priced[1:]) < count
 
+    def test_blocks_keep_the_bits(self, rng, monkeypatch):
+        # 300 atoms have a coarse level; with BLOCK 5 the carry-up, the
+        # candidate selection and the pricing each take one row at a time
+        mu = make_measure(g.random_sphere_points(2, 300, rng))
+        nu = make_measure(g.random_sphere_points(2, 300, rng))
+        assert 300 * 300 > so.FULL_PAIRS
+        coupling, duals = so.solve_exact(mu, nu)
+        monkeypatch.setattr(so, "BLOCK", 5)
+        assert so._row_step(300) == 1
+        blocked, blocked_duals = so.solve_exact(mu, nu)
+        for got, want in ((blocked.rows, coupling.rows), (blocked.cols, coupling.cols),
+                          (blocked.mass, coupling.mass), (blocked_duals.psi, duals.psi),
+                          (blocked_duals.phi, duals.phi)):
+            assert got.tobytes() == want.tobytes()
+
     def test_one_cost_matrix_at_a_time(self, rng):
-        # the reduced costs are formed in the cost matrix itself: a second
-        # 3000 x 3000 array held next to it would take the peak past 2x
+        # the reduced costs are formed in the cost matrix itself, and beside
+        # it are the coarse level's matrix (a sixteenth of its size) and
+        # blocks of at most BLOCK * BLOCK entries: 1.08x here, where blocks
+        # of 256 whole rows read 1.22x
         pts = g.random_sphere_points(2, 3000, rng)
         mu, nu = make_measure(pts), make_measure(_warp(pts))
         tracemalloc.start()
@@ -280,7 +297,7 @@ class TestAssignment:
         finally:
             tracemalloc.stop()
         assert np.array_equal(coupling.cols, np.arange(3000))
-        assert peak <= 1.6 * 3000 * 3000 * 8
+        assert peak <= 1.1 * 3000 * 3000 * 8
 
 
 def test_unsettled_assignment_duals_fall_back_to_lp_loudly(rng, monkeypatch):
@@ -352,7 +369,7 @@ class TestColumnGeneration:
         cols = np.arange(0, n_tgt, 4)
         phi_coarse = rng.normal(scale=0.1, size=len(cols))
         psi, phi = so._c_transforms(lambda lo: g.cost_matrix(xs[lo:lo + so.BLOCK], ys), n_src,
-                                    cols, phi_coarse)
+                                    cols, phi_coarse, so.BLOCK)
         rows, picks = so._smallest_reduced(xs, ys, psi, phi, so.LP_NEIGHBOURS,
                                            np.arange(n_src), np.arange(n_tgt))
         want_psi = (c[:, cols] - phi_coarse[None, :]).min(axis=1)
@@ -753,7 +770,8 @@ class TestPricing:
         # c-transforms price no pair below 0; raising phi on some columns,
         # some of them by about PRICE_TOL, prices some lines negative
         psi, phi = so._c_transforms(lambda lo: g.cost_matrix(xs[lo:lo + so.BLOCK], ys), n_src,
-                                    np.arange(0, n_tgt, 4), rng.normal(size=-(-n_tgt // 4)))
+                                    np.arange(0, n_tgt, 4), rng.normal(size=-(-n_tgt // 4)),
+                                    so.BLOCK)
         none = np.empty(0, dtype=int)
         assert all(len(p) == 0 for p in so._priced_pairs(xs, ys, psi, phi, none, none))
         assert all(len(p) == 0 for p in _full_selection(xs, ys, psi, phi))
