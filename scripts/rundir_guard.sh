@@ -8,9 +8,10 @@
 # directory (mktemp, so under $TMPDIR) that is removed on exit. Every
 # instance runs as `sphere-ot solve ... --out run` inside a directory of its
 # own, so config.json records the same output_dir on both sides. After each
-# solve, the re-analysis commands run on the run directory: `extract` rewrites
-# the map artifacts in place, `diagnose` prints its fits and constants, and
-# `report` writes report.json into it. The stdout and exit code of every
+# solve, the re-analysis commands run on the run directory: `extract`
+# re-analyses the stored plan and rewrites every analysis artifact in place,
+# printing the check table, `diagnose` prints the recorded fits and constants,
+# and `report` writes report.json into it. The stdout and exit code of every
 # command are kept next to each run directory and compared too. The built-in
 # densities carry cell-area weights and take the LP path, so one instance is
 # an equal-weight warp on the assignment path: its two measure files are

@@ -1,5 +1,9 @@
 """Command-line front end: gen, solve, extract, diagnose, report.
 
+extract re-analyses a run directory's stored plan as solve analyses its
+own (pipeline.analyse); diagnose only prints the fits and constants a run
+recorded.
+
 Exit codes: 0 success, 1 configuration error, 2 invariant violation,
 3 solver failure, 4 I/O failure.
 """
@@ -8,13 +12,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import maps as maps_mod
 from . import measures as measures_mod
 from . import pipeline as pipe
-from . import regularity as reg_mod
 from . import solver as solver_mod
-from .errors import (ConfigError, DomainError, InsufficientDataError, SolverError,
-                     SphereOTError)
+from .errors import ConfigError, DomainError, SolverError, SphereOTError
 
 
 def _add_mesh_args(p: argparse.ArgumentParser) -> None:
@@ -44,10 +45,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--reg", type=float, default=0.01, help="entropic regularization")
     s.add_argument("--out", default="run", help="output directory")
 
-    e = sub.add_parser("extract", help="re-extract maps from a solved run directory")
+    e = sub.add_parser("extract", help="re-analyse a solved run directory from its plan")
     e.add_argument("--run", required=True)
 
-    d = sub.add_parser("diagnose", help="recompute regularity reports for a run")
+    d = sub.add_parser("diagnose", help="print a run's recorded fits and constants")
     d.add_argument("--run", required=True)
 
     r = sub.add_parser("report", help="aggregate run artifacts into one report")
@@ -74,7 +75,11 @@ def _cmd_solve(args) -> int:
         reg=args.reg,
         output_dir=Path(args.out),
     )
-    result = pipe.run_pipeline(config, args.mu, args.nu)
+    return _print_result(pipe.run_pipeline(config, args.mu, args.nu))
+
+
+def _print_result(result) -> int:
+    """Print a run's check table and regions; returns its exit code."""
     for check in result.checks:
         status = "pass" if check.passed else "FAIL"
         print(f"[{status}] {check.name}: {check.claim} "
@@ -88,10 +93,9 @@ def _cmd_solve(args) -> int:
     return result.exit_code
 
 
-def _load_run(run_dir: Path):
-    """A solved run's measures, the support its maps were read from, and its
-    scales, which are a function of the two measures (pipeline.run_scales):
-    (coupling, mu, nu, merge_tol, zero_tol, mesh_spacing)."""
+def _cmd_extract(args) -> int:
+    """Re-analyse a run directory's stored plan and duals (pipeline.analyse)."""
+    run_dir = Path(args.run)
     if not run_dir.is_dir():
         raise OSError(f"run directory {run_dir} does not exist")
     mu = measures_mod.load_measure(run_dir / "mu.json")
@@ -100,38 +104,37 @@ def _load_run(run_dir: Path):
         raise DomainError(f"{run_dir / 'nu.json'}: a measure on S^{nu.n}, "
                           f"but mu.json is on S^{mu.n}")
     coupling = solver_mod.load_coupling_csv(run_dir / "coupling.csv", mu, nu)
+    duals = solver_mod.load_duals_json(run_dir / "duals.json", mu, nu)
     config = pipe.read_run_json(run_dir / "config.json")
     solver = config.get("solver") if isinstance(config, dict) else None
     if solver not in ("exact", "entropic"):
         raise OSError(f"{run_dir / 'config.json'}: malformed run file: solver is {solver!r}")
-    return (pipe.extraction_support(coupling, solver), mu, nu, *pipe.run_scales(mu, nu))
-
-
-def _cmd_extract(args) -> int:
-    run_dir = Path(args.run)
-    coupling, mu, nu, merge_tol, zero_tol, _ = _load_run(run_dir)
-    mm = pipe.map_stage(coupling, mu, nu, merge_tol, zero_tol, run_dir)[0]
-    print(f"regions: {mm.region_counts()} anomalies: {len(mm.anomalies)}")
-    return pipe.EXIT_OK
+    return _print_result(pipe.analyse(mu, nu, coupling, duals, solver, run_dir))
 
 
 def _cmd_diagnose(args) -> int:
-    coupling, mu, nu, merge_tol, zero_tol, spacing = _load_run(Path(args.run))
-    mm = maps_mod.extract_multimap(coupling, mu, nu, merge_tol, zero_tol)
-    window = reg_mod.scale_window(spacing)
-    fits, skipped = pipe._holder_reports(mm, window)
-    for name, rep in fits.items():
-        print(f"{name}: alpha={rep.alpha_hat:.4f} (C={rep.C_hat:.3f}, pairs={rep.pair_count})")
-    for name, reason in skipped.items():
-        print(f"{name}: skipped ({reason})")
+    """Print the fits and constants a run recorded in holder_reports.json and
+    constants.json; one the files lack is printed as skipped."""
+    run_dir = Path(args.run)
+    fits, saved = (pipe.read_run_json(run_dir / name)
+                   for name in ("holder_reports.json", "constants.json"))
+    names = ("outer_on_S1_interior", "outer_on_S2", "inner_on_S2")
     try:
-        constants, ratio = pipe._bivalent_constants(mm, window)
-    except InsufficientDataError as exc:
-        print(f"bivalent_constants: skipped ({exc})")
-    else:
-        print(f"bivalent constants: k={constants.k_U:.4f} C+={constants.C_plus:.4f} "
-              f"C-(statement)={constants.C_minus_statement:.4f} "
-              f"C-(proof)={constants.C_minus_proof:.4f} bound ratio={ratio:.4f}")
+        lines = [f"{name}: alpha={fits[name]['alpha_hat']:.4f} (C={fits[name]['C_hat']:.3f}, "
+                 f"pairs={fits[name]['pair_count']})" for name in names if name in fits]
+        lines += [f"{name}: skipped (not recorded)" for name in names if name not in fits]
+        constants = saved["constants"]
+        lines.append(
+            "bivalent_constants: skipped (not recorded)" if constants is None
+            else f"bivalent constants: k={constants['k_U']:.4f} C+={constants['C_plus']:.4f} "
+            f"C-(statement)={constants['C_minus_statement']:.4f} "
+            f"C-(proof)={constants['C_minus_proof']:.4f} "
+            f"bound ratio={saved['inner_bound_ratio']:.4f}"
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise OSError(f"{run_dir}: malformed holder_reports.json or constants.json: "
+                      f"{exc!r}") from None
+    print("\n".join(lines))
     return pipe.EXIT_OK
 
 

@@ -42,8 +42,10 @@ class MultiMap:
     On the source side the points are the atoms x, plus and minus are the
     outer and inner images t_plus, t_minus and jump is lambda(x); regions
     are S0/S1/S2. On the target side the points are y, plus and minus are
-    s_plus, s_minus and jump is omega(y); regions are T0/T1/T2. Members
-    hold the other side's atom indices merged into each image.
+    s_plus, s_minus and jump is omega(y); regions are T0/T1/T2. own, other
+    and inner list the support pairs by own, this side's atom: other is the
+    opposite atom merged into one of own's images, and inner marks a
+    bivalent atom's inner image (a univalent atom has only an outer one).
     """
 
     side: str                       # "source" or "target"
@@ -55,8 +57,9 @@ class MultiMap:
     residual: np.ndarray            # (N,) | plus - minus - jump point |
     bivalent: np.ndarray            # (N,) bool
     region: np.ndarray              # (N,) a label of the side, "" before classification
-    plus_members: list = field(default_factory=list)
-    minus_members: list = field(default_factory=list)
+    own: np.ndarray                 # (S,) this side's atom of each support entry, ascending
+    other: np.ndarray               # (S,) the opposite side's atom of each entry
+    inner: np.ndarray               # (S,) bool, the entry is in its atom's inner image
     anomalies: list = field(default_factory=list)
 
     @property
@@ -130,10 +133,10 @@ def _two_images(side, n, coupling, points, opposite, tols) -> MultiMap:
     plus, minus = np.empty((2, count, d))
     jump, residual = np.empty((2, count))
     bivalent = np.zeros(count, dtype=bool)
-    plus_members, minus_members = [], []
     order = np.argsort(own, kind="stable")
-    other, mass = other[order], coupling.mass[order]
-    bounds = np.searchsorted(own[order], np.arange(count + 1))
+    own, other, mass = own[order], other[order], coupling.mass[order]
+    inner_entry = np.zeros(len(own), dtype=bool)
+    bounds = np.searchsorted(own, np.arange(count + 1))
     sizes = np.diff(bounds)
     pairs = np.concatenate([[0], np.cumsum(sizes * (sizes - 1) // 2)])
     a = 0
@@ -173,14 +176,11 @@ def _two_images(side, n, coupling, points, opposite, tols) -> MultiMap:
         jump[a:b] = rowwise_dot(step, x)
         off = step - jump[a:b, None] * x
         residual[a:b] = np.sqrt(rowwise_dot(off, off))
-        by_cluster = idx[np.argsort(label, kind="stable")]
-        members = np.split(by_cluster, np.cumsum(np.bincount(label))[:-1])
-        plus_members += [members[c] for c in outer]
-        minus_members += [members[c] for c in inner]
+        inner_entry[lo:hi] = label == np.repeat(np.where(clusters == 2, inner, -1), sizes[a:b])
         a = b
     return MultiMap(
         side, n, points.copy(), plus, minus, jump, residual, bivalent,
-        np.full(count, "", dtype="<U2"), plus_members, minus_members,
+        np.full(count, "", dtype="<U2"), own, other, inner_entry,
     )
 
 
@@ -261,8 +261,7 @@ def nu1_split(mm: MultiMap, nu: DiscreteMeasure):
     image mass from any S2 atom, nu_rest the complement; weights keep
     their original (unnormalized) values and partition nu atomwise.
     """
-    inner = [mm.minus_members[i] for i in np.flatnonzero(mm.bivalent)]
-    rest_idx = np.unique(np.concatenate([np.zeros(0, dtype=int), *inner]))
+    rest_idx = np.unique(mm.other[mm.inner])
     keep = np.setdiff1d(np.arange(nu.count), rest_idx)
     return nu.restrict(keep), nu.restrict(rest_idx)
 

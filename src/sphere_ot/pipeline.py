@@ -1,8 +1,11 @@
-"""End-to-end runs: generate, solve, extract, classify, diagnose, export.
+"""End-to-end runs: solve, analyse, export.
 
 A run writes every artifact into one output directory: the two measures,
 the coupling and dual potentials, the extracted map pair with region
 labels, inverse maps, regularity reports, and a pass/fail check table.
+run_pipeline writes the inputs, the plan and the duals, and analyse runs
+every check and writes every other artifact; `sphere-ot extract` calls
+analyse on a run directory's stored plan, so the directory is whole again.
 All artifacts are byte-stable for a fixed seed on one machine and BLAS
 thread count. Exit codes: 0 success, 1 configuration, 2 invariant
 violation, 3 solver failure, 4 I/O failure.
@@ -192,50 +195,8 @@ def run_scales(mu, nu):
     return 2.0 * spacing, spacing, spacing
 
 
-def _holder_reports(mm, window):
-    """Envelope fits per region, and why each region without one has too little data."""
-    reports, skipped = {}, {}
-    jobs = [
-        ("outer_on_S1_interior", mm.interior_s1(), mm.plus),
-        ("outer_on_S2", mm.indices_in("S2"), mm.plus),
-        ("inner_on_S2", mm.indices_in("S2"), mm.minus),
-    ]
-    for name, idx, values in jobs:
-        try:
-            if len(idx) < 2:
-                raise InsufficientDataError(f"{len(idx)} atoms in the region")
-            reports[name] = reg_mod.holder_fit(mm.points[idx], values[idx], window=window,
-                                               region=name)
-        except InsufficientDataError as exc:
-            skipped[name] = str(exc)
-    return reports, skipped
-
-
-def _bivalent_constants(mm, window):
-    """Region constants and the inner-bound ratio on the usable S2 atoms;
-    InsufficientDataError when fewer than two of them have a pair in the window."""
-    usable = mm.usable_s2()
-    constants = reg_mod.region_constants(mm, usable, window)
-    return constants, reg_mod.t_minus_bound_check(mm, usable, window, constants)
-
-
-def map_stage(coupling, mu, nu, merge_tol: float, zero_tol: float, out: Path):
-    """Extract the labelled map and its inverse at the run's tolerances and split
-    nu; write multimap.json, inverse.json and regions.json into out. Returns
-    (mm, inv, nu1, nu_rest)."""
-    mm = maps_mod.extract_multimap(coupling, mu, nu, merge_tol, zero_tol)
-    inv = maps_mod.invert_maps(coupling, mu, nu, merge_tol, zero_tol)
-    nu1, nu_rest = maps_mod.nu1_split(mm, nu)
-    maps_mod.save_multimap_json(mm, out / "multimap.json")
-    _json_dump(_inverse_records(inv), out / "inverse.json")
-    regions = {"source_regions": mm.region_counts(), "target_regions": inv.region_counts(),
-               "anomalies": mm.anomalies, "nu1_mass": nu1.mass, "nu_rest_mass": nu_rest.mass}
-    _json_dump(regions, out / "regions.json")
-    return mm, inv, nu1, nu_rest
-
-
 def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
-    """Execute the full pipeline and write all artifacts to the output dir."""
+    """Solve one instance and write its inputs, plan, duals and analysis (analyse)."""
     config.validate()
     # the instance first, so a configuration error leaves no run directory
     mesh = (measures_mod.quasi_uniform_mesh(config.n, config.mesh_count, config.seed)
@@ -260,29 +221,33 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
     except OSError as exc:
         raise OSError(f"output directory {out} is not writable: {exc}") from exc
 
-    epsilon = measures_mod.default_epsilon(config.n)
-    merge_tol, zero_tol, spacing = run_scales(mu, nu)
-
-    checks: list[Check] = []
-    certificate = measures_mod.check_suitable(mu, nu, epsilon)
-    checks.append(Check(
-        "suitability",
-        "source density bounded above by 1/epsilon and target below by epsilon",
-        certificate.upper_ok and certificate.lower_ok,
-        float(epsilon), 0.0, required=False,
-    ))
-
     if config.solver == "exact":
         coupling, duals = solver_mod.solve_exact(mu, nu)
     else:
         coupling, duals = solver_mod.solve_entropic(mu, nu, reg=config.reg)
     # the plan before any check, so that a run whose analysis raises can
-    # still be re-analysed by extract and diagnose
+    # still be re-analysed by extract
     solver_mod.save_coupling_csv(coupling, out / "coupling.csv")
     solver_mod.save_duals_json(duals, coupling.total_cost, out / "duals.json")
-    marginal_err = coupling.validate(mu, nu)
-    exact = config.solver == "exact"
+    return analyse(mu, nu, coupling, duals, config.solver, out)
 
+
+def analyse(mu, nu, coupling, duals, solver: str, out: Path) -> RunResult:
+    """Run every check of a solved plan and write every analysis artifact into
+    out, from multimap.json to summary.json, at the scales of the two measures
+    (run_scales); the exit code is EXIT_INVARIANT when a required check failed."""
+    exact = solver == "exact"
+    epsilon = measures_mod.default_epsilon(mu.n)
+    merge_tol, zero_tol, spacing = run_scales(mu, nu)
+
+    certificate = measures_mod.check_suitable(mu, nu, epsilon)
+    checks = [Check(
+        "suitability",
+        "source density bounded above by 1/epsilon and target below by epsilon",
+        certificate.upper_ok and certificate.lower_ok,
+        float(epsilon), 0.0, required=False,
+    )]
+    marginal_err = coupling.validate(mu, nu)
     checks.append(Check(
         "marginals", "coupling marginals match the prescribed weights",
         marginal_err <= 1e-8, marginal_err, 1e-8,
@@ -302,14 +267,21 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
             "complementary_slackness", "every support pair has psi_i + phi_j equal to its cost",
             slackness <= 1e-8, slackness, 1e-8,
         ))
-    extraction_input = extraction_support(coupling, config.solver)
-    cyc = solver_mod.cyclical_monotonicity_violation(extraction_input, mu, nu)
+    support = extraction_support(coupling, solver)
+    cyc = solver_mod.cyclical_monotonicity_violation(support, mu, nu)
     checks.append(Check(
         "cyclical_monotonicity", "no two support pairs admit an improving swap",
         cyc <= 1e-9, cyc, 1e-9, required=exact,
     ))
 
-    mm, inv, nu1, nu_rest = map_stage(extraction_input, mu, nu, merge_tol, zero_tol, out)
+    mm = maps_mod.extract_multimap(support, mu, nu, merge_tol, zero_tol)
+    inv = maps_mod.invert_maps(support, mu, nu, merge_tol, zero_tol)
+    nu1, nu_rest = maps_mod.nu1_split(mm, nu)
+    maps_mod.save_multimap_json(mm, out / "multimap.json")
+    _json_dump(_inverse_records(inv), out / "inverse.json")
+    regions = {"source_regions": mm.region_counts(), "target_regions": inv.region_counts(),
+               "anomalies": mm.anomalies, "nu1_mass": nu1.mass, "nu_rest_mass": nu_rest.mass}
+    _json_dump(regions, out / "regions.json")
 
     checks.append(Check(
         "region_partition", "every source atom carries exactly one region label",
@@ -334,12 +306,12 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
             "outer minus inner image is normal to the source up to a tenth of the jump",
             collin <= 0.1, collin, 0.1, required=exact,
         ))
-        outer_targets = sorted({int(j) for i in s2 for j in mm.plus_members[i]})
-        landing = all(inv.region[j] == "T1" for j in outer_targets)
+        outer_targets = np.unique(mm.other[~mm.inner & (mm.region[mm.own] == "S2")])
         checks.append(Check(
             "outer_image_univalent",
             "outer images of bivalent sources land in the univalent target region",
-            landing, float(len(outer_targets)), 0.0, required=exact,
+            bool(np.all(inv.region[outer_targets] == "T1")), float(len(outer_targets)), 0.0,
+            required=exact,
         ))
     t2 = inv.indices_in("T2")
     probes = _dichotomy_probes(inv, t2)
@@ -363,27 +335,35 @@ def run_pipeline(config: RunConfig, mu_spec: str, nu_spec: str) -> RunResult:
     ))
 
     window = reg_mod.scale_window(spacing)
-    holder, _ = _holder_reports(mm, window)
-    constants = bound_ratio = None
+    holder = {}
+    for name, idx, values in (("outer_on_S1_interior", mm.interior_s1(), mm.plus),
+                              ("outer_on_S2", s2, mm.plus), ("inner_on_S2", s2, mm.minus)):
+        try:  # a region with too little data has no fit
+            holder[name] = reg_mod.holder_fit(mm.points[idx], values[idx], window, name)
+        except InsufficientDataError:
+            pass
     try:
-        constants, bound_ratio = _bivalent_constants(mm, window)
+        # too little data when fewer than two usable S2 atoms have a pair in the window
+        usable = mm.usable_s2()
+        constants = reg_mod.region_constants(mm, usable, window)
+        bound_ratio = reg_mod.t_minus_bound_check(mm, usable, window, constants)
+    except InsufficientDataError:
+        constants = bound_ratio = None
+    else:
         checks.append(Check(
             "inner_bound",
             "inner-map displacements respect the proof-level constant",
             bound_ratio <= 1.0, bound_ratio, 1.0, required=exact,
         ))
-    except InsufficientDataError:
-        pass
     injectivity = None
     if len(t2) >= 2:
         try:
             # at the T2 atoms' own spacing, not the mesh's (see injectivity_lower_bound)
             t2_window = reg_mod.scale_window(measures_mod.median_spacing(inv.points[t2]))
-            injectivity = reg_mod.injectivity_lower_bound(inv, t2, 4.0 * config.n - 1.0, t2_window)
+            injectivity = reg_mod.injectivity_lower_bound(inv, t2, 4.0 * mu.n - 1.0, t2_window)
         except InsufficientDataError:
             pass
 
-    # ---- artifacts ----------------------------------------------------
     _json_dump(
         {name: dataclasses.asdict(rep) for name, rep in holder.items()},
         out / "holder_reports.json",

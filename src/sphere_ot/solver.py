@@ -793,3 +793,19 @@ def save_duals_json(duals: DualPotentials, total_cost: float, path) -> None:
             },
             sort_keys=True,
         ))
+
+
+def load_duals_json(path, mu: DiscreteMeasure, nu: DiscreteMeasure) -> DualPotentials:
+    """The duals save_duals_json wrote: OSError naming path when the file is
+    not JSON or lacks psi or phi, SolverError naming it when one is not a
+    finite number per atom."""
+    with open(path) as fh:
+        try:
+            raw = json.load(fh)
+            psi, phi = (np.array(raw[name], dtype=float) for name in ("psi", "phi"))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise OSError(f"{path}: malformed run file: {exc!r}") from None
+    for name, values, count in (("psi", psi, mu.count), ("phi", phi, nu.count)):
+        if values.shape != (count,) or not np.all(np.isfinite(values)):
+            raise SolverError(f"{path}: {name} is not {count} finite numbers")
+    return DualPotentials(psi, phi)

@@ -138,8 +138,9 @@ def bivalent_family(count=40, seed=0):
         residual=np.zeros(count),
         bivalent=np.ones(count, dtype=bool),
         region=np.full(count, "S2", dtype="<U2"),
-        plus_members=[np.array([i]) for i in range(count)],
-        minus_members=[np.array([i]) for i in range(count)],
+        own=np.repeat(np.arange(count), 2),
+        other=np.repeat(np.arange(count), 2),
+        inner=np.tile([False, True], count),
     )
     return mm
 

@@ -164,8 +164,9 @@ def test_criterion_04_bivalence_geometry(bivalent_1000):
     lam_ok = bool(np.all(mm.jump[s2] > 0))
     signs_ok = bool(np.all(dots_plus > 0) and np.all(dots_minus < 0))
     collin = float(np.max(mm.residual[s2] / mm.jump[s2]))
-    outer = sorted({int(j) for i in s2 for j in mm.plus_members[i]})
-    inner = {int(j) for i in s2 for j in mm.minus_members[i]}
+    in_s2 = mm.region[mm.own] == "S2"
+    outer = sorted(set(mm.other[in_s2 & ~mm.inner].tolist()))
+    inner = set(mm.other[in_s2 & mm.inner].tolist())
     landing_t1 = all(inv.region[j] == "T1" for j in outer)
     disjoint = not (set(outer) & inner)
     report(4, lam_ok and signs_ok and collin <= 0.1 and landing_t1 and disjoint,

@@ -191,7 +191,27 @@ def _former_side(coupling, points, opposite, own, other, tols, what):
         rec["plus_members"].append(idx[plus_cl])
         rec["minus_members"].append(idx[minus_cl])
     rec["points"] = points.copy()
+    rec["own"], rec["other"] = own_sorted, other
+    rec["inner"] = _member_entries(rec, own_sorted, other)
     return rec
+
+
+def _member_entries(rec, own, other):
+    """The reference's member lists as MultiMap.inner over the support sorted
+    by own: an entry is inner when its atom is bivalent and the entry is among
+    the atom's inner members. Each atom's members must hold its entries: the
+    outer ones all of them when it is univalent, outer and inner apart when
+    it is bivalent."""
+    inner = np.zeros(len(own), dtype=bool)
+    for a, (plus, minus) in enumerate(zip(rec["plus_members"], rec["minus_members"])):
+        entries = np.flatnonzero(own == a)
+        if rec["bivalent"][a]:
+            members = np.concatenate([plus, minus])
+            assert sorted(members.tolist()) == sorted(other[entries].tolist())
+            inner[entries] = np.isin(other[entries], minus)
+        else:
+            assert plus.tolist() == minus.tolist() == other[entries].tolist()
+    return inner
 
 
 def _pairwise_linkage(points, tol):
@@ -324,9 +344,11 @@ class TestInverse:
         inv = bivalent_instance["inv"]
         for j in inv.indices_in("T2"):
             sources, _ = sources_of(coupling, int(j))
-            assert set(inv.plus_members[j]).issubset(set(sources.tolist()))
-            assert set(inv.minus_members[j]).issubset(set(sources.tolist()))
-            assert len(inv.plus_members[j]) and len(inv.minus_members[j])
+            entries = inv.own == j
+            outer, inner = inv.other[entries & ~inv.inner], inv.other[entries & inv.inner]
+            assert set(outer.tolist()).issubset(set(sources.tolist()))
+            assert set(inner.tolist()).issubset(set(sources.tolist()))
+            assert len(outer) and len(inner)
 
 
 class TestTargetSplit:
@@ -372,8 +394,9 @@ class TestSolvedInstanceInvariants:
         # sole supplier at the discrete level: outer and inner image sets
         # of the bivalent region are disjoint, and no outer image is a
         # bivalent target
-        outer = {int(j) for i in s2 for j in mm.plus_members[i]}
-        inner = {int(j) for i in s2 for j in mm.minus_members[i]}
+        in_s2 = mm.region[mm.own] == "S2"
+        outer = set(mm.other[in_s2 & ~mm.inner].tolist())
+        inner = set(mm.other[in_s2 & mm.inner].tolist())
         assert not outer & inner
         assert all(inv.region[j] != "T2" for j in outer)
         assert all(float(inv.points[j] @ inv.plus[j]) > 0 for j in outer)
@@ -471,14 +494,9 @@ def _instance(kind, n, count):
 
 
 def _assert_bitwise(rec, ref, names=("plus", "minus", "jump", "residual", "bivalent")):
-    for name in names:
+    for name in (*names, "own", "other", "inner"):
         got = getattr(rec, name)
         assert got.dtype == ref[name].dtype and got.tobytes() == ref[name].tobytes()
-    for name in ("plus_members", "minus_members"):
-        got = getattr(rec, name)
-        assert len(got) == len(ref[name])
-        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
-                   for a, b in zip(got, ref[name]))
 
 
 def _assert_both_bitwise(coupling, mu, nu, merge_tol, zero_tol):
@@ -583,7 +601,8 @@ class TestFormerLoops:
             return mp.MultiMap(
                 side=side, n=2, points=rec["points"], plus=plus, minus=minus,
                 jump=np.zeros(count), residual=np.zeros(count), bivalent=rec["bivalent"],
-                region=np.full(count, "", dtype="<U2"),
+                region=np.full(count, "", dtype="<U2"), own=np.zeros(0, dtype=int),
+                other=np.zeros(0, dtype=int), inner=np.zeros(0, dtype=bool),
             )
 
         region, anomalies = _former_source_regions(rec, zero_tol)

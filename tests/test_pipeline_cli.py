@@ -198,9 +198,10 @@ class TestDeterminism:
         # every JSON file that solve, extract and report write is one
         # json.dumps(obj, sort_keys=True)
         run = tmp_path / "run"
-        cli.main(["solve", "--mesh", "220", "--seed", "1", "--mu", "cap:0.98", "--out", str(run)])
-        for argv in (["extract", "--run", str(run)], ["report", "--run", str(run)]):
-            assert cli.main(argv) == 0
+        code = cli.main(["solve", "--mesh", "220", "--seed", "1", "--mu", "cap:0.98",
+                         "--out", str(run)])
+        assert cli.main(["extract", "--run", str(run)]) == code
+        assert cli.main(["report", "--run", str(run)]) == 0
         paths = sorted(run.glob("*.json"))
         assert len(paths) == 12
         for path in paths:
@@ -249,24 +250,45 @@ class TestCLI:
         assert code in (0, 2)
 
     def test_extract_and_diagnose(self, tmp_path, capsys):
-        cli.main([
+        code = cli.main([
             "solve", "--n", "2", "--mesh", "220", "--mu", "cap:0.98", "--nu", "uniform",
             "--out", str(tmp_path / "run"),
         ])
-        assert cli.main(["extract", "--run", str(tmp_path / "run")]) == 0
+        assert cli.main(["extract", "--run", str(tmp_path / "run")]) == code
         assert cli.main(["diagnose", "--run", str(tmp_path / "run")]) == 0
         out = capsys.readouterr().out
         assert "bivalent constants" in out
 
     def test_extract_rewrites_every_map_artifact(self, tmp_path, capsys):
+        # every analysis artifact, with the check table and exit code of the
+        # solve (2 here: outer_image_univalent fails at this mesh)
         run = tmp_path / "run"
-        cli.main(["solve", "--mesh", "200", "--mu", "cap:0.98", "--out", str(run)])
-        names = ("multimap.json", "inverse.json", "regions.json")
+        code = cli.main(["solve", "--mesh", "200", "--mu", "cap:0.98", "--out", str(run)])
+        printed = capsys.readouterr()
+        assert code == pipe.EXIT_INVARIANT
+        names = ("multimap.json", "inverse.json", "regions.json", "holder_reports.json",
+                 "constants.json", "beta_values.csv", "checks.json", "summary.json")
         written = {name: (run / name).read_bytes() for name in names}
         for name in names:
             (run / name).write_text("{}")
-        assert cli.main(["extract", "--run", str(run)]) == 0
+        assert cli.main(["extract", "--run", str(run)]) == code
+        assert capsys.readouterr() == printed
         assert {name: (run / name).read_bytes() for name in names} == written
+
+    def test_extract_with_shifted_duals_fails_the_certificate(self, tmp_path, capsys):
+        # psi + 1 in duals.json: the plan is unchanged, its duals no longer certify it
+        run = tmp_path / "run"
+        assert cli.main(["solve", "--mesh", "60", "--out", str(run)]) == 0
+        raw = json.loads((run / "duals.json").read_text())
+        raw["psi"] = [v + 1.0 for v in raw["psi"]]
+        (run / "duals.json").write_text(json.dumps(raw))
+        assert cli.main(["extract", "--run", str(run)]) == pipe.EXIT_INVARIANT
+        failed = {c["name"] for c in json.loads((run / "checks.json").read_text())
+                  if not c["passed"]}
+        assert {"duality_gap", "dual_feasibility"} <= failed
+        summary = json.loads((run / "summary.json").read_text())
+        assert {"duality_gap", "dual_feasibility"} <= set(summary["checks_failed"])
+        assert "invariant violations: duality_gap, dual_feasibility" in capsys.readouterr().err
 
     def test_diagnose_agrees_with_run(self, tmp_path, capsys):
         # diagnose fits at the run's scale window; at a window of its own it
@@ -296,19 +318,19 @@ class TestCLI:
         # the scales come from mu.json and nu.json (pipeline.run_scales), so a
         # run directory without summary.json is re-analysed as it was solved
         run = tmp_path / "run"
-        cli.main(["solve", *solve, "--out", str(run)])
+        codes = {"extract": cli.main(["solve", *solve, "--out", str(run)]), "diagnose": 0}
         names = ("multimap.json", "inverse.json", "regions.json")
         written = {name: (run / name).read_bytes() for name in names}
         capsys.readouterr()
         printed = {}
         for command in ("extract", "diagnose"):
-            assert cli.main([command, "--run", str(run)]) == 0
+            assert cli.main([command, "--run", str(run)]) == codes[command]
             printed[command] = capsys.readouterr().out
         (run / "summary.json").unlink()
         for name in names:
             (run / name).write_text("{}")
         for command in ("extract", "diagnose"):
-            assert cli.main([command, "--run", str(run)]) == 0
+            assert cli.main([command, "--run", str(run)]) == codes[command]
             assert capsys.readouterr().out == printed[command]
         assert {name: (run / name).read_bytes() for name in names} == written
 
@@ -331,6 +353,11 @@ class TestCLI:
         assert all(path.stat().st_size > 0 for path in run.iterdir())
         assert cli.main(["extract", "--run", str(run)]) == pipe.EXIT_INVARIANT
         assert capsys.readouterr().err == err
+        # diagnose prints the record, and this run recorded no fits
+        assert cli.main(["diagnose", "--run", str(run)]) == pipe.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("I/O failure:") and "holder_reports.json" in err
+        assert "Traceback" not in err
 
     def test_rerun_leaves_no_stale_artifacts(self, tmp_path, capsys, monkeypatch):
         # a solve deletes every file of an earlier run and writes the run's
@@ -369,17 +396,17 @@ class TestCLI:
                          "--mu", "uniform", "--nu", "uniform", "--out", run]) == 0
         capsys.readouterr()
         assert cli.main(["diagnose", "--run", run]) == 0
-        assert "outer_on_S1_interior: skipped (fewer than 2 pairs" in capsys.readouterr().out
+        assert "outer_on_S1_interior: skipped (not recorded)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("mesh, seed", [(80, 1), (60, 0)])
     def test_entropic_extract_reads_pipeline_support(self, tmp_path, capsys, mesh, seed):
         run = tmp_path / "ent"
-        cli.main([
+        code = cli.main([
             "solve", "--n", "2", "--mesh", str(mesh), "--seed", str(seed), "--mu", "cap:0.98",
             "--nu", "uniform", "--solver", "entropic", "--out", str(run),
         ])
         written = (run / "multimap.json").read_bytes()
-        assert cli.main(["extract", "--run", str(run)]) == 0
+        assert cli.main(["extract", "--run", str(run)]) == code
         assert (run / "multimap.json").read_bytes() == written
 
     def test_entropic_s3_light_clusters(self, tmp_path, capsys):
@@ -479,7 +506,7 @@ class TestCLI:
         assert cli.main(["extract", "--run", str(run)]) == 2
         assert "mu.json: not a measure file" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["extract", "diagnose"])
+    @pytest.mark.parametrize("command", ["extract"])
     def test_measures_on_different_spheres_is_invariant_violation(self, tmp_path, capsys,
                                                                   command):
         run = tmp_path / "run"
@@ -515,19 +542,40 @@ class TestCLI:
         assert f"coupling.csv: line {len(lines)}:" in capsys.readouterr().err
         assert (run / "multimap.json").read_bytes() == written
 
-    @pytest.mark.parametrize("command", ["extract", "diagnose"])
+    @pytest.mark.parametrize("command", ["extract"])
     @pytest.mark.parametrize("name, edit", [
         ("config.json", lambda text: "{}"),
-    ], ids=["config-without-solver"])
+        ("duals.json", lambda text: text[:-1]),
+        ("duals.json", lambda text: json.dumps({"phi": json.loads(text)["phi"]})),
+    ], ids=["config-without-solver", "duals-not-json", "duals-without-psi"])
     def test_malformed_run_file_is_io_failure(self, tmp_path, capsys, command, name, edit):
         run = tmp_path / "run"
         assert cli.main(["solve", "--mesh", "60", "--out", str(run)]) == 0
-        written = (run / "multimap.json").read_bytes()
         (run / name).write_text(edit((run / name).read_text()))
+        written = {path.name: path.read_bytes() for path in run.iterdir()}
         capsys.readouterr()
         assert cli.main([command, "--run", str(run)]) == 4
         assert f"{name}: malformed run file" in capsys.readouterr().err
-        assert (run / "multimap.json").read_bytes() == written
+        assert {path.name: path.read_bytes() for path in run.iterdir()} == written
+
+    @pytest.mark.parametrize("key, edit", [
+        ("psi", lambda values: values[:-1]),
+        ("phi", lambda values: values + [0.0]),
+        ("psi", lambda values: [float("nan")] + values[1:]),
+        ("phi", lambda values: values[:-1] + [float("inf")]),
+    ], ids=["psi-short", "phi-long", "psi-nan", "phi-inf"])
+    def test_bad_duals_are_solver_failure(self, tmp_path, capsys, key, edit):
+        run = tmp_path / "run"
+        assert cli.main(["solve", "--mesh", "60", "--out", str(run)]) == 0
+        raw = json.loads((run / "duals.json").read_text())
+        raw[key] = edit(raw[key])
+        (run / "duals.json").write_text(json.dumps(raw))
+        written = {path.name: path.read_bytes() for path in run.iterdir()}
+        capsys.readouterr()
+        assert cli.main(["extract", "--run", str(run)]) == pipe.EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err == f"solver failure: {run / 'duals.json'}: {key} is not 60 finite numbers\n"
+        assert {path.name: path.read_bytes() for path in run.iterdir()} == written
 
     @pytest.mark.parametrize("command, name, key, value", [
         ("extract", "config.json", "solver", "bogus"),

@@ -267,8 +267,9 @@ def synthetic_inverse(points, s_plus, s_minus, region=None):
         residual=residual,
         bivalent=region == "T2",
         region=np.asarray(region, dtype="<U2"),
-        plus_members=[np.array([j]) for j in range(count)],
-        minus_members=[np.array([j]) for j in range(count)],
+        own=np.repeat(np.arange(count), 2),
+        other=np.repeat(np.arange(count), 2),
+        inner=np.tile([False, True], count),
     )
 
 
