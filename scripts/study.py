@@ -11,7 +11,9 @@ its own under <out stem>.runs/ beside the output. Its row reads that run's
 summary and artifacts: exit code, failed checks, every check's value by
 name, regions, bivalent fraction, cost, spacing, anomaly count, the lambda
 range on S2, the envelope fits and the bivalent constants (null where a
-run has none).
+run has none). A run that raises gets the exit code and message that
+`sphere-ot solve` would print, and null in every other field; the study
+goes on with the next run.
 
     python3 scripts/study.py scripts/grids/bivalent.json --out bivalent.json
 """
@@ -24,9 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
-from sphere_ot import measures, pipeline
+from sphere_ot import cli, measures, pipeline
+from sphere_ot.errors import SphereOTError
 
 GRID_KEYS = {"n", "meshes", "seeds", "instances"}
+# a row's fields besides instance, mesh, seed, exit_code and error
+RESULT_KEYS = ("checks_failed", "checks", "regions", "bivalent_fraction", "total_cost",
+               "spacing", "anomalies", "lambda_min", "lambda_max", "fits", "constants",
+               "inner_bound_ratio", "injectivity")
 
 
 def warp_specs(n: int, count: int, seed: int, shift: float, prefix: Path) -> list:
@@ -53,16 +60,20 @@ def run_row(n: int, instance: dict, count: int, seed: int, runs: Path) -> dict:
     specs = (warp_specs(n, count, seed, instance["warp"], run_dir) if "warp" in instance
              else (instance["mu"], instance["nu"]))
     config = pipeline.RunConfig(n=n, mesh_count=count, seed=seed, output_dir=run_dir)
-    result = pipeline.run_pipeline(config, *specs)
+    head = {"instance": instance, "mesh": count, "seed": seed}
+    try:
+        result = pipeline.run_pipeline(config, *specs)
+    except (SphereOTError, OSError) as exc:
+        code, message = cli.failure(exc)
+        return {**head, "exit_code": code, "error": message, **dict.fromkeys(RESULT_KEYS)}
     summary = result.summary
     found = {stem: json.loads((run_dir / f"{stem}.json").read_text()) for stem in
              ("checks", "regions", "multimap", "holder_reports", "constants")}
     jumps = [a["lambda"] for a in found["multimap"]["atoms"] if a["region"] == "S2"]
     return {
-        "instance": instance,
-        "mesh": count,
-        "seed": seed,
+        **head,
         "exit_code": result.exit_code,
+        "error": None,
         "checks_failed": summary["checks_failed"],
         "checks": {c["name"]: c["value"] for c in found["checks"]},
         "regions": summary["source_regions"],
@@ -96,9 +107,11 @@ def main() -> None:
     rows = []
     for instance, count, seed in itertools.product(grid["instances"], grid["meshes"],
                                                    grid["seeds"]):
-        rows.append(run_row(grid["n"], instance, count, seed, out.with_suffix(".runs")))
-        print(f"{instance} mesh {count} seed {seed}: exit {rows[-1]['exit_code']}, "
-              f"regions {rows[-1]['regions']}, cost {rows[-1]['total_cost']:.6f}")
+        row = run_row(grid["n"], instance, count, seed, out.with_suffix(".runs"))
+        rows.append(row)
+        print(f"{instance} mesh {count} seed {seed}: exit {row['exit_code']}, " + (
+            row["error"] if row["error"] else
+            f"regions {row['regions']}, cost {row['total_cost']:.6f}"))
     out.write_text(json.dumps(rows, indent=1, sort_keys=True))
     print(f"wrote {out}")
 

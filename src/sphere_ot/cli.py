@@ -153,6 +153,23 @@ _COMMANDS = {
 }
 
 
+# the errors a command reports by exit code, each with its code and the
+# message's prefix; the first class that matches wins
+FAILURES = (
+    (ConfigError, pipe.EXIT_CONFIG, "configuration error"),
+    (SolverError, pipe.EXIT_SOLVER, "solver failure"),
+    (OSError, pipe.EXIT_IO, "I/O failure"),
+    (SphereOTError, pipe.EXIT_INVARIANT, "invariant violation"),
+)
+
+
+def failure(exc: Exception) -> tuple:
+    """(exit code, message) that main gives an error of one of the FAILURES classes."""
+    for kind, code, prefix in FAILURES:
+        if isinstance(exc, kind):
+            return code, f"{prefix}: {exc}"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -161,18 +178,10 @@ def main(argv=None) -> int:
         return pipe.EXIT_OK if exc.code == 0 else pipe.EXIT_CONFIG
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return pipe.EXIT_CONFIG
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return pipe.EXIT_SOLVER
-    except OSError as exc:
-        print(f"I/O failure: {exc}", file=sys.stderr)
-        return pipe.EXIT_IO
-    except SphereOTError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return pipe.EXIT_INVARIANT
+    except (SphereOTError, OSError) as exc:
+        code, message = failure(exc)
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

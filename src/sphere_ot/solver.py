@@ -38,7 +38,7 @@ make linear_sum_assignment run on reduced costs, with the same optimum
 in far fewer augmenting-path steps. The reduced costs are formed in place
 in the cost matrix, which is then rebuilt for the sweeps below, so the
 path holds one n x n array at a time; beside it are only the coarse
-level's matrix and blocks of at most BLOCK * BLOCK entries. Instances of
+level's matrix and the blocks described below. Instances of
 at most FULL_PAIRS pairs have no coarse level and run on the costs
 themselves. The duals come from Jacobi Bellman-Ford sweeps from zero on
 the column reassignment graph, run over the NEIGHBOURS smallest entries of
@@ -49,6 +49,11 @@ any such run stops at the greatest fixed point at or below zero of the
 sweep over all pairs: the duals are bit for bit those of sweeps over the
 dense matrix. If the sweeps do not settle, solve_exact warns with
 SolverFallbackWarning and solves the LP.
+
+Both exact paths pass over pairs in blocks of whole rows (or columns) of at
+most BLOCK * BLOCK entries, one line when a line holds more (_row_step):
+the LP path builds them from the points and holds no array of every pair,
+and the assignment path copies them from its cost matrix.
 
 The entropic backend is the stabilised scaling of Schmitzer ("Stabilized
 sparse scaling algorithms for entropy regularized transport problems",
@@ -84,9 +89,9 @@ LP_FULL_PAIRS = 3_600  # LP instances of at most this many pairs price every pai
 COARSEN = 4  # atoms per coarse centre in the multiscale warm start
 NEIGHBOURS = 10  # smallest reduced costs per row first taken as candidate edges on the assignment path
 LP_NEIGHBOURS = 4  # smallest reduced costs per row and per column first taken as LP candidates
-# rows, columns or support entries per block when selecting, pricing or
-# checking; the assignment path's blocks of its n x n matrix hold at most
-# BLOCK * BLOCK entries (_row_step)
+# every block of pairs that either exact path builds or copies holds at most
+# BLOCK * BLOCK entries, or one line (_row_step); the cyclic check cuts the
+# support into chunks of about BLOCK entries
 BLOCK = 256
 SCALING_BOUND = 1e50  # Sinkhorn scalings above this are absorbed into the potentials
 MAX_SWEEPS = 20_000  # Sinkhorn sweeps before the entropic solve gives up
@@ -149,8 +154,8 @@ class DualPotentials:
 
     def feasibility_gap(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
         """max_ij (psi_i + phi_j - c_ij), NaN if any entry is; <= 0 for feasible
-        duals. The reduced costs are built from the points in blocks of BLOCK
-        rows, so an entry may differ from the whole matrix's in the last ulp."""
+        duals. The reduced costs are built from the points by _line_minima, so
+        an entry may differ from the whole matrix's in the last ulp."""
         return float(-_line_minima(mu.points, nu.points, self.psi, self.phi)[0].min())
 
     def slackness_gap(self, coupling: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -207,9 +212,10 @@ def _coarsen(points: np.ndarray, weights: np.ndarray):
     return centres[keep], mass[keep], owner
 
 
-def _row_step(n):
-    """Rows per block of at most BLOCK * BLOCK entries of a matrix of n columns."""
-    return max(1, BLOCK * BLOCK // n)
+def _row_step(width):
+    """Rows per block of a matrix of width columns: at most BLOCK * BLOCK
+    entries, or one row if a row holds more."""
+    return max(1, BLOCK * BLOCK // width)
 
 
 def _smallest_per_row(block, count, k, step):
@@ -239,22 +245,25 @@ def _reduced(xs, ys, psi, phi, lines):
 
 def _smallest_reduced(xs, ys, psi, phi, k, rows, cols):
     """The k pairs of smallest reduced cost c - psi - phi in each row of rows and each
-    column of cols, in blocks built by _reduced, as (rows, cols); a pair may appear twice."""
-    at, picks = _smallest_per_row(lambda lo: _reduced(xs, ys, psi, phi, rows[lo:lo + BLOCK]),
-                                  len(rows), k, BLOCK)
-    to, sources = _smallest_per_row(lambda lo: _reduced(ys, xs, phi, psi, cols[lo:lo + BLOCK]),
-                                    len(cols), k, BLOCK)
+    column of cols, in blocks of _row_step lines built by _reduced, as (rows, cols); a pair
+    may appear twice."""
+    step, col_step = _row_step(len(ys)), _row_step(len(xs))
+    at, picks = _smallest_per_row(lambda lo: _reduced(xs, ys, psi, phi, rows[lo:lo + step]),
+                                  len(rows), k, step)
+    to, sources = _smallest_per_row(lambda lo: _reduced(ys, xs, phi, psi, cols[lo:lo + col_step]),
+                                    len(cols), k, col_step)
     return np.append(rows[at], sources), np.append(picks, cols[to])
 
 
 def _line_minima(xs, ys, psi, phi):
     """The minimum reduced cost c - psi - phi of every row and of every
-    column, from one pass over blocks of BLOCK rows built by _reduced."""
+    column, from one pass over blocks of _row_step rows built by _reduced."""
     row_min = np.empty(len(xs))
     col_min = np.full(len(ys), np.inf)
-    for lo in range(0, len(xs), BLOCK):
-        reduced = _reduced(xs, ys, psi, phi, slice(lo, lo + BLOCK))
-        reduced.min(axis=1, out=row_min[lo:lo + BLOCK])
+    step = _row_step(len(ys))
+    for lo in range(0, len(xs), step):
+        reduced = _reduced(xs, ys, psi, phi, slice(lo, lo + step))
+        reduced.min(axis=1, out=row_min[lo:lo + step])
         np.minimum(col_min, reduced.min(axis=0), out=col_min)
         del reduced  # the next block is built without this one
     return row_min, col_min
@@ -302,8 +311,8 @@ def _initial_candidates(xs, ys, a, b):
         (np.ones(positive.sum()), (crows[positive], ccols[positive])), shape=(len(ci), len(cj))
     )
     child_rows, child_cols = support[src_owner][:, tgt_owner].nonzero()
-    psi, phi = _c_transforms(lambda lo: cost_matrix(xs[lo:lo + BLOCK], ys), n, cj, phi_coarse,
-                             BLOCK)
+    step = _row_step(m)
+    psi, phi = _c_transforms(lambda lo: cost_matrix(xs[lo:lo + step], ys), n, cj, phi_coarse, step)
     rows, cols = _smallest_reduced(xs, ys, psi, phi, LP_NEIGHBOURS, np.arange(n), np.arange(m))
     corner_rows, corner_cols = _north_west_corner(a, b)
     keys = np.r_[child_rows * m + child_cols, rows * m + cols, corner_rows * m + corner_cols]
@@ -461,8 +470,8 @@ def _assignment(costs, xs, ys):
     c itself. The NEIGHBOURS smallest entries of every row of the matrix it
     ran on are the first candidate edges of the dual sweeps. Reduced costs
     are then replaced by a second costs() call, so no two arrays as large as
-    c are held at once, and every pass over c copies blocks of at most
-    BLOCK * BLOCK entries.
+    c are held at once, and every pass over c copies blocks of _row_step
+    rows.
     """
     c = costs()
     n = len(c)
@@ -533,9 +542,9 @@ def _assignment_duals(c, assign, rows, cols):
 
 def _failing_pairs(c, own, tail, phi, stale):
     """The pairs (i, j) of the rows stale with (c_ij - own_i) + tail_i < phi_j,
-    as (rows, cols). The rows are priced in blocks of at most BLOCK * BLOCK
-    entries, each a copy of its rows of c changed in place and dropped
-    before the next is copied."""
+    as (rows, cols). The rows are priced in blocks of _row_step rows, each a
+    copy of its rows of c changed in place and dropped before the next is
+    copied."""
     rows, cols = [], []
     step = _row_step(len(phi))
     for lo in range(0, len(stale), step):

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from sphere_ot import pipeline
+from sphere_ot import maps, pipeline
+from sphere_ot.errors import ExtractionError
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -54,6 +55,33 @@ def test_study_warp_row(tmp_path, monkeypatch):
     assert row["lambda_min"] is None and row["constants"] is None
     assert (row["exit_code"], row["checks_failed"]) == (0, [])
     assert len(list(tmp_path.glob("rows.runs/*/checks.json"))) == 1
+
+
+def test_study_records_a_run_that_raises(tmp_path, monkeypatch):
+    # the first run's extraction raises; its row carries the exit code and
+    # message of `sphere-ot solve` and null elsewhere, and the second run
+    # is solved and tabulated as usual
+    real = maps.extract_multimap
+    calls = []
+
+    def first_raises(*args):
+        calls.append(len(calls))
+        if len(calls) == 1:
+            raise ExtractionError("target atom 23 has 3 image clusters")
+        return real(*args)
+
+    monkeypatch.setattr(maps, "extract_multimap", first_raises)
+    failed, solved = _run_study(tmp_path, monkeypatch, {
+        "n": 2, "meshes": [200], "seeds": [0, 1],
+        "instances": [{"mu": "cap:0.98", "nu": "uniform"}]})
+    assert len(calls) == 2
+    assert set(failed) == set(solved)
+    assert failed["exit_code"] == pipeline.EXIT_INVARIANT
+    assert failed["error"] == "invariant violation: target atom 23 has 3 image clusters"
+    assert (failed["mesh"], failed["seed"], solved["seed"]) == (200, 0, 1)
+    head = {"instance", "mesh", "seed", "exit_code", "error"}
+    assert all(failed[key] is None for key in set(failed) - head)
+    assert solved["error"] is None and solved["regions"]["S2"] > 0
 
 
 @pytest.mark.parametrize("grid_file", sorted((SCRIPTS / "grids").glob("*.json")),

@@ -117,17 +117,23 @@ class TestFeasibilityGap:
         assert shifted.feasibility_gap(mu, nu) >= 1e-6 - 1e-15
 
     def test_no_array_as_large_as_c(self, rng):
-        mu = make_measure(g.random_sphere_points(2, 2000, rng))
-        nu = make_measure(g.random_sphere_points(2, 2000, rng))
-        duals = so.DualPotentials(np.zeros(2000), np.zeros(2000))
-        tracemalloc.start()
-        try:
-            gap = duals.feasibility_gap(mu, nu)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.5 * 2000 * 2000 * 8
-        assert abs(gap + g.cost_matrix(mu.points, nu.points).min()) <= 1e-15
+        # on the wide instance a block holds 2 rows of 30 000 entries; blocks
+        # of 256 whole rows peaked at 59 MiB there
+        for n_src, n_tgt in ((2000, 2000), (300, 30_000)):
+            mu = make_measure(g.random_sphere_points(2, n_src, rng))
+            nu = make_measure(g.random_sphere_points(2, n_tgt, rng))
+            duals = so.DualPotentials(rng.normal(size=n_src), rng.normal(size=n_tgt))
+            tracemalloc.start()
+            try:
+                gap = duals.feasibility_gap(mu, nu)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.5 * n_src * n_tgt * 8
+            reduced = g.cost_matrix(mu.points, nu.points)
+            reduced -= duals.psi[:, None]
+            reduced -= duals.phi[None, :]
+            assert abs(gap + reduced.min()) <= 1e-15
 
     def test_nan_duals_give_nan(self, rng):
         mu = make_measure(g.random_sphere_points(2, 300, rng))
@@ -257,8 +263,9 @@ class TestAssignment:
         _, assign = linear_sum_assignment(c)
         psi, phi = _dense_assignment_duals(c, assign)
         every = np.divmod(np.arange(count * count), count)
-        nearest = so._smallest_per_row(lambda lo: c[lo:lo + so.BLOCK].copy(), count,
-                                       so.NEIGHBOURS, so.BLOCK)
+        step = so._row_step(count)
+        nearest = so._smallest_per_row(lambda lo: c[lo:lo + step].copy(), count, so.NEIGHBOURS,
+                                       step)
         alone = (np.empty(0, dtype=int), np.empty(0, dtype=int))
         for rows, cols in (every, nearest, alone):
             priced.clear()
@@ -269,19 +276,27 @@ class TestAssignment:
         assert len(priced) >= 2 and max(priced[1:]) < count
 
     def test_blocks_keep_the_bits(self, rng, monkeypatch):
-        # 300 atoms have a coarse level; with BLOCK 5 the carry-up, the
-        # candidate selection and the pricing each take one row at a time
+        # with BLOCK 5 the carry-up, the candidate selection and the pricing
+        # each take one row or column at a time: on the assignment path (300
+        # equal-weight atoms have a coarse level) and on the LP path (uneven
+        # weights, above LP_FULL_PAIRS). feasibility_gap is not compared: on
+        # S^3 a cost block can differ from the whole matrix in the last ulp
+        def solved(mu, nu, block):
+            monkeypatch.setattr(so, "BLOCK", block)
+            coupling, duals = so.solve_exact(mu, nu)
+            return [a.tobytes() for a in
+                    (coupling.rows, coupling.cols, coupling.mass, duals.psi, duals.phi)]
+
         mu = make_measure(g.random_sphere_points(2, 300, rng))
         nu = make_measure(g.random_sphere_points(2, 300, rng))
         assert 300 * 300 > so.FULL_PAIRS
-        coupling, duals = so.solve_exact(mu, nu)
-        monkeypatch.setattr(so, "BLOCK", 5)
+        assert solved(mu, nu, 256) == solved(mu, nu, 5)
         assert so._row_step(300) == 1
-        blocked, blocked_duals = so.solve_exact(mu, nu)
-        for got, want in ((blocked.rows, coupling.rows), (blocked.cols, coupling.cols),
-                          (blocked.mass, coupling.mass), (blocked_duals.psi, duals.psi),
-                          (blocked_duals.phi, duals.phi)):
-            assert got.tobytes() == want.tobytes()
+        monkeypatch.setattr(so, "linprog", linprog)  # each LP instance's coarsest level
+        for n, n_src, n_tgt in ((1, 300, 280), (2, 300, 300), (3, 250, 330)):
+            mu, nu = _random_instance(rng, n, n_src, n_tgt)
+            assert n_src * n_tgt > so.LP_FULL_PAIRS
+            assert solved(mu, nu, 256) == solved(mu, nu, 5)
 
     def test_one_cost_matrix_at_a_time(self, rng):
         # the reduced costs are formed in the cost matrix itself, and beside
@@ -368,8 +383,9 @@ class TestColumnGeneration:
         c = _stacked(xs, ys)
         cols = np.arange(0, n_tgt, 4)
         phi_coarse = rng.normal(scale=0.1, size=len(cols))
-        psi, phi = so._c_transforms(lambda lo: g.cost_matrix(xs[lo:lo + so.BLOCK], ys), n_src,
-                                    cols, phi_coarse, so.BLOCK)
+        step = so._row_step(n_tgt)
+        psi, phi = so._c_transforms(lambda lo: g.cost_matrix(xs[lo:lo + step], ys), n_src,
+                                    cols, phi_coarse, step)
         rows, picks = so._smallest_reduced(xs, ys, psi, phi, so.LP_NEIGHBOURS,
                                            np.arange(n_src), np.arange(n_tgt))
         want_psi = (c[:, cols] - phi_coarse[None, :]).min(axis=1)
@@ -440,7 +456,7 @@ class TestColumnGeneration:
         assert np.all(np.diff(keys) > 0)
 
     def test_no_array_as_large_as_c(self):
-        # the cost blocks are built from the points, 256 rows of 1000 here;
+        # the cost blocks are built from the points, 65 rows of 1000 here;
         # a dense n x m float array, or two blocks with an index array of
         # each, would pass half of n * m * 8 bytes
         mesh = me.quasi_uniform_mesh(2, 1000, 1)
@@ -455,19 +471,19 @@ class TestColumnGeneration:
 
     @pytest.mark.parametrize("n_src, n_tgt", [(1000, 1000), (6000, 7), (7, 6000)])
     def test_cost_blocks_of_at_most_block_rows(self, rng, monkeypatch, n_src, n_tgt):
-        # every cost the LP path reads comes from the points, BLOCK rows or
-        # columns at a time
+        # every cost the LP path reads comes from the points, in blocks of
+        # _row_step rows or columns: at most BLOCK * BLOCK entries, or one line
         seen = []
         real = so.cost_matrix
 
         def spy(xs, ys):
-            seen.append(len(xs))
+            seen.append((len(xs), len(ys)))
             return real(xs, ys)
 
         monkeypatch.setattr(so, "cost_matrix", spy)
         mu, nu = _random_instance(rng, 2, n_src, n_tgt)
         coupling, duals = so.solve_exact(mu, nu)
-        assert seen and max(seen) <= so.BLOCK
+        assert seen and all(rows * width <= max(so.BLOCK ** 2, width) for rows, width in seen)
         assert duals.feasibility_gap(mu, nu) <= 1e-12
         assert duals.slackness_gap(coupling, mu, nu) <= 1e-12
 
@@ -734,10 +750,10 @@ def test_negligible_target_weights_certify(seed, weight):
 
 
 def _stacked(xs, ys):
-    """The cost matrix of xs against ys stacked from the blocks of BLOCK rows
-    that the LP path builds from the points."""
-    blocks = range(0, len(xs), so.BLOCK)
-    return np.vstack([g.cost_matrix(xs[lo:lo + so.BLOCK], ys) for lo in blocks])
+    """The cost matrix of xs against ys stacked from the blocks of _row_step
+    rows that the LP path builds from the points."""
+    step = so._row_step(len(ys))
+    return np.vstack([g.cost_matrix(xs[lo:lo + step], ys) for lo in range(0, len(xs), step)])
 
 
 def _full_selection(xs, ys, psi, phi):
@@ -769,9 +785,10 @@ class TestPricing:
         ys = g.random_sphere_points(n, n_tgt, rng)
         # c-transforms price no pair below 0; raising phi on some columns,
         # some of them by about PRICE_TOL, prices some lines negative
-        psi, phi = so._c_transforms(lambda lo: g.cost_matrix(xs[lo:lo + so.BLOCK], ys), n_src,
+        step = so._row_step(n_tgt)
+        psi, phi = so._c_transforms(lambda lo: g.cost_matrix(xs[lo:lo + step], ys), n_src,
                                     np.arange(0, n_tgt, 4), rng.normal(size=-(-n_tgt // 4)),
-                                    so.BLOCK)
+                                    step)
         none = np.empty(0, dtype=int)
         assert all(len(p) == 0 for p in so._priced_pairs(xs, ys, psi, phi, none, none))
         assert all(len(p) == 0 for p in _full_selection(xs, ys, psi, phi))
