@@ -57,11 +57,11 @@ def run_row(n: int, instance: dict, count: int, seed: int, runs: Path) -> dict:
     else:
         name = f"{Path(instance['mu']).name}-{Path(instance['nu']).name}"
     run_dir = runs / f"{name}-mesh-{count}-seed-{seed}"
-    specs = (warp_specs(n, count, seed, instance["warp"], run_dir) if "warp" in instance
-             else (instance["mu"], instance["nu"]))
     config = pipeline.RunConfig(n=n, mesh_count=count, seed=seed, output_dir=run_dir)
     head = {"instance": instance, "mesh": count, "seed": seed}
     try:
+        specs = (warp_specs(n, count, seed, instance["warp"], run_dir) if "warp" in instance
+                 else (instance["mu"], instance["nu"]))
         result = pipeline.run_pipeline(config, *specs)
     except (SphereOTError, OSError) as exc:
         code, message = cli.failure(exc)

@@ -19,6 +19,7 @@ from scipy.spatial import cKDTree
 from .errors import DomainError, InsufficientDataError
 from .geometry import rowwise_dot
 from .maps import MultiMap
+from .solver import _row_step
 
 LOW_CONFIDENCE_PAIRS = 30
 # envelope fits bin the window's pairs by distance decile
@@ -200,17 +201,25 @@ def t_minus_bound_check(
 
 
 def monotonicity_check(inv: MultiMap, region_idx: np.ndarray) -> float:
-    """min over region pairs of (s_minus(y1) - s_minus(y0)) . (y1 - y0)."""
+    """min over region pairs of (s_minus(y1) - s_minus(y0)) . (y1 - y0), in
+    blocks of at most BLOCK * BLOCK pairs or one row (solver._row_step)."""
     idx = np.asarray(region_idx, dtype=int)
     if len(idx) < 2:
         raise InsufficientDataError("need at least two atoms for pair monotonicity")
     s = inv.minus[idx]
     y = inv.points[idx]
-    g = s @ y.T
-    diag = np.diag(g)
-    dots = diag[:, None] + diag[None, :] - g - g.T
-    iu = np.triu_indices(len(idx), k=1)
-    return float(dots[iu].min())
+    # rows lo:lo + step of G = s y^T against its columns from lo, the last
+    # block first, so diag already holds every later atom's G[j, j]
+    count, step, least = len(idx), _row_step(len(idx)), np.inf
+    diag = np.empty(count)
+    for lo in reversed(range(0, count, step)):
+        hi = min(lo + step, count)
+        g = s[lo:hi] @ y[lo:].T
+        at = np.arange(hi - lo)
+        diag[lo:hi] = g[at, at]
+        dots = diag[lo:hi, None] + diag[None, lo:] - g - (s[lo:] @ y[lo:hi].T).T
+        least = min(least, dots.min(initial=np.inf, where=at[:, None] < np.arange(count - lo)))
+    return float(least)
 
 
 @dataclass

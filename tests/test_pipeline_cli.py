@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ from sphere_ot import cli
 from sphere_ot import pipeline as pipe
 from sphere_ot import solver as solver_mod
 from sphere_ot.errors import ConfigError, SolverError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestRunPipeline:
@@ -337,12 +343,14 @@ class TestCLI:
     def test_failed_analysis_keeps_the_plan(self, tmp_path, capsys):
         # on S^3 at 1000 x 1000 atoms the inverse extraction raises after the
         # solve; the run's inputs and plan are written before any check, so
-        # extract re-raises the same error from them
+        # extract re-raises the same error from them. The run goes into the
+        # directory of a whole S^2 run, of which it keeps no file
         mu, nu = str(tmp_path / "mu.json"), str(tmp_path / "nu.json")
         for path, seed, density in ((mu, "0", "cap:0.98"), (nu, "1", "uniform")):
             assert cli.main(["gen", "--n", "3", "--mesh", "1000", "--seed", seed,
                              "--density", density, "--out", path]) == 0
         run = tmp_path / "run"
+        assert cli.main(["solve", "--mesh", "60", "--out", str(run)]) == 0
         capsys.readouterr()
         code = cli.main(["solve", "--n", "3", "--mu", mu, "--nu", nu, "--out", str(run)])
         assert code == pipe.EXIT_INVARIANT
@@ -351,6 +359,7 @@ class TestCLI:
         assert sorted(path.name for path in run.iterdir()) == [
             "config.json", "coupling.csv", "duals.json", "mu.json", "nu.json"]
         assert all(path.stat().st_size > 0 for path in run.iterdir())
+        assert json.loads((run / "config.json").read_text())["n"] == 3
         assert cli.main(["extract", "--run", str(run)]) == pipe.EXIT_INVARIANT
         assert capsys.readouterr().err == err
         # diagnose prints the record, and this run recorded no fits
@@ -476,6 +485,18 @@ class TestCLI:
         assert cli.main(["solve", "--seed", "-1", "--mu", path, "--nu", path, "--out", out]) == 1
         assert capsys.readouterr().err == "configuration error: seed must be >= 0, got -1\n"
         assert not (tmp_path / "out").exists()
+
+    def test_error_exit_of_the_process(self, tmp_path):
+        # the module run as a script exits with main()'s code and prints
+        # the message alone, with no traceback
+        out = tmp_path / "out"
+        done = subprocess.run([sys.executable, "-m", "sphere_ot.cli", "solve", "--seed", "-1",
+                               "--mesh", "60", "--out", str(out)], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+        assert done.returncode == pipe.EXIT_CONFIG
+        assert done.stderr.startswith("configuration error:")
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
 
     def test_report_subcommand(self, tmp_path, capsys):
         cli.main(["solve", "--n", "2", "--mesh", "60", "--out", str(tmp_path / "run")])

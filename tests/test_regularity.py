@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,6 +297,42 @@ class TestMonotonicity:
         inv = bivalent_instance["inv"]
         t2 = inv.indices_in("T2")
         assert rg.monotonicity_check(inv, t2) >= -1e-9
+
+    @pytest.mark.parametrize("n, count", [(1, 2), (2, 7), (3, 12), (2, 40), (1, 333)])
+    def test_blocks_match_dense_form(self, rng, monkeypatch, n, count):
+        # at BLOCK 5 a block holds at most 25 entries or one row: one block
+        # of 2 atoms, blocks of 3 and 2 rows at 7 and 12 atoms, one row at
+        # 40 and 333. A one-row block is a vector-matrix product, whose BLAS
+        # sums may round apart from the matrix product's in the last bit,
+        # hence abs=1e-14, about 45 ulps of 1
+        from sphere_ot import geometry as g
+        from sphere_ot import solver as so
+
+        points = g.random_sphere_points(n, count, rng)
+        minus = g.random_sphere_points(n, count, rng)
+        inv = synthetic_inverse(points, points, minus)
+        idx = rng.permutation(count)
+        gram = minus[idx] @ points[idx].T
+        diag = np.diag(gram)
+        dots = diag[:, None] + diag[None, :] - gram - gram.T
+        dense = float(dots[np.triu_indices(count, k=1)].min())
+        monkeypatch.setattr(so, "BLOCK", 5)
+        assert rg.monotonicity_check(inv, idx) == pytest.approx(dense, rel=0, abs=1e-14)
+
+    def test_memory_in_blocks(self, rng):
+        # 2000 atoms: the dense form held several 2000 x 2000 arrays at once
+        # (107 MiB); blocks of at most BLOCK x BLOCK entries take about 2 MiB
+        from sphere_ot import geometry as g
+
+        points = g.random_sphere_points(2, 2000, rng)
+        inv = synthetic_inverse(points, points, g.random_sphere_points(2, 2000, rng))
+        tracemalloc.start()
+        try:
+            rg.monotonicity_check(inv, np.arange(2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestDichotomy:

@@ -58,9 +58,11 @@ def test_study_warp_row(tmp_path, monkeypatch):
 
 
 def test_study_records_a_run_that_raises(tmp_path, monkeypatch):
-    # the first run's extraction raises; its row carries the exit code and
-    # message of `sphere-ot solve` and null elsewhere, and the second run
-    # is solved and tabulated as usual
+    # the first run raises: the cap run's extraction (patched here), or the
+    # warp instance's mesh of 3 points before its measure files are
+    # written. Its row carries the exit code and message of `sphere-ot
+    # solve` and null elsewhere, and the second run is solved and tabulated
+    # as usual
     real = maps.extract_multimap
     calls = []
 
@@ -70,18 +72,27 @@ def test_study_records_a_run_that_raises(tmp_path, monkeypatch):
             raise ExtractionError("target atom 23 has 3 image clusters")
         return real(*args)
 
-    monkeypatch.setattr(maps, "extract_multimap", first_raises)
-    failed, solved = _run_study(tmp_path, monkeypatch, {
-        "n": 2, "meshes": [200], "seeds": [0, 1],
-        "instances": [{"mu": "cap:0.98", "nu": "uniform"}]})
+    cases = [
+        ({"n": 2, "meshes": [200], "seeds": [0, 1],
+          "instances": [{"mu": "cap:0.98", "nu": "uniform"}]}, pipeline.EXIT_INVARIANT,
+         "invariant violation: target atom 23 has 3 image clusters", ((200, 0), (200, 1)), "S2"),
+        ({"n": 2, "meshes": [3, 60], "seeds": [0], "instances": [{"warp": 0.35}]},
+         pipeline.EXIT_CONFIG, "configuration error: need at least 4 mesh points on S^2, got 3",
+         ((3, 0), (60, 0)), "S1"),
+    ]
+    for case, (grid, code, error, runs, region) in enumerate(cases):
+        (tmp_path / str(case)).mkdir()
+        with monkeypatch.context() as patch:
+            if case == 0:
+                patch.setattr(maps, "extract_multimap", first_raises)
+            failed, solved = _run_study(tmp_path / str(case), patch, grid)
+        assert set(failed) == set(solved)
+        assert (failed["exit_code"], failed["error"]) == (code, error)
+        assert tuple((row["mesh"], row["seed"]) for row in (failed, solved)) == runs
+        head = {"instance", "mesh", "seed", "exit_code", "error"}
+        assert all(failed[key] is None for key in set(failed) - head)
+        assert solved["error"] is None and solved["regions"][region] > 0
     assert len(calls) == 2
-    assert set(failed) == set(solved)
-    assert failed["exit_code"] == pipeline.EXIT_INVARIANT
-    assert failed["error"] == "invariant violation: target atom 23 has 3 image clusters"
-    assert (failed["mesh"], failed["seed"], solved["seed"]) == (200, 0, 1)
-    head = {"instance", "mesh", "seed", "exit_code", "error"}
-    assert all(failed[key] is None for key in set(failed) - head)
-    assert solved["error"] is None and solved["regions"]["S2"] > 0
 
 
 @pytest.mark.parametrize("grid_file", sorted((SCRIPTS / "grids").glob("*.json")),

@@ -12,7 +12,7 @@ from sphere_ot import geometry as g
 from sphere_ot import measures as me
 from sphere_ot import solver as so
 from sphere_ot.errors import ConfigError, ConvergenceError, SolverError, SolverFallbackWarning
-from sphere_ot.pipeline import extraction_support, resolve_measure
+from sphere_ot.pipeline import RunConfig, extraction_support, resolve_measure, run_pipeline
 
 
 @pytest.fixture
@@ -733,7 +733,7 @@ class TestWarmRounds:
 
 
 @pytest.mark.parametrize("seed, weight", [(0, 0.0), (1, 1e-14)])
-def test_negligible_target_weights_certify(seed, weight):
+def test_negligible_target_weights_certify(seed, weight, tmp_path):
     # cap:0.98 against uniform on S^1 at mesh 1000, with a fifth of the
     # targets at weight 0 or 1e-14: a level's first interior point run ends
     # Unknown, and dual simplex from where it stopped must finish it
@@ -747,6 +747,14 @@ def test_negligible_target_weights_certify(seed, weight):
     assert abs(coupling.total_cost - dual) <= 1e-12
     assert duals.feasibility_gap(mu, nu) <= 1e-12
     assert duals.slackness_gap(coupling, mu, nu) <= 1e-12
+    if weight > 0:
+        # a measure file takes atoms above the plan's support cut, so the
+        # 1e-14 targets also run the whole pipeline from files
+        specs = [str(tmp_path / f"{side}.json") for side in ("mu", "nu")]
+        me.save_measure(mu, specs[0])
+        me.save_measure(nu, specs[1])
+        result = run_pipeline(RunConfig(n=1, output_dir=tmp_path / "run"), *specs)
+        assert (result.exit_code, result.summary["checks_failed"]) == (0, [])
 
 
 def _stacked(xs, ys):
