@@ -30,19 +30,9 @@ trap cleanup EXIT
 git -C "$repo" worktree add --quiet --detach "$work/checkout" "$rev"
 
 # 300 atoms of the mesh against their push-forward under the gradient map
-# x -> (x + 0.35 e_z) / |x + 0.35 e_z|, at weight 1/300 each
-PYTHONPATH="$repo/src" python3 - "$work" <<'EOF'
-import sys
-import numpy as np
-from sphere_ot import measures
-grid = measures.quasi_uniform_mesh(2, 300, 0)
-moved = grid.points + 0.35 * np.array([0.0, 0.0, 1.0])
-moved /= np.linalg.norm(moved, axis=1, keepdims=True)
-weights = np.full(300, 1 / 300)
-for side, points in (("mu", grid.points), ("nu", moved)):
-    measures.save_measure(measures.DiscreteMeasure(2, points, weights, grid.cell_areas),
-                          f"{sys.argv[1]}/warp-{side}.json")
-EOF
+# x -> (x + 0.35 e_z) / |x + 0.35 e_z|, at weight 1/300 each (study.py's warp)
+PYTHONPATH="$repo/src:$repo/scripts" python3 -c 'import sys, pathlib, study
+study.warp_specs(2, 300, 0, 0.35, pathlib.Path(sys.argv[1]) / "warp")' "$work"
 
 # name|solve arguments; the target is uniform but for the warp
 instances=(

@@ -24,7 +24,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import ExtractionError
 from .geometry import rowwise_dot
 from .measures import DiscreteMeasure
-from .solver import Coupling
+from .solver import BLOCK, Coupling
 
 REGION_SOURCE = ("S0", "S1", "S2")
 _REGIONS = {"source": REGION_SOURCE, "target": ("T0", "T1", "T2")}
@@ -103,7 +103,7 @@ def _weight_scaled_tols(merge_tol: float, weights: np.ndarray, opposite: np.ndar
 # Image pairs are listed for a chunk of whole atoms at a time, at most this
 # many unless one atom alone has more: listed for a whole entropic support at
 # once they would take memory like the sum of its squared image counts.
-PAIR_CHUNK = 2**16
+PAIR_CHUNK = BLOCK * BLOCK
 
 
 def _linkage_labels(images: np.ndarray, sizes: np.ndarray, tols: np.ndarray) -> np.ndarray:

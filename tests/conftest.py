@@ -192,8 +192,9 @@ def bivalent_instance():
     mu = measures_mod.sample_density(pipe.builtin_density("cap:0.98", 2), mesh)
     nu = measures_mod.sample_density(lambda p: 1.0, mesh)
     coupling, duals = solver_mod.solve_exact(mu, nu)
-    mm = maps_mod.extract_multimap(coupling, mu, nu, 2.0 * mesh.spacing, mesh.spacing)
-    inv = maps_mod.invert_maps(coupling, mu, nu, 2.0 * mesh.spacing, mesh.spacing)
+    merge_tol, zero_tol, _ = pipe.run_scales(mu, nu)
+    mm = maps_mod.extract_multimap(coupling, mu, nu, merge_tol, zero_tol)
+    inv = maps_mod.invert_maps(coupling, mu, nu, merge_tol, zero_tol)
     return {
         "mesh": mesh, "mu": mu, "nu": nu,
         "coupling": coupling, "duals": duals, "mm": mm, "inv": inv,

@@ -33,10 +33,10 @@ def report(criterion, passed, detail):
     assert passed, line
 
 
-def extract(mesh_or_spacing, mu, nu, coupling):
-    spacing = mesh_or_spacing.spacing if hasattr(mesh_or_spacing, "spacing") else mesh_or_spacing
-    mm = mp.extract_multimap(coupling, mu, nu, 2.0 * spacing, spacing)
-    inv = mp.invert_maps(coupling, mu, nu, 2.0 * spacing, spacing)
+def extract(mu, nu, coupling):
+    merge_tol, zero_tol, _ = pipe.run_scales(mu, nu)
+    mm = mp.extract_multimap(coupling, mu, nu, merge_tol, zero_tol)
+    inv = mp.invert_maps(coupling, mu, nu, merge_tol, zero_tol)
     return mm, inv
 
 
@@ -47,7 +47,7 @@ def identity_500():
     mu = me.sample_density(lambda p: 1.0, mesh)
     nu = me.sample_density(lambda p: 1.0, mesh)
     coupling, duals = so.solve_exact(mu, nu)
-    mm, inv = extract(mesh, mu, nu, coupling)
+    mm, inv = extract(mu, nu, coupling)
     return {"mesh": mesh, "mu": mu, "nu": nu, "coupling": coupling,
             "mm": mm, "inv": inv, "elapsed": time.monotonic() - t0}
 
@@ -59,7 +59,7 @@ def bivalent_1000():
     mu = me.sample_density(pipe.builtin_density("cap:0.98", 2), mesh)
     nu = me.sample_density(lambda p: 1.0, mesh)
     coupling, duals = so.solve_exact(mu, nu)
-    mm, inv = extract(mesh, mu, nu, coupling)
+    mm, inv = extract(mu, nu, coupling)
     return {"mesh": mesh, "mu": mu, "nu": nu, "coupling": coupling,
             "mm": mm, "inv": inv, "elapsed": time.monotonic() - t0}
 
@@ -80,7 +80,7 @@ def suitable_solves():
         for cert in (me.check_suitable(mu, nu, eps), me.check_suitable(nu, mu, eps)):
             assert cert.upper_ok and cert.lower_ok
         coupling, duals = so.solve_exact(mu, nu)
-        mm, inv = extract(mesh, mu, nu, coupling)
+        mm, inv = extract(mu, nu, coupling)
         instances.append({"n": n, "mesh": mesh, "mu": mu, "nu": nu,
                           "coupling": coupling, "mm": mm, "inv": inv})
     return {"instances": instances, "elapsed": time.monotonic() - t0}
@@ -102,7 +102,7 @@ def warped_2000():
     mu = make_measure(mesh.points)
     nu = make_measure(moved)
     coupling, duals = so.solve_exact(mu, nu)
-    mm, inv = extract(mesh.spacing, mu, nu, coupling)
+    mm, inv = extract(mu, nu, coupling)
     return {"mesh": mesh, "mu": mu, "nu": nu, "coupling": coupling,
             "mm": mm, "inv": inv, "elapsed": time.monotonic() - t0}
 
@@ -232,8 +232,7 @@ def test_criterion_08_angle_bound(bivalent_1000, suitable_solves):
 
 def test_criterion_09_exponent_consistency(warped_2000):
     mm = warped_2000["mm"]
-    dots = np.einsum("ij,ij->i", mm.points, mm.plus)
-    s1 = np.nonzero((mm.region == "S1") & (np.abs(dots) >= 0.2))[0]
+    s1 = mm.interior_s1()
     window = rg.scale_window(me.median_spacing(mm.points[s1]))
     fit = rg.holder_fit(mm.points[s1], mm.plus[s1], window, region="S1")
     target = 1.0 / 7.0 - 0.05
@@ -252,9 +251,7 @@ def test_criterion_10_constant_formulas(bivalent_1000):
     consts = rg.region_constants(family, np.arange(40), (0.01, 0.5))
     ratios.append(rg.t_minus_bound_check(family, np.arange(40), (0.01, 0.5), consts))
     mm = bivalent_1000["mm"]
-    s2 = mm.indices_in("S2")
-    margins = -np.einsum("ij,ij->i", mm.points[s2], mm.minus[s2])
-    usable = s2[margins > 0]
+    usable = mm.usable_s2()
     window = rg.scale_window(me.median_spacing(mm.points))
     consts = rg.region_constants(mm, usable, window)
     ratios.append(rg.t_minus_bound_check(mm, usable, window, consts))

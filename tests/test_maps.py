@@ -490,7 +490,7 @@ def _instance(kind, n, count):
         coupling = pipe.extraction_support(coupling, "entropic")
     else:
         coupling, _ = so.solve_exact(mu, nu)
-    return coupling, mu, nu, 2.0 * mesh.spacing, mesh.spacing
+    return coupling, mu, nu, *pipe.run_scales(mu, nu)[:2]
 
 
 def _assert_bitwise(rec, ref, names=("plus", "minus", "jump", "residual", "bivalent")):
@@ -575,9 +575,10 @@ class TestFormerLoops:
         mu = me.sample_density(pipe.builtin_density("cap:0.98", 2), mesh)
         nu = me.sample_density(lambda p: 1.0, mesh)
         coupling = pipe.extraction_support(so.solve_entropic(mu, nu, reg=0.1)[0], "entropic")
+        merge_tol, zero_tol, _ = pipe.run_scales(mu, nu)
         tracemalloc.start()
         try:
-            mp.extract_multimap(coupling, mu, nu, 2.0 * mesh.spacing, mesh.spacing)
+            mp.extract_multimap(coupling, mu, nu, merge_tol, zero_tol)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
