@@ -45,7 +45,8 @@ def cost_matrix(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     sq_y = np.einsum("ij,ij->i", ys, ys)
     c = xs @ ys.T
     c *= 2.0
-    # 8192-entry steps, not _row_step's BLOCK^2: cache-sized, 2.5-3x faster on pricing blocks
+    # cache-sized 8192-entry steps; its callers build whole matrices (the assignment
+    # path, the entropic kernel), where BLOCK^2-entry steps timed the same at 3000 x 3000
     step = 1 + 8192 // (len(ys) + 1)
     for lo in range(0, len(c), step):
         np.subtract(sq_x[lo:lo + step, None] + sq_y, c[lo:lo + step], out=c[lo:lo + step])

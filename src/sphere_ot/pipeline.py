@@ -252,6 +252,7 @@ def analyse(mu, nu, coupling, duals, solver: str, out: Path) -> RunResult:
         "marginals", "coupling marginals match the prescribed weights",
         marginal_err <= 1e-8, marginal_err, 1e-8,
     ))
+    support = extraction_support(coupling, solver)
     if exact:
         gap = coupling.total_cost - float(duals.psi @ mu.weights + duals.phi @ nu.weights)
         checks.append(Check(
@@ -267,12 +268,17 @@ def analyse(mu, nu, coupling, duals, solver: str, out: Path) -> RunResult:
             "complementary_slackness", "every support pair has psi_i + phi_j equal to its cost",
             slackness <= 1e-8, slackness, 1e-8,
         ))
-    support = extraction_support(coupling, solver)
-    cyc = solver_mod.cyclical_monotonicity_violation(support, mu, nu)
-    checks.append(Check(
-        "cyclical_monotonicity", "no two support pairs admit an improving swap",
-        cyc <= 1e-9, cyc, 1e-9, required=exact,
-    ))
+        # c_ij + c_kl - c_il - c_kj <= 2f + 2s for support pairs (i, j) and
+        # (k, l), from c_ij <= psi_i + phi_j + s and c_il >= psi_i + phi_l - f;
+        # max(feasibility, 0.0), not max(0.0, feasibility), keeps a NaN
+        cyc = 2.0 * max(feasibility, 0.0) + 2.0 * slackness
+        claim = ("value is 2 max(f, 0) + 2 s, the dual certificate's bound on every swap gain "
+                 "c_ij + c_kl - c_il - c_kj of two support pairs (f: dual_feasibility, "
+                 "s: complementary_slackness)")
+    else:
+        cyc = solver_mod.cyclical_monotonicity_violation(support, mu, nu)
+        claim = "no two support pairs admit an improving swap"
+    checks.append(Check("cyclical_monotonicity", claim, cyc <= 1e-9, cyc, 1e-9, required=exact))
 
     mm = maps_mod.extract_multimap(support, mu, nu, merge_tol, zero_tol)
     inv = maps_mod.invert_maps(support, mu, nu, merge_tol, zero_tol)

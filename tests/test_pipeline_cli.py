@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sphere_ot import cli
+from sphere_ot import measures as measures_mod
 from sphere_ot import pipeline as pipe
 from sphere_ot import solver as solver_mod
 from sphere_ot.errors import ConfigError, SolverError
@@ -90,7 +91,10 @@ class TestRunPipeline:
         assert checks["duality_gap"].passed
         assert checks["dual_feasibility"].value == pytest.approx(eps)
         assert checks["complementary_slackness"].value == pytest.approx(eps)
-        assert result.summary["checks_failed"] == ["dual_feasibility", "complementary_slackness"]
+        # an exact run's cyclic line is the certificate's bound 2f + 2s, so it fails with them
+        assert checks["cyclical_monotonicity"].value == pytest.approx(4 * eps)
+        assert result.summary["checks_failed"] == [
+            "dual_feasibility", "complementary_slackness", "cyclical_monotonicity"]
 
     def test_extraction_support(self):
         coupling = solver_mod.Coupling(
@@ -165,6 +169,82 @@ class TestRunPipeline:
         assert [a["kind"] for a in anomalies] == ["univalent negative alignment"]
         checks = {c["name"]: c for c in json.loads((run / "checks.json").read_text())}
         assert checks["bivalent_signs"]["value"] == 0.0 and checks["bivalent_signs"]["passed"]
+
+
+def _bound_instance(spec, n, count, target_count):
+    """(mu, nu): the density spec against uniform, on the mesh of count atoms
+    and on that of target_count (seed 1) if it differs; spec "warp" is the
+    mesh against its push-forward at equal weights, so the assignment path."""
+    mesh = measures_mod.quasi_uniform_mesh(n, count, 0)
+    if spec == "warp":
+        moved = mesh.points + 0.35 * np.eye(n + 1)[-1]
+        moved /= np.linalg.norm(moved, axis=1, keepdims=True)
+        w = np.full(count, 1.0 / count)
+        return tuple(measures_mod.DiscreteMeasure(n, points, w, mesh.cell_areas)
+                     for points in (mesh.points, moved))
+    target = mesh if target_count == count else measures_mod.quasi_uniform_mesh(n, target_count, 1)
+    return pipe.resolve_measure(spec, n, mesh), pipe.resolve_measure("uniform", n, target)
+
+
+def _checks(result):
+    return {c.name: c for c in result.checks}
+
+
+class TestCyclicBound:
+    """An exact run's cyclical_monotonicity line is 2 max(f, 0) + 2 s, the dual
+    certificate's bound on every swap gain; an entropic run's is the direct check."""
+
+    @pytest.mark.parametrize("instance", [
+        ("cap:0.98", 1, 300, 300), ("cap:0.98", 2, 200, 200), ("band:0.5", 2, 500, 500),
+        ("uniform", 2, 200, 200), ("cap:0.98", 3, 300, 300), ("warp", 2, 300, 300),
+        ("cap:0.98", 2, 250, 500),
+    ], ids=["s1-cap-300", "cap-200", "band-500", "uniform-200", "s3-cap-300", "warp-300",
+            "cap-250-uniform-500"])
+    def test_line_is_certificate_bound(self, tmp_path, instance):
+        mu, nu = _bound_instance(*instance)
+        coupling, duals = solver_mod.solve_exact(mu, nu)
+        checks = _checks(pipe.analyse(mu, nu, coupling, duals, "exact", tmp_path))
+        f, s = checks["dual_feasibility"].value, checks["complementary_slackness"].value
+        line = checks["cyclical_monotonicity"]
+        assert line.value == 2.0 * max(f, 0.0) + 2.0 * s and line.passed
+        # both are rounded, so the bound may read an ulp or so below the direct value
+        assert line.value >= solver_mod.cyclical_monotonicity_violation(coupling, mu, nu) - 1e-15
+
+    def test_improving_swap_fails(self, tmp_path):
+        mu, nu = _bound_instance("warp", 2, 300, 300)
+        coupling, duals = solver_mod.solve_exact(mu, nu)
+        # swap the targets of the entries of atom 0 and of the atom farthest from it
+        far = int(np.argmax(np.linalg.norm(mu.points - mu.points[0], axis=1)))
+        at = [int(np.flatnonzero(coupling.rows == i)[0]) for i in (0, far)]
+        cols = coupling.cols.copy()
+        cols[at] = cols[at[::-1]]
+        swapped = solver_mod.Coupling(coupling.rows, cols, coupling.mass, coupling.total_cost)
+        direct = solver_mod.cyclical_monotonicity_violation(swapped, mu, nu)
+        assert direct > 1e-9
+        result = pipe.analyse(mu, nu, swapped, duals, "exact", tmp_path)
+        line = _checks(result)["cyclical_monotonicity"]
+        assert not line.passed and line.value >= direct - 1e-15
+        assert "cyclical_monotonicity" in result.summary["checks_failed"]
+
+    def test_nan_duals_give_failing_null(self, tmp_path):
+        mu, nu = _bound_instance("cap:0.98", 2, 200, 200)
+        coupling, duals = solver_mod.solve_exact(mu, nu)
+        duals.psi[0] = np.nan
+        result = pipe.analyse(mu, nu, coupling, duals, "exact", tmp_path)
+        assert not _checks(result)["cyclical_monotonicity"].passed
+        assert "cyclical_monotonicity" in result.summary["checks_failed"]
+        with open(tmp_path / "checks.json") as fh:
+            line = {c["name"]: c for c in json.load(fh)}["cyclical_monotonicity"]
+        assert line["value"] is None and not line["passed"]
+
+    def test_entropic_line_is_direct_check(self, tmp_path):
+        mesh = measures_mod.quasi_uniform_mesh(2, 120, 0)
+        mu, nu = (pipe.resolve_measure(spec, 2, mesh) for spec in ("cap:0.98", "uniform"))
+        coupling, duals = solver_mod.solve_entropic(mu, nu, reg=0.01)
+        checks = _checks(pipe.analyse(mu, nu, coupling, duals, "entropic", tmp_path))
+        support = pipe.extraction_support(coupling, "entropic")
+        direct = solver_mod.cyclical_monotonicity_violation(support, mu, nu)
+        assert checks["cyclical_monotonicity"].value == direct
 
 
 class TestDeterminism:

@@ -103,23 +103,34 @@ class TestExact:
 
 
 class TestFeasibilityGap:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_matches_whole_matrix(self, rng, n):
-        mu = make_measure(g.random_sphere_points(n, 600, rng))
-        nu = make_measure(g.random_sphere_points(n, 600, rng))
+    # 3 x 40 000 prices in one-line blocks: _row_step is 1 above BLOCK^2 / 2 columns
+    @pytest.mark.parametrize("n, n_src, n_tgt", [
+        (1, 600, 600), (2, 600, 600), (3, 600, 600), (2, 3, 40_000),
+    ], ids=["1", "2", "3", "one-line-blocks"])
+    def test_matches_whole_matrix(self, rng, n, n_src, n_tgt):
+        mu = make_measure(g.random_sphere_points(n, n_src, rng))
+        nu = make_measure(g.random_sphere_points(n, n_tgt, rng))
         _, duals = so.solve_exact(mu, nu)
         c = g.cost_matrix(mu.points, nu.points)
         whole = float((duals.psi[:, None] + duals.phi[None, :] - c).max())
         assert abs(duals.feasibility_gap(mu, nu) - whole) <= 1e-15
+        # every row's and column's minimum: a product entry may differ from the
+        # dense one by a few ulp of its terms, which grow with the duals (|psi| +
+        # |phi| reach 7.7 on the 3-source instance, and a column's minimum 1.3e-15)
+        dense = c - duals.psi[:, None] - duals.phi[None, :]
+        scale = max(1.0, np.abs(duals.psi).max() + np.abs(duals.phi).max())
+        for got, want in zip(so._line_minima(mu.points, nu.points, duals.psi, duals.phi),
+                             (dense.min(axis=1), dense.min(axis=0))):
+            assert np.abs(got - want).max() <= 1e-15 * scale
         # a shifted psi in the last row block shows in full
         shifted = so.DualPotentials(duals.psi.copy(), duals.phi)
         shifted.psi[-1] += 1e-6
         assert shifted.feasibility_gap(mu, nu) >= 1e-6 - 1e-15
 
     def test_no_array_as_large_as_c(self, rng):
-        # on the wide instance a block holds 2 rows of 30 000 entries; blocks
-        # of 256 whole rows peaked at 59 MiB there
-        for n_src, n_tgt in ((2000, 2000), (300, 30_000)):
+        # on the wide instance a block holds 2 rows of 30 000 entries, and on
+        # the widest one row; blocks of 256 whole rows peaked at 59 MiB on the first
+        for n_src, n_tgt in ((2000, 2000), (300, 30_000), (100, 70_000)):
             mu = make_measure(g.random_sphere_points(2, n_src, rng))
             nu = make_measure(g.random_sphere_points(2, n_tgt, rng))
             duals = so.DualPotentials(rng.normal(size=n_src), rng.normal(size=n_tgt))
@@ -380,21 +391,24 @@ class TestColumnGeneration:
     def test_blocked_carry_up_matches_whole_matrix(self, rng, n_src, n_tgt):
         xs = g.random_sphere_points(2, n_src, rng)
         ys = g.random_sphere_points(2, n_tgt, rng)
-        c = _stacked(xs, ys)
+        # the blocks _initial_candidates carries the duals up on: c from factors of zero duals
+        left, right = so._factors(xs, ys, 0.0, 0.0)
+        c = _stacked_product(left, right)
         cols = np.arange(0, n_tgt, 4)
         phi_coarse = rng.normal(scale=0.1, size=len(cols))
         step = so._row_step(n_tgt)
-        psi, phi = so._c_transforms(lambda lo: g.cost_matrix(xs[lo:lo + step], ys), n_src,
-                                    cols, phi_coarse, step)
+        psi, phi = so._c_transforms(lambda lo: so._reduced(left, right, slice(lo, lo + step)),
+                                    n_src, cols, phi_coarse, step)
         rows, picks = so._smallest_reduced(xs, ys, psi, phi, so.LP_NEIGHBOURS,
                                            np.arange(n_src), np.arange(n_tgt))
         want_psi = (c[:, cols] - phi_coarse[None, :]).min(axis=1)
         want_phi = (c - want_psi[:, None]).min(axis=0)
         assert psi.tobytes() == want_psi.tobytes() and phi.tobytes() == want_phi.tobytes()
-        # every column holds a reduced cost of exactly 0, so a row can hold
-        # ties; they go to the lower index
-        by_row = c - want_psi[:, None] - want_phi[None, :]
-        by_col = _stacked(ys, xs) - want_phi[:, None] - want_psi[None, :]
+        # the reference selects on c - psi - phi built from the same factors as
+        # _smallest_reduced's blocks, so this checks the selection and its tie
+        # rule (ties go to the lower index), not the arithmetic
+        left, right = so._factors(xs, ys, want_psi, want_phi)
+        by_row, by_col = _stacked_product(left, right), _stacked_product(right, left)
         want = np.zeros(c.shape, dtype=bool)
         for lines, reduced in ((want, by_row), (want.T, by_col)):
             best = np.argsort(reduced, axis=1, kind="stable")[:, :so.LP_NEIGHBOURS]
@@ -471,16 +485,19 @@ class TestColumnGeneration:
 
     @pytest.mark.parametrize("n_src, n_tgt", [(1000, 1000), (6000, 7), (7, 6000)])
     def test_cost_blocks_of_at_most_block_rows(self, rng, monkeypatch, n_src, n_tgt):
-        # every cost the LP path reads comes from the points, in blocks of
-        # _row_step rows or columns: at most BLOCK * BLOCK entries, or one line
+        # every block of reduced costs the LP path reads is one product of
+        # factors built from the points, of _row_step rows or columns: at most
+        # BLOCK * BLOCK entries, or one line; no whole cost matrix is built
         seen = []
-        real = so.cost_matrix
+        real = so._reduced
 
-        def spy(xs, ys):
-            seen.append((len(xs), len(ys)))
-            return real(xs, ys)
+        def spy(left, right, lines):
+            block = real(left, right, lines)
+            seen.append(block.shape)
+            return block
 
-        monkeypatch.setattr(so, "cost_matrix", spy)
+        monkeypatch.setattr(so, "_reduced", spy)
+        monkeypatch.setattr(so, "cost_matrix", None)
         mu, nu = _random_instance(rng, 2, n_src, n_tgt)
         coupling, duals = so.solve_exact(mu, nu)
         assert seen and all(rows * width <= max(so.BLOCK ** 2, width) for rows, width in seen)
@@ -758,10 +775,18 @@ def test_negligible_target_weights_certify(seed, weight, tmp_path):
 
 
 def _stacked(xs, ys):
-    """The cost matrix of xs against ys stacked from the blocks of _row_step
-    rows that the LP path builds from the points."""
+    """The cost matrix of xs against ys stacked from cost_matrix blocks of
+    _row_step rows."""
     step = so._row_step(len(ys))
     return np.vstack([g.cost_matrix(xs[lo:lo + step], ys) for lo in range(0, len(xs), step)])
+
+
+def _stacked_product(left, right):
+    """Every line of the factor left against right (so._factors), stacked from
+    the _reduced blocks of _row_step lines that the LP path builds."""
+    step = so._row_step(len(right))
+    return np.vstack([so._reduced(left, right, slice(lo, lo + step))
+                      for lo in range(0, len(left), step)])
 
 
 def _full_selection(xs, ys, psi, phi):
