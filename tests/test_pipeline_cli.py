@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import make_measure, warp
 from sphere_ot import cli
 from sphere_ot import measures as measures_mod
 from sphere_ot import pipeline as pipe
@@ -177,11 +178,7 @@ def _bound_instance(spec, n, count, target_count):
     mesh against its push-forward at equal weights, so the assignment path."""
     mesh = measures_mod.quasi_uniform_mesh(n, count, 0)
     if spec == "warp":
-        moved = mesh.points + 0.35 * np.eye(n + 1)[-1]
-        moved /= np.linalg.norm(moved, axis=1, keepdims=True)
-        w = np.full(count, 1.0 / count)
-        return tuple(measures_mod.DiscreteMeasure(n, points, w, mesh.cell_areas)
-                     for points in (mesh.points, moved))
+        return make_measure(mesh.points), make_measure(warp(mesh.points))
     target = mesh if target_count == count else measures_mod.quasi_uniform_mesh(n, target_count, 1)
     return pipe.resolve_measure(spec, n, mesh), pipe.resolve_measure("uniform", n, target)
 

@@ -7,7 +7,7 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.special import logsumexp
 
-from conftest import brenier_potential, brute_force_oracle, images_of, make_measure
+from conftest import brenier_potential, brute_force_oracle, images_of, make_measure, warp
 from sphere_ot import geometry as g
 from sphere_ot import measures as me
 from sphere_ot import solver as so
@@ -180,13 +180,6 @@ def _circle(count, angle):
     return np.column_stack([np.cos(t), np.sin(t)])
 
 
-def _warp(pts, shift=0.35):
-    """Push-forward by the gradient of the convex function |y + shift e|:
-    the identity pairing is provably optimal."""
-    moved = pts + shift * np.eye(pts.shape[1])[-1]
-    return moved / np.linalg.norm(moved, axis=1, keepdims=True)
-
-
 class TestAssignment:
     """The multiscale assignment path against the dense reference."""
 
@@ -246,7 +239,7 @@ class TestAssignment:
 
         monkeypatch.setattr(so, "linear_sum_assignment", counted)
         pts = g.random_sphere_points(2, 1000, rng)
-        mu, nu = make_measure(pts), make_measure(_warp(pts))
+        mu, nu = make_measure(pts), make_measure(warp(pts))
         coupling, duals = so.solve_exact(mu, nu)
         assert calls == [63, 250, 1000]  # 1000 -> 250 -> 63 atoms: two coarse levels
         assert np.array_equal(coupling.cols, np.arange(1000))
@@ -315,7 +308,7 @@ class TestAssignment:
         # blocks of at most BLOCK * BLOCK entries: 1.08x here, where blocks
         # of 256 whole rows read 1.22x
         pts = g.random_sphere_points(2, 3000, rng)
-        mu, nu = make_measure(pts), make_measure(_warp(pts))
+        mu, nu = make_measure(pts), make_measure(warp(pts))
         tracemalloc.start()
         try:
             coupling, _ = so.solve_exact(mu, nu)
