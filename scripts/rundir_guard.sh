@@ -4,8 +4,8 @@
 #
 #   scripts/rundir_guard.sh REV        # e.g. HEAD~ or a commit hash
 #
-# REV is checked out with `git worktree add --detach` into a temporary
-# directory (mktemp, so under $TMPDIR) that is removed on exit. Every
+# REV's files are unpacked with `git archive`, writing nothing to .git, into
+# a temporary directory (mktemp, so under $TMPDIR) removed on exit. Every
 # instance runs as `sphere-ot solve ... --out run` inside a directory of its
 # own, so config.json records the same output_dir on both sides. After each
 # solve, the re-analysis commands run on the run directory: `extract`
@@ -22,12 +22,9 @@ set -euo pipefail
 rev=${1:?usage: scripts/rundir_guard.sh REV}
 repo=$(git rev-parse --show-toplevel)
 work=$(mktemp -d)
-cleanup() {
-    git -C "$repo" worktree remove --force "$work/checkout" 2>/dev/null || true
-    rm -rf "$work"
-}
-trap cleanup EXIT
-git -C "$repo" worktree add --quiet --detach "$work/checkout" "$rev"
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/checkout"
+git -C "$repo" archive "$rev" | tar -x -C "$work/checkout"
 
 # 300 atoms of the mesh against their push-forward under the gradient map
 # x -> (x + 0.35 e_z) / |x + 0.35 e_z|, at weight 1/300 each (study.py's warp)

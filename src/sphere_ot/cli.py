@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 configuration error, 2 invariant violation,
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -24,6 +25,7 @@ def _add_mesh_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="seed of a built-in density's mesh")
 
 
+@functools.cache  # built once per process: main parses with it on every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sphere-ot",

@@ -71,7 +71,9 @@ rounded onto the marginals as in Altschuler, Weed and Rigollet (2017,
 Algorithm 2).
 
 Dual potentials are returned in the cost form psi_i + phi_j <= c(x_i, y_j),
-and every plan is costed by geometry.pair_costs.
+and every plan is costed by geometry.pair_costs. DualPotentials.certificate
+is the one statement of an exact plan's certificate: the duality gap,
+feasibility_gap, slackness_gap and the bound they give on every swap gain.
 """
 
 import csv
@@ -172,6 +174,18 @@ class DualPotentials:
         c = pair_costs(mu.points, nu.points, coupling.rows, coupling.cols)
         s = self.psi[coupling.rows] + self.phi[coupling.cols] - c
         return float(np.max(np.abs(s))) if len(s) else 0.0
+
+    def certificate(self, coupling: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure):
+        """The exact plan's certificate (gap, f, s, bound): the duality gap
+        total_cost - (psi.a + phi.b) for the weights a of mu and b of nu,
+        f = feasibility_gap, s = slackness_gap and bound = 2 max(f, 0) + 2 s.
+        The bound is at least every swap gain c_ij + c_kl - c_il - c_kj of two
+        support pairs (i, j) and (k, l), from c_ij <= psi_i + phi_j + s and
+        c_il >= psi_i + phi_l - f; max(f, 0.0), not max(0.0, f), keeps a NaN f."""
+        gap = coupling.total_cost - float(self.psi @ mu.weights + self.phi @ nu.weights)
+        f = self.feasibility_gap(mu, nu)
+        s = self.slackness_gap(coupling, mu, nu)
+        return gap, f, s, 2.0 * max(f, 0.0) + 2.0 * s
 
 
 def _check_instance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:

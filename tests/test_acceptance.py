@@ -13,7 +13,7 @@ import pytest
 
 from conftest import (
     bivalent_family, brute_force_oracle, exact_exponent_fixture, make_measure, random_suitable_pair,
-    vector_lemma_margin,
+    vector_lemma_margin, warp,
 )
 import sphere_cost as sc
 from sphere_ot import geometry as g
@@ -96,11 +96,7 @@ def warped_2000():
     """
     t0 = time.monotonic()
     mesh = me.quasi_uniform_mesh(2, 2000, 0)
-    shift = 0.35 * np.array([0.0, 0.0, 1.0])
-    moved = mesh.points + shift
-    moved /= np.linalg.norm(moved, axis=1, keepdims=True)
-    mu = make_measure(mesh.points)
-    nu = make_measure(moved)
+    mu, nu = make_measure(mesh.points), make_measure(warp(mesh.points))
     coupling, duals = so.solve_exact(mu, nu)
     mm, inv = extract(mu, nu, coupling)
     return {"mesh": mesh, "mu": mu, "nu": nu, "coupling": coupling,

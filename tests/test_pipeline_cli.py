@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -188,8 +189,9 @@ def _checks(result):
 
 
 class TestCyclicBound:
-    """An exact run's cyclical_monotonicity line is 2 max(f, 0) + 2 s, the dual
-    certificate's bound on every swap gain; an entropic run's is the direct check."""
+    """An exact run's certificate lines are DualPotentials.certificate, its
+    cyclical_monotonicity line 2 max(f, 0) + 2 s, the bound on every swap gain;
+    an entropic run's is the direct check."""
 
     @pytest.mark.parametrize("instance", [
         ("cap:0.98", 1, 300, 300), ("cap:0.98", 2, 200, 200), ("band:0.5", 2, 500, 500),
@@ -201,6 +203,9 @@ class TestCyclicBound:
         mu, nu = _bound_instance(*instance)
         coupling, duals = solver_mod.solve_exact(mu, nu)
         checks = _checks(pipe.analyse(mu, nu, coupling, duals, "exact", tmp_path))
+        lines = [checks[name].value for name in (
+            "duality_gap", "dual_feasibility", "complementary_slackness", "cyclical_monotonicity")]
+        assert np.array(lines).tobytes() == np.array(duals.certificate(coupling, mu, nu)).tobytes()
         f, s = checks["dual_feasibility"].value, checks["complementary_slackness"].value
         line = checks["cyclical_monotonicity"]
         assert line.value == 2.0 * max(f, 0.0) + 2.0 * s and line.passed
@@ -227,6 +232,7 @@ class TestCyclicBound:
         mu, nu = _bound_instance("cap:0.98", 2, 200, 200)
         coupling, duals = solver_mod.solve_exact(mu, nu)
         duals.psi[0] = np.nan
+        assert np.isnan(duals.certificate(coupling, mu, nu)[3])
         result = pipe.analyse(mu, nu, coupling, duals, "exact", tmp_path)
         assert not _checks(result)["cyclical_monotonicity"].passed
         assert "cyclical_monotonicity" in result.summary["checks_failed"]
@@ -513,6 +519,14 @@ class TestCLI:
             assert code == pipe.EXIT_OK and out.startswith("usage: sphere-ot") and err == ""
         else:
             assert code == pipe.EXIT_CONFIG and "sphere-ot" in err and "error:" in err
+
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        # build_parser runs once per process: every main call parses with its parser
+        parsers, parse = [], argparse.ArgumentParser.parse_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                            lambda self, argv: parsers.append(self) or parse(self, argv))
+        assert cli.main(["report"]) == cli.main(["bogus"]) == pipe.EXIT_CONFIG
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--seed", "-1", "--mesh", "60"],
