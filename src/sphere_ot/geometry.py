@@ -38,29 +38,28 @@ def rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[..., :, None])[:, 0, 0]
 
 
+def cost_factors(xs: np.ndarray, ys: np.ndarray, psi, phi):
+    """Factors (left, right) of the reduced costs c - psi - phi of xs against
+    ys, left = [x_i, |x_i|^2 - psi_i, 1] and right = [-2 y_j, 1, |y_j|^2 - phi_j]:
+    left[rows] @ right.T is those rows of c - psi - phi, and right[cols] @ left.T
+    those columns. psi = phi = 0 gives the costs themselves (cost_matrix)."""
+    left = np.column_stack([xs, np.einsum("ij,ij->i", xs, xs) - psi, np.ones(len(xs))])
+    right = np.column_stack([-2.0 * ys, np.ones(len(ys)), np.einsum("ij,ij->i", ys, ys) - phi])
+    return left, right
+
+
 def cost_matrix(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Pairwise squared chordal distances, shape (len(xs), len(ys)): the bits of
-    sq_x + sq_y - 2 xs @ ys.T, rows finished in place a few at a time (no second n x m array)."""
-    sq_x = np.einsum("ij,ij->i", xs, xs)
-    sq_y = np.einsum("ij,ij->i", ys, ys)
-    c = xs @ ys.T
-    c *= 2.0
-    # cache-sized 8192-entry steps; its callers build whole matrices (the assignment
-    # path, the entropic kernel), where BLOCK^2-entry steps timed the same at 3000 x 3000
-    step = 1 + 8192 // (len(ys) + 1)
-    for lo in range(0, len(c), step):
-        np.subtract(sq_x[lo:lo + step, None] + sq_y, c[lo:lo + step], out=c[lo:lo + step])
-    np.maximum(c, 0.0, out=c)
-    return c
+    """Pairwise squared chordal distances |x - y|^2, shape (len(xs), len(ys)):
+    the product of the factors of cost_factors(xs, ys, 0, 0). Not clamped, so
+    an entry of a coincident pair can be a few ulp below 0."""
+    left, right = cost_factors(xs, ys, 0.0, 0.0)
+    return left @ right.T
 
 
 def pair_costs(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """cost_matrix(xs, ys)[rows, cols] without the full matrix.
-
-    The same expression on the listed pairs only; the cross term is an
-    einsum, not a matrix product, so an entry may differ from the matrix's
-    in the last ulp.
-    """
+    """|x_i - y_j|^2 on the listed pairs only, clamped at 0: the cost of a
+    plan's entries. sq_x + sq_y - 2 x.y with an einsum cross term, so an
+    entry may differ from cost_matrix's in the last few ulp."""
     sq_x = np.einsum("ij,ij->i", xs, xs)
     sq_y = np.einsum("ij,ij->i", ys, ys)
     c = sq_x[rows] + sq_y[cols] - 2.0 * np.einsum("ij,ij->i", xs[rows], ys[cols])

@@ -9,7 +9,7 @@ resolution" means here.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import SphericalVoronoi, cKDTree
@@ -191,7 +191,6 @@ class SuitabilityCertificate:
     epsilon: float
     upper_ok: bool
     lower_ok: bool
-    worst_atoms: dict = field(default_factory=dict)
 
 
 def default_epsilon(n: int) -> float:
@@ -203,8 +202,7 @@ def check_suitable(mu: DiscreteMeasure, nu: DiscreteMeasure,
                    epsilon: float) -> SuitabilityCertificate:
     """Certify the density bounds: mu below 1/epsilon, nu above epsilon.
 
-    The certificate reports failures instead of raising; worst_atoms
-    records the extremal atom index for each bound checked. Both bounds on
+    The certificate reports failures instead of raising. Both bounds on
     both measures take a second call with the sides swapped.
     """
     if mu.n != nu.n:
@@ -213,13 +211,9 @@ def check_suitable(mu: DiscreteMeasure, nu: DiscreteMeasure,
         raise ConfigError("epsilon must be positive")
     d_mu = mu.density_estimates()
     d_nu = nu.density_estimates()
-    worst = {
-        "mu_max": int(np.argmax(d_mu)),
-        "nu_min": int(np.argmin(d_nu)),
-    }
     upper_ok = bool(d_mu.max() <= 1.0 / epsilon)
     lower_ok = bool(d_nu.min() >= epsilon)
-    return SuitabilityCertificate(epsilon, upper_ok, lower_ok, worst)
+    return SuitabilityCertificate(epsilon, upper_ok, lower_ok)
 
 
 def save_measure(measure: DiscreteMeasure, path) -> None:

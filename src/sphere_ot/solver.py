@@ -10,10 +10,10 @@ fast computation of the earth mover's distance and finding optimal
 solutions to transportation problems", 2014). Pricing takes the minimum
 of every row and column of reduced costs in one pass and selects pairs
 only on the lines whose minimum is below -PRICE_TOL.
-Each block of reduced costs c - psi - phi is one matrix product of two
-factors made once per pass (_factors), [x_i, |x_i|^2 - psi_i, 1] against
-[-2 y_j, 1, |y_j|^2 - phi_j]; the carry-up below reads blocks of c the
-same way, with psi = phi = 0.
+Each block of reduced costs c - psi - phi is one matrix product of the
+two factors that geometry.cost_factors makes once per pass; the carry-up
+below reads blocks of c the same way, with psi = phi = 0, and
+geometry.cost_matrix is the whole product at psi = phi = 0.
 Instances of at most LP_FULL_PAIRS pairs take every pair in one linprog
 call (interior point with crossover). Larger ones first solve the
 instance coarsened on both sides the same way, following Schmitzer ("A
@@ -58,9 +58,8 @@ Both exact paths pass over pairs in blocks of whole rows (or columns) of at
 most BLOCK * BLOCK entries, one line when a line holds more (_row_step):
 the LP path builds them as products of the factors and holds no array of
 every pair, and the assignment path copies them from its cost matrix,
-which geometry.cost_matrix builds, since its dual sweeps need the bits
-linear_sum_assignment ran on. DualPotentials.feasibility_gap reads the LP
-path's blocks.
+since its dual sweeps need the bits linear_sum_assignment ran on.
+DualPotentials.feasibility_gap reads the LP path's blocks.
 
 The entropic backend is the stabilised scaling of Schmitzer ("Stabilized
 sparse scaling algorithms for entropy regularized transport problems",
@@ -88,7 +87,7 @@ from scipy.optimize._highspy import _core as highs
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, ConvergenceError, SolverError, SolverFallbackWarning
-from .geometry import cost_matrix, pair_costs
+from .geometry import cost_factors, cost_matrix, pair_costs
 from .measures import DiscreteMeasure
 
 MASS_TOL = 1e-8  # marginal tolerance of instances and plans; the entropic solve stops at it
@@ -163,10 +162,8 @@ class DualPotentials:
 
     def feasibility_gap(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
         """max_ij (psi_i + phi_j - c_ij), NaN if any entry is; <= 0 for feasible
-        duals. The reduced costs are the blocks that pricing reads, products
-        of _factors (_line_minima), so an entry may differ from
-        cost_matrix - psi - phi by a few ulp: 8.9e-16 against 4.4e-16 on
-        cap:0.98 at S^2 mesh 200."""
+        duals. The reduced costs are the blocks that pricing reads
+        (_line_minima)."""
         return float(-_line_minima(mu.points, nu.points, self.psi, self.phi)[0].min())
 
     def slackness_gap(self, coupling: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -257,29 +254,17 @@ def _smallest_per_row(block, count, k, step):
     return np.concatenate(rows), np.concatenate(cols)
 
 
-def _factors(xs, ys, psi, phi):
-    """Factors (left, right) of the reduced costs c - psi - phi of xs against
-    ys: left = [x_i, |x_i|^2 - psi_i, 1] and right = [-2 y_j, 1, |y_j|^2 - phi_j],
-    so _reduced(left, right, lines) is their rows lines and
-    _reduced(right, left, lines) their columns lines. An entry may differ
-    from cost_matrix(xs, ys) - psi - phi in the last few ulp (cost_matrix
-    also clamps c at 0)."""
-    left = np.column_stack([xs, np.einsum("ij,ij->i", xs, xs) - psi, np.ones(len(xs))])
-    right = np.column_stack([-2.0 * ys, np.ones(len(ys)), np.einsum("ij,ij->i", ys, ys) - phi])
-    return left, right
-
-
 def _reduced(left, right, lines):
     """The block of reduced costs on the lines of the factor left against every
-    line of right (_factors), as one matrix product."""
+    line of right (geometry.cost_factors), as one matrix product."""
     return left[lines] @ right.T
 
 
 def _smallest_reduced(xs, ys, psi, phi, k, rows, cols):
     """The k pairs of smallest reduced cost c - psi - phi in each row of rows and each
     column of cols, in blocks of _row_step lines built by _reduced from the factors
-    of one _factors call, as (rows, cols); a pair may appear twice."""
-    left, right = _factors(xs, ys, psi, phi)
+    of one cost_factors call, as (rows, cols); a pair may appear twice."""
+    left, right = cost_factors(xs, ys, psi, phi)
     step, col_step = _row_step(len(ys)), _row_step(len(xs))
     at, picks = _smallest_per_row(lambda lo: _reduced(left, right, rows[lo:lo + step]),
                                   len(rows), k, step)
@@ -291,8 +276,8 @@ def _smallest_reduced(xs, ys, psi, phi, k, rows, cols):
 def _line_minima(xs, ys, psi, phi):
     """The minimum reduced cost c - psi - phi of every row and of every
     column, from one pass over blocks of _row_step rows built by _reduced
-    from the factors of one _factors call."""
-    left, right = _factors(xs, ys, psi, phi)
+    from the factors of one cost_factors call."""
+    left, right = cost_factors(xs, ys, psi, phi)
     row_min = np.empty(len(xs))
     col_min = np.full(len(ys), np.inf)
     step = _row_step(len(ys))
@@ -347,7 +332,7 @@ def _initial_candidates(xs, ys, a, b):
     )
     child_rows, child_cols = support[src_owner][:, tgt_owner].nonzero()
     step = _row_step(m)
-    left, right = _factors(xs, ys, 0.0, 0.0)  # so _reduced builds blocks of c
+    left, right = cost_factors(xs, ys, 0.0, 0.0)  # so _reduced builds blocks of c
     psi, phi = _c_transforms(lambda lo: _reduced(left, right, slice(lo, lo + step)), n, cj,
                              phi_coarse, step)
     rows, cols = _smallest_reduced(xs, ys, psi, phi, LP_NEIGHBOURS, np.arange(n), np.arange(m))

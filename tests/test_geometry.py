@@ -150,15 +150,19 @@ class TestCost:
                 assert c[i, j] == pytest.approx(sc.cost_extrinsic(xs[i], ys[j]), abs=1e-12)
 
     def test_cost_matrix_bits_without_second_matrix(self, rng):
-        # reference: the whole-matrix expression, whose peak is twice the result
+        # reference: the product of the cost's factors [x, |x|^2, 1] and
+        # [-2 y, 1, |y|^2], which cost_factors states with psi = phi = 0
         shapes = [(2, 3000, 3000), (1, 300, 300), (3, 700, 500), (2, 500, 7), (2, 7, 500), (2, 1, 1)]
         for n, rows, cols in shapes:
             xs = g.random_sphere_points(n, rows, rng)
             ys = g.random_sphere_points(n, cols, rng)
             sq_x = np.einsum("ij,ij->i", xs, xs)
             sq_y = np.einsum("ij,ij->i", ys, ys)
-            want = sq_x[:, None] + sq_y[None, :] - 2.0 * (xs @ ys.T)
-            np.maximum(want, 0.0, out=want)
+            left = np.column_stack([xs, sq_x, np.ones(rows)])
+            right = np.column_stack([-2.0 * ys, np.ones(cols), sq_y])
+            for got, want in zip(g.cost_factors(xs, ys, 0.0, 0.0), (left, right)):
+                assert got.tobytes() == want.tobytes(), (n, rows, cols)
+            want = left @ right.T
             tracemalloc.start()
             try:
                 got = g.cost_matrix(xs, ys)
@@ -166,7 +170,7 @@ class TestCost:
             finally:
                 tracemalloc.stop()
             assert got.tobytes() == want.tobytes(), (n, rows, cols)
-            if rows * cols >= 10**5:  # the norms and one row are small beside the result
+            if rows * cols >= 10**5:  # the factors are small beside the result
                 assert peak <= 1.1 * got.nbytes, (n, rows, cols, peak)
 
     @pytest.mark.parametrize("n", [1, 2, 3])

@@ -111,7 +111,6 @@ class TestSuitability:
         mu = me.sample_density(lambda p: 1.0, mesh)
         cert = me.check_suitable(mu, nu, 0.01 / me.sphere_area(2))
         assert not cert.lower_ok
-        assert cert.worst_atoms["nu_min"] == 17
 
     def test_heavy_atom_fails_upper(self):
         # one atom carrying half the mass of a 500-atom mesh has density
@@ -125,7 +124,6 @@ class TestSuitability:
         assert estimate > 15.0
         cert = me.check_suitable(mu, me.sample_density(lambda p: 1.0, mesh), 0.06)
         assert not cert.upper_ok
-        assert cert.worst_atoms["mu_max"] == 3
         # the spec-level example value 0.01 keeps 1/epsilon = 100 above the
         # estimate, so the bound still holds there
         assert me.check_suitable(mu, me.sample_density(lambda p: 1.0, mesh), 0.01).upper_ok

@@ -654,6 +654,22 @@ class TestCLI:
         assert f"coupling.csv: line {len(lines)}:" in capsys.readouterr().err
         assert (run / "multimap.json").read_bytes() == written
 
+    def test_extract_of_plan_off_its_marginals_fails_the_line(self, tmp_path, capsys):
+        # masses scaled by 1 + 1e-4 break the marginals by about 1e-6: the
+        # marginals line fails, and extract rewrites the whole record, exit 2
+        run = tmp_path / "run"
+        assert cli.main(["solve", "--mesh", "100", "--out", str(run)]) == 0
+        lines = (run / "coupling.csv").read_text().splitlines()
+        scaled = [lines[0]] + [f"{i},{j},{float(m) * (1 + 1e-4)!r}"
+                               for i, j, m in (line.split(",") for line in lines[1:])]
+        (run / "coupling.csv").write_text("\n".join(scaled) + "\n")
+        capsys.readouterr()
+        assert cli.main(["extract", "--run", str(run)]) == pipe.EXIT_INVARIANT
+        checks = {c["name"]: c for c in json.loads((run / "checks.json").read_text())}
+        assert not checks["marginals"]["passed"] and 1e-7 < checks["marginals"]["value"] < 1e-5
+        assert "marginals" in json.loads((run / "summary.json").read_text())["checks_failed"]
+        assert "invariant violations: marginals" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["extract"])
     @pytest.mark.parametrize("name, edit", [
         ("config.json", lambda text: "{}"),

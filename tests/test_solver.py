@@ -376,7 +376,7 @@ class TestColumnGeneration:
         xs = g.random_sphere_points(2, n_src, rng)
         ys = g.random_sphere_points(2, n_tgt, rng)
         # the blocks _initial_candidates carries the duals up on: c from factors of zero duals
-        left, right = so._factors(xs, ys, 0.0, 0.0)
+        left, right = g.cost_factors(xs, ys, 0.0, 0.0)
         c = _stacked_product(left, right)
         cols = np.arange(0, n_tgt, 4)
         phi_coarse = rng.normal(scale=0.1, size=len(cols))
@@ -391,7 +391,7 @@ class TestColumnGeneration:
         # the reference selects on c - psi - phi built from the same factors as
         # _smallest_reduced's blocks, so this checks the selection and its tie
         # rule (ties go to the lower index), not the arithmetic
-        left, right = so._factors(xs, ys, want_psi, want_phi)
+        left, right = g.cost_factors(xs, ys, want_psi, want_phi)
         by_row, by_col = _stacked_product(left, right), _stacked_product(right, left)
         want = np.zeros(c.shape, dtype=bool)
         for lines, reduced in ((want, by_row), (want.T, by_col)):
@@ -750,15 +750,8 @@ def test_negligible_target_weights_certify(seed, weight, tmp_path):
         assert (result.exit_code, result.summary["checks_failed"]) == (0, [])
 
 
-def _stacked(xs, ys):
-    """The cost matrix of xs against ys stacked from cost_matrix blocks of
-    _row_step rows."""
-    step = so._row_step(len(ys))
-    return np.vstack([g.cost_matrix(xs[lo:lo + step], ys) for lo in range(0, len(xs), step)])
-
-
 def _stacked_product(left, right):
-    """Every line of the factor left against right (so._factors), stacked from
+    """Every line of the factor left against right (g.cost_factors), stacked from
     the _reduced blocks of _row_step lines that the LP path builds."""
     step = so._row_step(len(right))
     return np.vstack([so._reduced(left, right, slice(lo, lo + step))
@@ -769,14 +762,16 @@ def _full_selection(xs, ys, psi, phi):
     """Reference for so._priced_pairs' selection: the ROUND_CAP pairs of
     smallest reduced cost of every row and every column, ties to the lower
     index, on the matrices stacked from the row blocks and from the column
-    blocks, kept if priced below -PRICE_TOL under pair_costs."""
+    blocks of the factors of c - psi - phi, kept if priced below -PRICE_TOL
+    under pair_costs."""
     m = len(ys)
+    left, right = g.cost_factors(xs, ys, psi, phi)
     rows, cols = [], []
-    reduced = _stacked(xs, ys) - psi[:, None] - phi[None, :]
+    reduced = _stacked_product(left, right)
     best = np.argsort(reduced, axis=1, kind="stable")[:, :so.ROUND_CAP]
     rows.append(np.repeat(np.arange(len(xs)), best.shape[1]))
     cols.append(best.ravel())
-    reduced = _stacked(ys, xs) - phi[:, None] - psi[None, :]
+    reduced = _stacked_product(right, left)
     best = np.argsort(reduced, axis=1, kind="stable")[:, :so.ROUND_CAP]
     cols.append(np.repeat(np.arange(m), best.shape[1]))
     rows.append(best.ravel())
@@ -803,7 +798,7 @@ class TestPricing:
         assert all(len(p) == 0 for p in _full_selection(xs, ys, psi, phi))
         raised = np.arange(n_tgt) % 5 == 1
         phi[raised] += np.resize([0.05, 2e-10, 0.5e-10, 1e-3], raised.sum())
-        reduced = _stacked(xs, ys) - psi[:, None] - phi[None, :]
+        reduced = _stacked_product(*g.cost_factors(xs, ys, psi, phi))
         negative_rows = (reduced < -so.PRICE_TOL).any(axis=1)
         negative_cols = (reduced < -so.PRICE_TOL).any(axis=0)
         assert 0 < negative_rows.sum() < n_src and 0 < negative_cols.sum() < n_tgt
